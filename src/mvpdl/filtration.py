@@ -36,8 +36,8 @@ class FiltrationResult:
 
 
 def _signatures(m: KripkeModel, closure: list[Formula]) -> dict[str, tuple[int, ...]]:
-    cols = [list(m.value_profile(g)[w].num for w in m.worlds) for g in closure]
-    return {w: tuple(col[i] for col in cols) for i, w in enumerate(m.worlds)}
+    cols = [m._profile(g) for g in closure]  # one value column per member
+    return dict(zip(m.worlds, zip(*cols)))
 
 
 def equivalence_classes(m: KripkeModel, seed: Formula) -> list[list[str]]:

@@ -1,15 +1,37 @@
 """Finite (n+1)-valued Kripke models and many-valued model checking.
 
 Worlds carry crisp accessibility relations per atomic program and exact
-truth values per propositional variable.  Compound program relations are
-induced in the usual regular-operation way (composition, union, test as a
-partial identity over fully-true worlds, star as reflexive-transitive
-closure); the box takes the minimum of the body over successors, with the
-empty minimum equal to 1 so dead ends validate every box.
+truth values per propositional variable.  The box takes the minimum of
+the body over a program's successors, with the empty minimum equal to 1
+so dead ends validate every box.
 
-Models are immutable after construction.  Evaluation computes whole value
-columns (one value per world) bottom-up over shared subterms and caches
-them per model, so repeated checks against one model stay cheap.
+Evaluation computes whole value columns (one numerator per world)
+bottom-up over shared subterms and caches them per model.  A box maps
+its body column to a new column by the regular-program laws, so only
+atomic successor and predecessor lists are ever built, lazily per
+atomic program:
+
+    [a]f      minimum of f over the a-successors (n at dead ends)
+    [g?]f     f where g has value 1, and 1 elsewhere (tests are partial
+              identities over fully true worlds: [q?]p <-> ~q^n | p)
+    [a;b]f  = [a][b]f
+    [a+b]f  = min([a]f, [b]f)
+    [b*]f   = gfp X. min(f, [b]X)
+
+Star over an atomic program or a union of atomic programs floods
+backward: worlds are taken in ascending body value, and each one not yet
+reached hands its value to every unreached world that reaches it through
+unreached worlds.  The reached set stays closed under predecessors, so a
+world is first reached from the lowest-valued world it can reach: the
+minimum over its star successors, in O(W + E + n).  Any other star
+iterates X -> min(f, [b]X) from X = f.  The map is monotone and the
+first step cannot rise, so the iterates fall; every fixpoint lies below
+each of them, and the value chain is finite, so they stop at the
+greatest fixpoint.
+
+Programs are walked with explicit stacks, so program depth is bounded by
+memory rather than by the interpreter's recursion limit.  Models are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -55,7 +77,7 @@ class KripkeModel:
         "_widx",
         "_vcols",
         "_zeros",
-        "_succ_cache",
+        "_adj",
         "_prof",
     )
 
@@ -101,7 +123,7 @@ class KripkeModel:
             self._vcols[var] = col
         self.variables = tuple(sorted(self._vcols))
         self._zeros = [0] * len(self.worlds)
-        self._succ_cache: dict[Program, list[tuple[int, ...]]] = {}
+        self._adj: dict[tuple[str, bool], list[list[int]]] = {}
         self._prof: dict[Formula, list[int]] = {}
 
     # -- evaluation --
@@ -144,12 +166,6 @@ class KripkeModel:
             raise ModelError(f"undeclared world {world!r}")
         return TruthValue(col[idx], self.n)
 
-    def relation(self, prog: Program) -> frozenset[tuple[str, str]]:
-        """Induced relation of a program, as world-name pairs."""
-        succ = self._succ(prog)
-        names = self.worlds
-        return frozenset((names[u], names[v]) for u in range(len(names)) for v in succ[u])
-
     # -- internals --
 
     def _profile(self, f: Formula) -> list[int]:
@@ -189,6 +205,20 @@ class KripkeModel:
                 elif t is Box:
                     stack.append((node, True))
                     stack.append((node.body, False))
+                    # test formulas inside the program are evaluated first
+                    progs = [node.prog]
+                    while progs:
+                        p = progs.pop()
+                        pt = type(p)
+                        if pt is Test:
+                            stack.append((p.formula, False))
+                        elif pt is Seq or pt is Union:
+                            progs.append(p.left)
+                            progs.append(p.right)
+                        elif pt is Star:
+                            progs.append(p.sub)
+                        elif pt is not Atomic:
+                            raise ModelError(f"not a program: {p!r}")
                 else:
                     raise ModelError(f"cannot evaluate {node!r}")
             else:
@@ -201,62 +231,130 @@ class KripkeModel:
                     b = cols[id(node.rhs)]
                     col = [n if x <= y else n - x + y for x, y in zip(a, b)]
                 else:  # Box
-                    body = cols[id(node.body)]
-                    succ = self._succ(node.prog)
-                    col = []
-                    for vs in succ:
-                        m = n
-                        for v in vs:
-                            bv = body[v]
-                            if bv < m:
-                                m = bv
-                                if m == 0:
-                                    break
-                        col.append(m)
+                    col = self._box(node.prog, cols[id(node.body)], cols)
                 cols[nid] = col
                 self._prof[node] = col
         return self._prof[f]
 
-    def _succ(self, prog: Program) -> list[tuple[int, ...]]:
-        got = self._succ_cache.get(prog)
+    def _box(self, prog: Program, body: list[int], cols: dict[int, list[int]]) -> list[int]:
+        """Column of [prog] over a body column; cols holds the columns of
+        the program's test formulas, keyed by node id."""
+        n = self.n
+        done: list[list[int]] = []  # columns of finished steps
+        # steps: (_BOX, program, column) applies a box to a column;
+        # (_THEN, program, None) applies it to the last finished column;
+        # (_MIN, None, None) merges the last two; (_STEP, program, (f, X))
+        # takes one top-down star iterate X -> min(f, [program]X).
+        todo: list[tuple] = [(_BOX, prog, body)]
+        while todo:
+            op, p, arg = todo.pop()
+            if op == _THEN:
+                todo.append((_BOX, p, done.pop()))
+            elif op == _MIN:
+                right = done.pop()
+                done.append([x if x < y else y for x, y in zip(done.pop(), right)])
+            elif op == _STEP:
+                f, x = arg
+                y = [a if a < b else b for a, b in zip(f, done.pop())]
+                if y == x:
+                    done.append(x)
+                else:
+                    todo.append((_STEP, p, (f, y)))
+                    todo.append((_BOX, p, y))
+            elif type(p) is Atomic:
+                done.append(self._atomic_box(p.name, arg))
+            elif type(p) is Test:
+                cond = cols[id(p.formula)]
+                done.append([x if c == n else n for x, c in zip(arg, cond)])
+            elif type(p) is Seq:
+                todo.append((_THEN, p.left, None))
+                todo.append((_BOX, p.right, arg))
+            elif type(p) is Union:
+                todo.append((_MIN, None, None))
+                todo.append((_BOX, p.right, arg))
+                todo.append((_BOX, p.left, arg))
+            else:  # Star
+                atoms = _union_atoms(p.sub)
+                if atoms is not None:
+                    done.append(self._flood(atoms, arg))
+                else:
+                    todo.append((_STEP, p.sub, (arg, arg)))
+                    todo.append((_BOX, p.sub, arg))
+        return done.pop()
+
+    def _atomic_box(self, name: str, body: list[int]) -> list[int]:
+        n = self.n
+        col = []
+        for vs in self._adjacency(name, False):
+            m = n
+            for v in vs:
+                bv = body[v]
+                if bv < m:
+                    m = bv
+                    if m == 0:
+                        break
+            col.append(m)
+        return col
+
+    def _flood(self, atoms: set[str], body: list[int]) -> list[int]:
+        """[(a1+...+ak)*] over a body column, by backward flooding from
+        the worlds in ascending body value."""
+        preds = [self._adjacency(a, True) for a in atoms]
+        buckets: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for w, x in enumerate(body):
+            buckets[x].append(w)
+        col = [-1] * len(body)
+        for x, seeds in enumerate(buckets):
+            for s in seeds:
+                if col[s] >= 0:
+                    continue
+                col[s] = x
+                todo = [s]
+                while todo:
+                    v = todo.pop()
+                    for pred in preds:
+                        for u in pred[v]:
+                            if col[u] < 0:
+                                col[u] = x
+                                todo.append(u)
+        return col
+
+    def _adjacency(self, name: str, backward: bool) -> list[list[int]]:
+        """Successor (or predecessor) index lists of an atomic program."""
+        key = (name, backward)
+        got = self._adj.get(key)
         if got is not None:
             return got
-        count = len(self.worlds)
-        t = type(prog)
+        idx = self._widx
+        lists: list[list[int]] = [[] for _ in self.worlds]
+        for u, v in self.relations.get(name, ()):
+            if backward:
+                lists[idx[v]].append(idx[u])
+            else:
+                lists[idx[u]].append(idx[v])
+        self._adj[key] = lists
+        return lists
+
+
+_BOX, _THEN, _MIN, _STEP = range(4)
+
+
+def _union_atoms(prog: Program) -> set[str] | None:
+    """Names of the atomic programs of a union of atomic programs, or
+    None for any other shape."""
+    names = set()
+    todo = [prog]
+    while todo:
+        p = todo.pop()
+        t = type(p)
         if t is Atomic:
-            pairs = self.relations.get(prog.name, frozenset())
-            sets: list[set[int]] = [set() for _ in range(count)]
-            for u, v in pairs:
-                sets[self._widx[u]].add(self._widx[v])
-            succ = [tuple(sorted(s)) for s in sets]
-        elif t is Test:
-            col = self._profile(prog.formula)
-            succ = [(w,) if col[w] == self.n else () for w in range(count)]
-        elif t is Seq:
-            first = self._succ(prog.left)
-            second = self._succ(prog.right)
-            succ = [tuple(sorted({x for v in first[w] for x in second[v]})) for w in range(count)]
+            names.add(p.name)
         elif t is Union:
-            left = self._succ(prog.left)
-            right = self._succ(prog.right)
-            succ = [tuple(sorted(set(left[w]) | set(right[w]))) for w in range(count)]
-        elif t is Star:
-            base = self._succ(prog.sub)
-            succ = []
-            for w in range(count):
-                seen = {w}
-                todo = [w]
-                while todo:
-                    u = todo.pop()
-                    for v in base[u]:
-                        if v not in seen:
-                            seen.add(v)
-                            todo.append(v)
-                succ.append(tuple(sorted(seen)))
+            todo.append(p.left)
+            todo.append(p.right)
         else:
-            raise ModelError(f"not a program: {prog!r}")
-        self._succ_cache[prog] = succ
-        return succ
+            return None
+    return names
 
 
 def random_model(

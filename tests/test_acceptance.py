@@ -48,6 +48,7 @@ from mvpdl.ulam import (
     reachable_states,
     world_name_state,
 )
+from relational import Relational
 
 
 def _report(criterion: int, name: str, detail: str):
@@ -157,11 +158,12 @@ def test_c05_filtration_lemma_suite():
             qprof = q.value_profile(psi)
             for w in m.worlds:
                 assert prof[w] == qprof[res.class_of[w]], (trial, format_formula(psi))
+        m_rel, q_rel = Relational(m), Relational(q)
         for g in closure:
             if type(g) is not Box:
                 continue
-            rel = m.relation(g.prog)
-            qrel = q.relation(g.prog)
+            rel = m_rel.relation(g.prog)
+            qrel = q_rel.relation(g.prog)
             for u, v in rel:  # part (2a)
                 assert (res.class_of[u], res.class_of[v]) in qrel, trial
             box_prof = m.value_profile(g)  # part (2b)

@@ -14,6 +14,7 @@ from mvpdl.kripke import KripkeModel, random_model
 from mvpdl.parser import parse_formula
 from mvpdl.syntax import Box
 from mvpdl.tautologies import random_formula
+from relational import Relational
 
 
 def counterexample_model() -> KripkeModel:
@@ -78,9 +79,10 @@ def _check_filtration_lemma(m, f):
         for w in m.worlds:
             assert prof[w] == qprof[res.class_of[w]], psi
     boxes = [g for g in closure if type(g) is Box]
+    m_rel, q_rel = Relational(m), Relational(q)
     for g in boxes:
-        rel = m.relation(g.prog)
-        qrel = q.relation(g.prog)
+        rel = m_rel.relation(g.prog)
+        qrel = q_rel.relation(g.prog)
         # (2a) related worlds stay related between classes
         for u, v in rel:
             assert (res.class_of[u], res.class_of[v]) in qrel

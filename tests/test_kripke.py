@@ -1,4 +1,4 @@
-"""Model checking: induced relations, box semantics, file format."""
+"""Model checking: box semantics against the relational oracle, file format."""
 
 import random
 
@@ -13,9 +13,10 @@ from mvpdl.kripke import (
     random_model,
 )
 from mvpdl.luk import tv
-from mvpdl.parser import parse_formula, parse_program
-from mvpdl.syntax import Box, Star, Union, Atomic, Implies, power
-from mvpdl.tautologies import random_formula
+from mvpdl.parser import format_formula, parse_formula, parse_program
+from mvpdl.syntax import Atomic, Box, Implies, Seq, Star, Union, Var, power
+from mvpdl.tautologies import random_formula, random_program
+from relational import Relational
 
 
 def counterexample_model() -> KripkeModel:
@@ -37,14 +38,14 @@ def test_worked_counterexample_values():
 
 
 def test_relation_examples():
-    m = counterexample_model()
-    assert m.relation(parse_program("a*")) == frozenset({("u", "u"), ("u", "v"), ("v", "v")})
-    assert m.relation(parse_program("a;a")) == frozenset()
+    rel = Relational(counterexample_model()).relation
+    assert rel(parse_program("a*")) == frozenset({("u", "u"), ("u", "v"), ("v", "v")})
+    assert rel(parse_program("a;a")) == frozenset()
     # tests require the value to be exactly 1
     m2 = KripkeModel(2, ["u", "v"], {}, {"q": {"u": 2, "v": 1}})
-    assert m2.relation(parse_program("q?")) == frozenset({("u", "u")})
+    assert Relational(m2).relation(parse_program("q?")) == frozenset({("u", "u")})
     # undeclared atomic programs denote the empty relation
-    assert m.relation(parse_program("zz")) == frozenset()
+    assert rel(parse_program("zz")) == frozenset()
 
 
 def test_star_is_least_reflexive_transitive_closure():
@@ -69,7 +70,7 @@ def test_star_is_least_reflexive_transitive_closure():
         expected = {
             (m.worlds[i], m.worlds[j]) for i in range(k) for j in range(k) if closure[i][j]
         }
-        assert m.relation(Star(Atomic("a"))) == frozenset(expected)
+        assert Relational(m).relation(Star(Atomic("a"))) == frozenset(expected)
 
 
 def test_box_antitone_in_the_relation():
@@ -220,3 +221,86 @@ def test_disjoint_union_preserves_values():
         prof = m.value_profile(f)
         for w in m.worlds:
             assert union.value(f"m{i}:{w}", f) == prof[w]
+
+
+def _has_compound_star(f) -> bool:
+    """Whether a star over anything but a union of atomic programs occurs."""
+    stack = [f]
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is Star:
+            atoms = [x.sub]
+            while atoms and type(atoms[-1]) in (Atomic, Union):
+                y = atoms.pop()
+                if type(y) is Union:
+                    atoms += [y.left, y.right]
+            if atoms:
+                return True
+        for attr in ("sub", "lhs", "rhs", "prog", "body", "formula", "left", "right"):
+            if hasattr(x, attr):
+                stack.append(getattr(x, attr))
+    return False
+
+
+def test_column_fixpoints_match_relational_oracle():
+    # differential: value columns against box-as-minimum over built relations
+    rng = random.Random(20261017)
+    compound_stars = 0
+    for trial in range(1500):
+        n = rng.randint(1, 4)
+        m = random_model(
+            seed=rng.randrange(2**31),
+            n=n,
+            world_count=rng.randint(1, 12),
+            edge_density=rng.choice((0.0, 0.1, 0.25, 0.5)),
+        )
+        # program c is never declared by the model
+        names = {"var_names": ("p", "q"), "atom_names": ("a", "b", "c")}
+        f = random_formula(rng, rng.randint(2, 4), **names)
+        if trial % 3 == 0:
+            f = Implies(Box(Star(random_program(rng, 3, **names)), random_formula(rng, 2, **names)), f)
+        want = Relational(m).profile(f)
+        got = m.value_profile(f)
+        assert [got[w].num for w in m.worlds] == want, (trial, format_formula(f))
+        compound_stars += _has_compound_star(f)
+    assert compound_stars > 250  # the top-down star route must be exercised
+
+
+def test_fixed_star_and_test_shapes_match_relational_oracle():
+    texts = [
+        "[(a;b)*]q",
+        "[(a+q?)*]p",
+        "[(p?;a)*]q",
+        "[((a;b)*;c)*]p",
+        "[(a+b+c)*]p",
+        "[(a*)*](p -> [b]q)",
+        "[((p -> [a*]q)?;b)*]<(a;q?)*>p",
+        "[(a;a)*]p & [a*][b*]q",
+        "[(([q?]p)?;(a+b*))*]p",
+    ]
+    for seed in range(60):
+        density = (0.0, 0.15, 0.4)[seed % 3]
+        m = random_model(seed=seed, n=1 + seed % 4, world_count=1 + seed % 12, edge_density=density)
+        oracle = Relational(m)
+        for t in texts:
+            f = parse_formula(t)
+            got = m.value_profile(f)
+            assert [got[w].num for w in m.worlds] == oracle.profile(f), (seed, t)
+
+
+def test_deep_program_evaluates_like_a_box_chain():
+    cycle = [("w0", "w1"), ("w1", "w2"), ("w2", "w0")]
+    m = KripkeModel(2, ["w0", "w1", "w2"], {"a": cycle}, {"p": {"w0": 2, "w1": 1, "w2": 0}})
+    depth = 1500
+    left = right = Atomic("a")
+    chain = Box(Atomic("a"), Var("p"))
+    for _ in range(depth):
+        left = Seq(left, Atomic("a"))
+        right = Seq(Atomic("a"), right)
+        chain = Box(Atomic("a"), chain)
+    want = m.value("w0", chain)
+    assert want == tv(1, 2)  # 1501 steps round the 3-cycle end at w1
+    assert m.value("w0", Box(left, Var("p"))) == want
+    assert m.value("w0", Box(right, Var("p"))) == want
+    assert m.value("w1", Box(Star(right), Var("p"))) == tv(0, 2)
