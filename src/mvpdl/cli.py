@@ -2,9 +2,9 @@
 
 Subcommands: eval, check, taut, flclosure, filter, sat, valid, prove,
 randmodel, and the game group ulam {build,check,run}.  Exit status 0 on
-affirmative verdicts, 1 on negative ones, 2 on any error.  `--json`
-switches the sat/valid reports (and most other outputs) to a stable JSON
-shape.
+affirmative verdicts, 1 on negative ones, 2 on any error, internal
+failures included.  `--json` switches the sat/valid reports (and most
+other outputs) to a stable JSON shape.
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a failure must never read as a negative verdict
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -161,35 +161,69 @@ def equiv(x: TruthValue, y: TruthValue) -> TruthValue:
 # --- propositional evaluation --------------------------------------------
 
 
-def eval_prop_num(f: Formula, env: Mapping[str, int], n: int) -> int:
-    """Evaluate a modality-free formula; env maps names to numerators."""
-    memo: dict[int, int] = {}
+def _lower(f: Formula) -> tuple[list[str], list[tuple[int, int]], int]:
+    """Straight-line program of a modality-free formula.
 
-    def rec(g: Formula) -> int:
+    Returns (names, steps, root) over a row of slots: slot i < len(names)
+    holds the value of variable names[i] (names sorted), the next slot
+    holds 0, and step k computes slot len(names) + 1 + k as the
+    implication of the two slots it names; ~g is lowered as g -> 0.
+    Shared subformulas are lowered once, with an explicit stack, so depth
+    is not limited by the recursion limit.
+    """
+    names = sorted(variables_of(f))
+    zero = len(names)
+    slot: dict[int, int] = {}
+    var_slot = {name: i for i, name in enumerate(names)}
+    steps: list[tuple[int, int]] = []
+    stack = [f]
+    while stack:
+        g = stack[-1]
         key = id(g)
-        got = memo.get(key)
-        if got is not None:
-            return got
+        if key in slot:
+            stack.pop()
+            continue
         t = type(g)
         if t is Var:
-            try:
-                v = env[g.name]
-            except KeyError:
-                raise UnboundVariable(g.name) from None
+            slot[key] = var_slot[g.name]
         elif t is Zero:
-            v = 0
-        elif t is Not:
-            v = n - rec(g.sub)
-        elif t is Implies:
-            v = imp_i(rec(g.lhs), rec(g.rhs), n)
+            slot[key] = zero
+        elif t is Not or t is Implies:
+            lhs, rhs = (g.sub, None) if t is Not else (g.lhs, g.rhs)
+            a = slot.get(id(lhs))
+            b = zero if rhs is None else slot.get(id(rhs))
+            if a is None or b is None:
+                stack.append(lhs if a is None else rhs)
+                continue
+            steps.append((a, b))
+            slot[key] = zero + len(steps)
         elif t is Box:
             raise ValueError("modal formula passed to propositional evaluation")
         else:
             raise TypeError(f"not a formula: {g!r}")
-        memo[key] = v
-        return v
+        stack.pop()
+    return names, steps, slot[id(f)]
 
-    return rec(f)
+
+def _run(steps: list[tuple[int, int]], root: int, nums, n: int) -> int:
+    """Value of a lowered formula; nums lists the variables' numerators."""
+    vals = list(nums)
+    vals.append(0)
+    for i, j in steps:
+        x = vals[i]
+        y = vals[j]
+        vals.append(n if x <= y else n - x + y)
+    return vals[root]
+
+
+def eval_prop_num(f: Formula, env: Mapping[str, int], n: int) -> int:
+    """Evaluate a modality-free formula; env maps names to numerators."""
+    names, steps, root = _lower(f)
+    try:
+        nums = [env[name] for name in names]
+    except KeyError as exc:
+        raise UnboundVariable(exc.args[0]) from None
+    return _run(steps, root, nums, n)
 
 
 def eval_prop(f: Formula, assignment: Mapping[str, TruthValue], n: int | None = None) -> TruthValue:
@@ -218,11 +252,10 @@ def prop_counterexample(f: Formula, n: int) -> dict[str, TruthValue] | None:
 
     Exhausts the full table, so the cost is (n+1)**#variables.
     """
-    names = sorted(variables_of(f))
+    names, steps, root = _lower(f)
     for nums in itertools.product(range(n + 1), repeat=len(names)):
-        env = dict(zip(names, nums))
-        if eval_prop_num(f, env, n) != n:
-            return {name: TruthValue(i, n) for name, i in env.items()}
+        if _run(steps, root, nums, n) != n:
+            return {name: TruthValue(i, n) for name, i in zip(names, nums)}
     return None
 
 

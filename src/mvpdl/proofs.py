@@ -13,6 +13,11 @@ a, b):
     trans   [a*]p -> [a*][a*]p
     ind     (p & [a*]((p -> [a]p)^n)) -> [a*]p
 
+All but oplus and odot are read from the `tautologies` schema registry.
+An axiom line is checked against one simultaneous substitution of
+formulas for p, q and programs for a, b; a test inside a substituted
+program keeps its own variables.
+
 Deduction rules are modus ponens, necessitation, and uniform substitution
 of formulas for variables (also inside tests).  The propositional base is
 discharged by the `luk` justification: the line is accepted when, after
@@ -38,26 +43,21 @@ from .syntax import (
     Implies,
     Not,
     Program,
-    Seq,
     Star,
-    Test,
-    Union,
     Var,
+    atomic_programs_of,
     iff,
     land,
-    lor,
     oplus,
     odot,
     power,
+    rewrite,
     substitute,
-    substitute_atomics,
     variables_of,
 )
+from .tautologies import schema_formulas
 
-_P = Var("p")
-_Q = Var("q")
-_A = Atomic("a")
-_B = Atomic("b")
+_SCHEMA_OF_AXIOM = {"K": 14, "union": 1, "seq": 2, "test": 5, "fix": 10, "trans": 13, "ind": 12}
 
 
 class IncompleteSubstitution(ValueError):
@@ -69,41 +69,16 @@ def axiom_ids() -> tuple[str, ...]:
 
 
 def axiom_template(axiom_id: str, n: int) -> Formula:
-    p, q, a, b = _P, _Q, _A, _B
-    if axiom_id == "K":
-        return Implies(Box(a, Implies(p, q)), Implies(Box(a, p), Box(a, q)))
+    """The axiom over p, q, a, b."""
+    index = _SCHEMA_OF_AXIOM.get(axiom_id)
+    if index is not None:
+        return schema_formulas(index, n)[0]
+    p, a = Var("p"), Atomic("a")
     if axiom_id == "oplus":
         return iff(Box(a, oplus(p, p)), oplus(Box(a, p), Box(a, p)))
     if axiom_id == "odot":
         return iff(Box(a, odot(p, p)), odot(Box(a, p), Box(a, p)))
-    if axiom_id == "union":
-        return iff(Box(Union(a, b), p), land(Box(a, p), Box(b, p)))
-    if axiom_id == "seq":
-        return iff(Box(Seq(a, b), p), Box(a, Box(b, p)))
-    if axiom_id == "test":
-        return iff(Box(Test(q), p), lor(Not(power(q, n)), p))
-    if axiom_id == "fix":
-        return iff(Box(Star(a), p), land(p, Box(a, Box(Star(a), p))))
-    if axiom_id == "trans":
-        return Implies(Box(Star(a), p), Box(Star(a), Box(Star(a), p)))
-    if axiom_id == "ind":
-        return Implies(
-            land(p, Box(Star(a), power(Implies(p, Box(a, p)), n))), Box(Star(a), p)
-        )
     raise ValueError(f"unknown axiom {axiom_id!r}")
-
-
-_SCHEMA_PROGS = {
-    "K": ("a",),
-    "oplus": ("a",),
-    "odot": ("a",),
-    "union": ("a", "b"),
-    "seq": ("a", "b"),
-    "test": (),
-    "fix": ("a",),
-    "trans": ("a",),
-    "ind": ("a",),
-}
 
 
 def instantiate_axiom(
@@ -112,18 +87,15 @@ def instantiate_axiom(
     fsub: Mapping[str, Formula] | None = None,
     psub: Mapping[str, Program] | None = None,
 ) -> Formula:
-    """Fill an axiom schema.  Every schematic symbol must be mapped."""
+    """Fill an axiom schema by one simultaneous substitution.  Every
+    schematic symbol must be mapped."""
     template = axiom_template(axiom_id, n)
-    fsub = dict(fsub or {})
-    psub = dict(psub or {})
-    missing_vars = variables_of(template) - set(fsub)
-    missing_progs = set(_SCHEMA_PROGS[axiom_id]) - set(psub)
-    if missing_vars or missing_progs:
-        raise IncompleteSubstitution(
-            f"axiom {axiom_id} leaves {sorted(missing_vars | missing_progs)} unmapped"
-        )
-    out = substitute_atomics(template, psub)
-    return substitute(out, fsub)
+    fsub = fsub or {}
+    psub = psub or {}
+    missing = (variables_of(template) - set(fsub)) | (atomic_programs_of(template) - set(psub))
+    if missing:
+        raise IncompleteSubstitution(f"axiom {axiom_id} leaves {sorted(missing)} unmapped")
+    return substitute(template, fsub, psub)
 
 
 # --- derivations ------------------------------------------------------------
@@ -195,24 +167,28 @@ class Derivation:
 
 def abstract_boxes(f: Formula) -> Formula:
     """Replace each maximal boxed subformula by a variable; structurally
-    equal boxes share one variable."""
+    equal boxes share one variable, numbered left to right."""
     fresh: dict[Formula, Var] = {}
-
-    def rec(g: Formula) -> Formula:
+    done: dict[int, Formula] = {}
+    seen: set[int] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
         t = type(g)
         if t is Box:
             v = fresh.get(g)
             if v is None:
-                v = Var(f"#b{len(fresh)}")
-                fresh[g] = v
-            return v
-        if t is Not:
-            return Not(rec(g.sub))
-        if t is Implies:
-            return Implies(rec(g.lhs), rec(g.rhs))
-        return g
-
-    return rec(f)
+                v = fresh[g] = Var(f"#b{len(fresh)}")
+            done[id(g)] = v
+        elif t is Not:
+            stack.append(g.sub)
+        elif t is Implies:
+            stack.append(g.rhs)
+            stack.append(g.lhs)
+    return rewrite(f, {}, {}, done)
 
 
 def is_modal_luk_tautology(f: Formula, n: int) -> bool:

@@ -206,22 +206,42 @@ class _Rows:
         return self.rows
 
     def _refine(self, rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Monotonicity fixpoint over same-program box pairs.
+        """Fixpoint of two rules that drop rows no model can produce.
 
-        If every surviving row values body f at most body g, then f -> g
-        holds at every world of every model (real rows are consistent), so
-        the boxes over one program are ordered the same way; rows breaking
-        that order cannot come from a model and are dropped.  Dropping
-        rows can establish new body orderings, hence the fixpoint.
+        Soundness rests on one invariant: the row of every world of every
+        model survives.  It holds for the generated rows, and each rule,
+        applied to rows for which it holds, drops only rows that no world
+        can have.
+
+        * Floor: a box [α]φ is the minimum of φ over the α-successors of a
+          world, or 1 without any.  Every successor is a world, so its row
+          survives, and its φ-value is at least the least φ-value of any
+          surviving row; a row whose box value lies below that least
+          value cannot come from a model.
+        * Monotonicity: if every surviving row values body f at most body
+          g, then f -> g holds at every world of every model, so the
+          boxes over one program are ordered the same way; rows breaking
+          that order are dropped.
+
+        Dropping rows can raise a least value or establish a new body
+        ordering, hence the fixpoint.
         """
         by_prog: dict[Program, list[tuple[int, int]]] = {}
         for g in self.closure:
             if type(g) is Box:
                 by_prog.setdefault(g.prog, []).append((self.index[g], self.index[g.body]))
+        boxes = [pair for pairs in by_prog.values() for pair in pairs]
         groups = [pairs for pairs in by_prog.values() if len(pairs) > 1]
         changed = True
         while changed and rows:
             changed = False
+            for box, body in boxes:
+                least = min((row[body] for row in rows), default=0)
+                if least:
+                    kept = [row for row in rows if row[box] >= least]
+                    if len(kept) != len(rows):
+                        rows = kept
+                        changed = True
             for pairs in groups:
                 for box1, body1 in pairs:
                     for box2, body2 in pairs:

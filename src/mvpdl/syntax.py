@@ -8,8 +8,9 @@ every semantic operation only ever sees the five core shapes.
 Programs are atomic names, tests on formulas, sequential composition,
 nondeterministic choice and iteration (star).
 
-Trees are immutable, hash-consed enough to share subterms freely, and
-compared structurally.
+Trees are immutable and share subterms freely.  They are not interned:
+each node caches its hash at construction, and `==` compares structure
+recursively.
 """
 
 from __future__ import annotations
@@ -320,111 +321,81 @@ def _walk(node, vars_out, atoms_out):
             stack.append(x.sub)
 
 
-def substitute(f: Formula, sub: Mapping[str, Formula]) -> Formula:
-    """Simultaneously replace variables by formulas, also inside tests."""
-    if not sub:
+def substitute(
+    f: Formula, sub: Mapping[str, Formula], psub: Mapping[str, Program] | None = None
+) -> Formula:
+    """Simultaneously replace variables by formulas and atomic programs by
+    programs, inside tests too.
+
+    The replacements are inserted as they are: a program put in for an
+    atomic name keeps the variables of its tests, and a formula put in
+    for a variable keeps its atomic programs.
+    """
+    if not sub and not psub:
         return f
-    return _subst_f(f, sub, {})
-
-
-def substitute_program(p: Program, sub: Mapping[str, Formula]) -> Program:
-    if not sub:
-        return p
-    return _subst_p(p, sub, {})
-
-
-def _subst_f(f, sub, memo):
-    key = id(f)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    t = type(f)
-    if t is Var:
-        out = sub.get(f.name, f)
-    elif t is Zero:
-        out = f
-    elif t is Not:
-        out = Not(_subst_f(f.sub, sub, memo))
-    elif t is Implies:
-        out = Implies(_subst_f(f.lhs, sub, memo), _subst_f(f.rhs, sub, memo))
-    else:
-        out = Box(_subst_p(f.prog, sub, memo), _subst_f(f.body, sub, memo))
-    memo[key] = out
-    return out
-
-
-def _subst_p(p, sub, memo):
-    key = id(p)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    t = type(p)
-    if t is Atomic:
-        out = p
-    elif t is Test:
-        out = Test(_subst_f(p.formula, sub, memo))
-    elif t is Seq:
-        out = Seq(_subst_p(p.left, sub, memo), _subst_p(p.right, sub, memo))
-    elif t is Union:
-        out = Union(_subst_p(p.left, sub, memo), _subst_p(p.right, sub, memo))
-    else:
-        out = Star(_subst_p(p.sub, sub, memo))
-    memo[key] = out
-    return out
+    return rewrite(f, sub, psub or {}, {})
 
 
 def substitute_atomics(f: Formula, sub: Mapping[str, Program]) -> Formula:
-    """Replace atomic programs by programs throughout a formula.
-
-    Used to fill program placeholders in axiom and tautology schemas.
-    """
+    """Replace atomic programs by programs throughout a formula."""
     if not sub:
         return f
-    return _psubst_f(f, sub, {})
+    return rewrite(f, {}, sub, {})
 
 
-def substitute_atomics_program(p: Program, sub: Mapping[str, Program]) -> Program:
-    if not sub:
-        return p
-    return _psubst_p(p, sub, {})
+def rewrite(
+    f: Formula | Program,
+    sub: Mapping[str, Formula],
+    psub: Mapping[str, Program],
+    done: dict[int, Formula | Program],
+) -> Formula | Program:
+    """The one substitution loop behind `substitute` and box abstraction.
 
-
-def _psubst_f(f, sub, memo):
-    key = id(f)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    t = type(f)
-    if t is Not:
-        out = Not(_psubst_f(f.sub, sub, memo))
-    elif t is Implies:
-        out = Implies(_psubst_f(f.lhs, sub, memo), _psubst_f(f.rhs, sub, memo))
-    elif t is Box:
-        out = Box(_psubst_p(f.prog, sub, memo), _psubst_f(f.body, sub, memo))
-    else:
-        out = f
-    memo[key] = out
-    return out
-
-
-def _psubst_p(p, sub, memo):
-    key = id(p)
-    got = memo.get(key)
-    if got is not None:
-        return got
-    t = type(p)
-    if t is Atomic:
-        out = sub.get(p.name, p)
-    elif t is Test:
-        out = Test(_psubst_f(p.formula, sub, memo))
-    elif t is Seq:
-        out = Seq(_psubst_p(p.left, sub, memo), _psubst_p(p.right, sub, memo))
-    elif t is Union:
-        out = Union(_psubst_p(p.left, sub, memo), _psubst_p(p.right, sub, memo))
-    else:
-        out = Star(_psubst_p(p.sub, sub, memo))
-    memo[key] = out
-    return out
+    `done` maps id() of nodes of f to their replacements; those nodes are
+    replaced whole and never entered, like variables named in `sub` and
+    atomic programs named in `psub`.  The loop keeps an explicit stack, so
+    depth is bounded by memory, not the interpreter's recursion limit, and
+    it rebuilds a node only when one of its children changed, so shared
+    subterms stay shared.
+    """
+    stack = [f]
+    while stack:
+        x = stack[-1]
+        key = id(x)
+        if key in done:
+            stack.pop()
+            continue
+        t = type(x)
+        if t is Var:
+            out = sub.get(x.name, x)
+        elif t is Atomic:
+            out = psub.get(x.name, x)
+        elif t is Zero:
+            out = x
+        elif t is Not or t is Star or t is Test:
+            c = x.formula if t is Test else x.sub
+            a = done.get(id(c))
+            if a is None:
+                stack.append(c)
+                continue
+            out = x if a is c else t(a)
+        else:
+            if t is Implies:
+                l, r = x.lhs, x.rhs
+            elif t is Box:
+                l, r = x.prog, x.body
+            else:  # Seq, Union
+                l, r = x.left, x.right
+            a = done.get(id(l))
+            b = done.get(id(r))
+            if a is None or b is None:
+                stack.append(r)
+                stack.append(l)
+                continue
+            out = x if a is l and b is r else t(a, b)
+        done[key] = out
+        stack.pop()
+    return done[id(f)]
 
 
 # --- decomposition closure -------------------------------------------------

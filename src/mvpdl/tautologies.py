@@ -38,7 +38,6 @@ from .syntax import (
     oplus,
     power,
     substitute,
-    substitute_atomics,
 )
 
 _P = Var("p")
@@ -130,11 +129,11 @@ def instantiate(
     fsub: Mapping[str, Formula] | None = None,
     psub: Mapping[str, Program] | None = None,
 ) -> Formula:
-    """Fill a schema: programs replace atomic placeholders first, then
-    formulas replace variables (so substituted formulas are untouched by
-    the program step)."""
-    out = substitute_atomics(f, psub or {})
-    return substitute(out, fsub or {})
+    """Fill a schema by one simultaneous substitution: formulas replace
+    variables and programs replace atomic placeholders, and neither
+    replacement is rewritten by the other (a test inside a substituted
+    program keeps its own variables)."""
+    return substitute(f, fsub or {}, psub)
 
 
 # --- random instances -------------------------------------------------------

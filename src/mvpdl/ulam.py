@@ -25,18 +25,7 @@ from typing import Iterable, Sequence
 
 from .kripke import KripkeModel
 from .parser import parse_formula
-from .syntax import (
-    Atomic,
-    Box,
-    Formula,
-    Implies,
-    Not,
-    Program,
-    Seq,
-    Star,
-    Test,
-    Union,
-)
+from .syntax import Atomic, Formula, atomic_programs_of, substitute_atomics
 
 
 class GameError(ValueError):
@@ -235,35 +224,6 @@ def build_game_model(cfg: GameConfig) -> KripkeModel:
     return KripkeModel(cfg.n, [index[s] for s in states], relations, valuation)
 
 
-def resolve_questions(cfg: GameConfig, f: Formula) -> Formula:
-    """Rewrite question atoms in a formula to their canonical names,
-    resolving complements against the configured search space."""
-
-    def on_prog(p: Program) -> Program:
-        t = type(p)
-        if t is Atomic:
-            return Atomic(question_name(cfg, parse_question(cfg, p.name)))
-        if t is Test:
-            return Test(on_formula(p.formula))
-        if t is Seq:
-            return Seq(on_prog(p.left), on_prog(p.right))
-        if t is Union:
-            return Union(on_prog(p.left), on_prog(p.right))
-        return Star(on_prog(p.sub))
-
-    def on_formula(g: Formula) -> Formula:
-        t = type(g)
-        if t is Not:
-            return Not(on_formula(g.sub))
-        if t is Implies:
-            return Implies(on_formula(g.lhs), on_formula(g.rhs))
-        if t is Box:
-            return Box(on_prog(g.prog), on_formula(g.body))
-        return g
-
-    return on_formula(f)
-
-
 def check_spec(
     cfg: GameConfig, spec: Formula | str, model: KripkeModel | None = None
 ) -> tuple[bool, KnowledgeState | None]:
@@ -273,7 +233,14 @@ def check_spec(
     the violating state is returned alongside False.
     """
     f = parse_formula(spec) if isinstance(spec, str) else spec
-    f = resolve_questions(cfg, f)
+    # canonical question names; complements resolve against the search space
+    f = substitute_atomics(
+        f,
+        {
+            name: Atomic(question_name(cfg, parse_question(cfg, name)))
+            for name in atomic_programs_of(f)
+        },
+    )
     m = model if model is not None else build_game_model(cfg)
     bad = m.falsifying_world(f)
     if bad is None:

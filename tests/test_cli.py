@@ -45,6 +45,8 @@ def test_taut_verdicts(capsys):
     assert capsys.readouterr().out.strip() == "tautology"
     assert main(["taut", "p | ~p", "--n", "2"]) == 1
     assert "p=1/2" in capsys.readouterr().out
+    assert main(["taut", "p^300 -> p^300", "--n", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "tautology"
 
 
 def test_flclosure_prints_members(capsys):
@@ -168,4 +170,8 @@ def test_error_exits_are_two(tmp_path, capsys):
     bad.write_text("n = 2\nworlds: u\nval p: u=1/3\n")
     assert main(["eval", "--model", str(bad), "--world", "u", "p"]) == 2
     assert "denominator" in capsys.readouterr().err
+    # an internal failure (here the recursion limit of structural equality
+    # on a deep formula) exits 2, never 1, which reads as "not valid"
+    assert main(["valid", "p^400 -> p^400", "--n", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: internal:")
     assert main([]) == 2

@@ -115,6 +115,11 @@ def test_modal_abstraction():
     assert is_modal_luk_tautology(parse_formula("p | ~p"), 1)
 
 
+def test_deep_luk_line_checks():
+    d = parse_derivation("1. [a]p^300 -> [a]p^300 ; luk\n", 2)
+    assert check_derivation(d) is None
+
+
 def test_check_line_modus_ponens():
     d = Derivation(n=2)
     l1 = d.add(P, Premise())
@@ -175,6 +180,15 @@ def test_loop_invariance_with_compound_parts():
     for n in (1, 2):
         d = derive_loop_invariance(phi, alpha, n)
         assert check_derivation(d) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("derive", [derive_loop_invariance, derive_loop_invariance_plain])
+def test_loop_invariance_when_alpha_tests_p(derive, n):
+    # the axiom instance must not rewrite the test p? inside alpha when
+    # phi replaces p
+    d = derive(Q, parse_program("p?;a"), n)
+    assert check_derivation(d) is None
 
 
 def test_loop_invariance_degenerates_classically():

@@ -139,6 +139,15 @@ def test_oracle_agreement_wider_vocabulary():
         assert by_search == by_oracle, f
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("text", ["<a>0", "<a>(p & 0)"])
+def test_zero_under_a_diamond_is_unsatisfiable_outright(text, n):
+    # no row survives refinement: [a]~0 lies below the least value of ~0
+    r = decide_sat(parse_formula(text), n, budget=300)
+    assert isinstance(r, Unsatisfiable) and r.complete
+    assert r.stats.nodes_explored == 0
+
+
 def test_budget_is_an_error_not_a_verdict():
     # a zero budget forbids building even one candidate model
     f = parse_formula("<a>p & ~p")

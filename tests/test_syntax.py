@@ -97,6 +97,25 @@ def test_substitution_is_simultaneous():
     assert out == Implies(Q, P)
 
 
+def test_substitution_of_deep_terms_needs_no_recursion():
+    # results are compared by hash and vocabulary: structural == recurses
+    from mvpdl.syntax import substitute_atomics
+
+    out = substitute(power(P, 3000), {"p": Q})
+    assert hash(out) == hash(power(Q, 3000))
+    assert variables_of(out) == {"q"}
+
+    def chain(name):
+        prog = Atomic(name)
+        for _ in range(3000):
+            prog = Seq(prog, Atomic(name))
+        return Box(prog, P)
+
+    out = substitute_atomics(chain("a"), {"a": B})
+    assert hash(out) == hash(chain("b"))
+    assert atomic_programs_of(out) == {"b"}
+
+
 def test_fl_closure_of_composition():
     f = parse_formula("[a;b]p")
     assert set(fl_closure(f)) == {

@@ -65,9 +65,13 @@ def test_threshold_schemas_use_monotone_maps():
 
 
 def test_instantiate_orders_programs_before_formulas():
-    # formulas substituted for variables keep their own atomic programs
-    from mvpdl.syntax import Atomic, Box, Seq
+    # the substitution is simultaneous: formulas substituted for variables
+    # keep their own atomic programs, and programs substituted for atomic
+    # names keep the variables of their tests
+    from mvpdl.syntax import Atomic, Box, Seq, Test
 
     template = Box(Atomic("a"), Var("p"))
     out = instantiate(template, fsub={"p": Box(Atomic("a"), Var("q"))}, psub={"a": Seq(Atomic("a"), Atomic("a"))})
     assert out == Box(Seq(Atomic("a"), Atomic("a")), Box(Atomic("a"), Var("q")))
+    out = instantiate(template, fsub={"p": Var("q")}, psub={"a": Test(Var("p"))})
+    assert out == Box(Test(Var("p")), Var("q"))
