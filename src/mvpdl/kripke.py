@@ -169,32 +169,25 @@ class KripkeModel:
     # -- internals --
 
     def _profile(self, f: Formula) -> list[int]:
-        got = self._prof.get(f)
+        prof = self._prof
+        got = prof.get(f)
         if got is not None:
             return got
         n = self.n
-        cols: dict[int, list[int]] = {}
         stack: list[tuple[Formula, bool]] = [(f, False)]
         while stack:
             node, ready = stack.pop()
-            nid = id(node)
             if not ready:
-                if nid in cols:
-                    continue
-                cached = self._prof.get(node)
-                if cached is not None:
-                    cols[nid] = cached
+                if node in prof:
                     continue
                 t = type(node)
                 if t is Var:
                     col = self._vcols.get(node.name)
                     if col is None:
                         raise ModelError(f"undeclared variable {node.name!r}")
-                    cols[nid] = col
-                    self._prof[node] = col
+                    prof[node] = col
                 elif t is Zero:
-                    cols[nid] = self._zeros
-                    self._prof[node] = self._zeros
+                    prof[node] = self._zeros
                 elif t is Not:
                     stack.append((node, True))
                     stack.append((node.sub, False))
@@ -224,21 +217,19 @@ class KripkeModel:
             else:
                 t = type(node)
                 if t is Not:
-                    a = cols[id(node.sub)]
-                    col = [n - x for x in a]
+                    col = [n - x for x in prof[node.sub]]
                 elif t is Implies:
-                    a = cols[id(node.lhs)]
-                    b = cols[id(node.rhs)]
+                    a = prof[node.lhs]
+                    b = prof[node.rhs]
                     col = [n if x <= y else n - x + y for x, y in zip(a, b)]
                 else:  # Box
-                    col = self._box(node.prog, cols[id(node.body)], cols)
-                cols[nid] = col
-                self._prof[node] = col
-        return self._prof[f]
+                    col = self._box(node.prog, prof[node.body])
+                prof[node] = col
+        return prof[f]
 
-    def _box(self, prog: Program, body: list[int], cols: dict[int, list[int]]) -> list[int]:
-        """Column of [prog] over a body column; cols holds the columns of
-        the program's test formulas, keyed by node id."""
+    def _box(self, prog: Program, body: list[int]) -> list[int]:
+        """Column of [prog] over a body column; the columns of the
+        program's test formulas are already in the profile cache."""
         n = self.n
         done: list[list[int]] = []  # columns of finished steps
         # steps: (_BOX, program, column) applies a box to a column;
@@ -264,7 +255,7 @@ class KripkeModel:
             elif type(p) is Atomic:
                 done.append(self._atomic_box(p.name, arg))
             elif type(p) is Test:
-                cond = cols[id(p.formula)]
+                cond = self._prof[p.formula]
                 done.append([x if c == n else n for x, c in zip(arg, cond)])
             elif type(p) is Seq:
                 todo.append((_THEN, p.left, None))

@@ -173,36 +173,35 @@ def _lower(f: Formula) -> tuple[list[str], list[tuple[int, int]], int]:
     """
     names = sorted(variables_of(f))
     zero = len(names)
-    slot: dict[int, int] = {}
+    slot: dict[Formula, int] = {}
     var_slot = {name: i for i, name in enumerate(names)}
     steps: list[tuple[int, int]] = []
     stack = [f]
     while stack:
         g = stack[-1]
-        key = id(g)
-        if key in slot:
+        if g in slot:
             stack.pop()
             continue
         t = type(g)
         if t is Var:
-            slot[key] = var_slot[g.name]
+            slot[g] = var_slot[g.name]
         elif t is Zero:
-            slot[key] = zero
+            slot[g] = zero
         elif t is Not or t is Implies:
             lhs, rhs = (g.sub, None) if t is Not else (g.lhs, g.rhs)
-            a = slot.get(id(lhs))
-            b = zero if rhs is None else slot.get(id(rhs))
+            a = slot.get(lhs)
+            b = zero if rhs is None else slot.get(rhs)
             if a is None or b is None:
                 stack.append(lhs if a is None else rhs)
                 continue
             steps.append((a, b))
-            slot[key] = zero + len(steps)
+            slot[g] = zero + len(steps)
         elif t is Box:
             raise ValueError("modal formula passed to propositional evaluation")
         else:
             raise TypeError(f"not a formula: {g!r}")
         stack.pop()
-    return names, steps, slot[id(f)]
+    return names, steps, slot[f]
 
 
 def _run(steps: list[tuple[int, int]], root: int, nums, n: int) -> int:

@@ -10,8 +10,8 @@ single token and are only legal as atomic program names; the searching
 game layer resolves them against a concrete search space.
 
 The printer emits sugar where it recognizes the expanded pattern and core
-syntax otherwise; `parse(print(f))` always returns a tree structurally
-equal to `f`.
+syntax otherwise; since trees are interned, `parse(print(f))` always
+returns the very node `f`.
 """
 
 from __future__ import annotations
@@ -353,7 +353,7 @@ _P_UNION, _P_SEQ, _P_STAR, _P_ATOM = range(1, 5)
 
 
 def format_formula(f: Formula) -> str:
-    """Canonical text; parsing it back yields a structurally equal tree."""
+    """Canonical text; parsing it back yields the same (interned) node."""
     return _fmt_f(f, 0)
 
 
@@ -386,10 +386,15 @@ def _match_oplus(f):
 
 
 def _spine(f, matcher) -> list[Formula]:
+    parts = []
     m = matcher(f)
-    if m is None:
-        return [f]
-    return _spine(m[0], matcher) + [m[1]]
+    while m is not None:
+        f, right = m
+        parts.append(right)
+        m = matcher(f)
+    parts.append(f)
+    parts.reverse()
+    return parts
 
 
 def _chain(parts: list[Formula], op: str, level: int) -> str:

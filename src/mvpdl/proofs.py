@@ -166,29 +166,25 @@ class Derivation:
 
 
 def abstract_boxes(f: Formula) -> Formula:
-    """Replace each maximal boxed subformula by a variable; structurally
-    equal boxes share one variable, numbered left to right."""
-    fresh: dict[Formula, Var] = {}
-    done: dict[int, Formula] = {}
-    seen: set[int] = set()
+    """Replace each maximal boxed subformula by a variable; equal (hence
+    identical) boxes share one variable, numbered left to right."""
+    boxes: dict[Formula, Formula] = {}
+    seen: set[Formula] = set()
     stack = [f]
     while stack:
         g = stack.pop()
-        if id(g) in seen:
+        if g in seen:
             continue
-        seen.add(id(g))
+        seen.add(g)
         t = type(g)
         if t is Box:
-            v = fresh.get(g)
-            if v is None:
-                v = fresh[g] = Var(f"#b{len(fresh)}")
-            done[id(g)] = v
+            boxes[g] = Var(f"#b{len(boxes)}")
         elif t is Not:
             stack.append(g.sub)
         elif t is Implies:
             stack.append(g.rhs)
             stack.append(g.lhs)
-    return rewrite(f, {}, {}, done)
+    return rewrite(f, {}, {}, boxes)
 
 
 def is_modal_luk_tautology(f: Formula, n: int) -> bool:

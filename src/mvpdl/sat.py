@@ -49,7 +49,6 @@ from .syntax import (
     Test,
     Union,
     Var,
-    Zero,
     atomic_programs_of,
     fl_closure,
     variables_of,
@@ -133,6 +132,9 @@ def is_validity_verdict(result: SatResult) -> bool:
 # --- row abstraction --------------------------------------------------------
 
 
+_NOT, _IMP, _TEST, _MIN = range(4)  # ops of the row plan
+
+
 class _Rows:
     """Consistent closure rows for one formula at one resolution."""
 
@@ -158,52 +160,77 @@ class _Rows:
         if self.rows is not None:
             return self.rows
         n = self.n
+        free = [self.index[g] for g in self.free]
+        plan, unfold = self._plan()
+        vals = [0] * len(self.closure)  # falsum slots are never written
         rows = []
-        for choice in itertools.product(range(n + 1), repeat=len(self.free)):
-            assigned = dict(zip(self.free, choice))
-            memo: dict[Formula, int] = {}
-
-            def rv(g: Formula) -> int:
-                got = memo.get(g)
-                if got is not None:
-                    return got
-                v = assigned.get(g)
-                if v is None:
-                    t = type(g)
-                    if t is Zero:
-                        v = 0
-                    elif t is Not:
-                        v = n - rv(g.sub)
-                    elif t is Implies:
-                        x, y = rv(g.lhs), rv(g.rhs)
-                        v = n if x <= y else n - x + y
-                    elif t is Box:
-                        prog = g.prog
-                        pt = type(prog)
-                        if pt is Test:
-                            v = rv(g.body) if rv(prog.formula) == n else n
-                        elif pt is Seq:
-                            v = rv(Box(prog.left, Box(prog.right, g.body)))
-                        elif pt is Union:
-                            v = min(rv(Box(prog.left, g.body)), rv(Box(prog.right, g.body)))
-                        else:
-                            raise AssertionError(f"unexpected derived box {g!r}")
-                    else:
-                        raise AssertionError(f"unexpected closure member {g!r}")
-                memo[g] = v
-                return v
-
+        for choice in itertools.product(range(n + 1), repeat=len(free)):
+            for i, v in zip(free, choice):
+                vals[i] = v
+            for i, op, a, b in plan:
+                x = vals[a]
+                y = vals[b]
+                if op == _IMP:
+                    vals[i] = n if x <= y else n - x + y
+                elif op == _MIN:
+                    vals[i] = x if x < y else y
+                elif op == _NOT:
+                    vals[i] = n - x
+                else:  # _TEST: a is the test formula, b the body
+                    vals[i] = y if x == n else n
             # Star boxes are free but must satisfy the unfolding law.
-            ok = True
-            for g in self.star_slots:
-                if assigned[g] != min(rv(g.body), rv(Box(g.prog.sub, g))):
-                    ok = False
-                    break
-            if ok:
-                rows.append(tuple(rv(g) for g in self.closure))
+            if all(vals[i] == min(vals[a], vals[b]) for i, a, b in unfold):
+                rows.append(tuple(vals))
         rows.sort()
         self.rows = self._refine(rows)
         return self.rows
+
+    def _plan(self) -> tuple[list[tuple[int, int, int, int]], list[tuple[int, int, int]]]:
+        """The derived members as (slot, op, a, b) steps over slots, each
+        after the slots it reads, and the unfolding law of each star box
+        [b*]f as (slot, slot of f, slot of [b][b*]f).
+
+        Derived members follow the connectives and the test, seq and
+        union laws; a dependency cycle would have to pass through a free
+        member, so the order exists.
+        """
+        index = self.index
+        steps: dict[int, tuple[int, int, int, int]] = {}
+        unfold = []
+        for i, g in enumerate(self.closure):
+            t = type(g)
+            if t is Not:
+                steps[i] = (i, _NOT, index[g.sub], index[g.sub])
+            elif t is Implies:
+                steps[i] = (i, _IMP, index[g.lhs], index[g.rhs])
+            elif t is Box:
+                prog = g.prog
+                pt = type(prog)
+                if pt is Test:
+                    steps[i] = (i, _TEST, index[prog.formula], index[g.body])
+                elif pt is Seq:
+                    j = index[Box(prog.left, Box(prog.right, g.body))]
+                    steps[i] = (i, _MIN, j, j)
+                elif pt is Union:
+                    a, b = index[Box(prog.left, g.body)], index[Box(prog.right, g.body)]
+                    steps[i] = (i, _MIN, a, b)
+                elif pt is Star:
+                    unfold.append((i, index[g.body], index[Box(prog.sub, g)]))
+        plan = []
+        placed = set(range(len(self.closure))) - steps.keys()
+        for root in steps:
+            stack = [root]
+            while stack:
+                i = stack[-1]
+                todo = [j for j in steps[i][2:] if j not in placed]
+                if todo:
+                    stack += todo
+                    continue
+                stack.pop()
+                if i not in placed:
+                    placed.add(i)
+                    plan.append(steps[i])
+        return plan, unfold
 
     def _refine(self, rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """Fixpoint of two rules that drop rows no model can produce.

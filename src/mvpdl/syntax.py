@@ -8,27 +8,74 @@ every semantic operation only ever sees the five core shapes.
 Programs are atomic names, tests on formulas, sequential composition,
 nondeterministic choice and iteration (star).
 
-Trees are immutable and share subterms freely.  They are not interned:
-each node caches its hash at construction, and `==` compares structure
-recursively.
+Trees are immutable and interned (hash-consed): constructing a node whose
+class and fields equal those of a live node returns that node.  So `==`
+is `is`, hashing is by identity in O(1), and equal subterms are shared.
+The intern table holds its nodes weakly; an entry goes when its node does.
 """
 
 from __future__ import annotations
 
+import weakref
+from _weakref import _remove_dead_weakref  # as weakref.WeakValueDictionary uses
 from collections import deque
 from typing import Iterable, Mapping
 
 
-class Formula:
+class _Ref(weakref.ref):
+    """Weak reference to an interned node that carries its table key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref) -> None:
+    _remove_dead_weakref(_table, ref.key)
+
+
+# (class, *fields: leaf name or interned children) -> weak reference to the
+# node.  Entries change only by two atomic steps, setdefault adding one for
+# an absent key and _remove_dead_weakref dropping one whose node is dead,
+# so a live node keeps its entry and, across threads too, no two equal
+# nodes are ever live.
+_table: dict[tuple, _Ref] = {}
+
+
+class _Node:
+    """Shared constructor: one live node per class and field values."""
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        key = (cls,) + fields
+        ref = _table.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        if fields:  # unrolled: at most two fields, set by slot name
+            names = cls.__slots__
+            setattr(node, names[0], fields[0])
+            if len(fields) == 2:
+                setattr(node, names[1], fields[1])
+        ref = _Ref(node, _forget)
+        ref.key = key
+        while (old := _table.setdefault(key, ref)) is not ref:
+            live = old()
+            if live is not None:
+                return live  # another thread built it meanwhile
+            _remove_dead_weakref(_table, key)  # its _forget is still to run
+        return node
+
+    def __reduce__(self):
+        # copies and unpickled nodes are built through __new__, so interned
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Formula(_Node):
     """Base class of the five core formula shapes."""
 
-    __slots__ = ("_hash",)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
+    __slots__ = ()
 
     def __repr__(self):
         from .parser import format_formula
@@ -36,16 +83,10 @@ class Formula:
         return f"Formula({format_formula(self)!r})"
 
 
-class Program:
+class Program(_Node):
     """Base class of the five program shapes."""
 
-    __slots__ = ("_hash",)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
+    __slots__ = ()
 
     def __repr__(self):
         from .parser import format_program
@@ -56,143 +97,42 @@ class Program:
 class Var(Formula):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("var", name))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Var and other.name == self.name)
-
-    __hash__ = Formula.__hash__
-
 
 class Zero(Formula):
     __slots__ = ()
-
-    def __init__(self):
-        self._hash = hash("zero")
-
-    def __eq__(self, other):
-        return type(other) is Zero
-
-    __hash__ = Formula.__hash__
 
 
 class Not(Formula):
     __slots__ = ("sub",)
 
-    def __init__(self, sub: Formula):
-        self.sub = sub
-        self._hash = hash(("not", sub._hash))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Not and other.sub == self.sub)
-
-    __hash__ = Formula.__hash__
-
 
 class Implies(Formula):
     __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: Formula, rhs: Formula):
-        self.lhs = lhs
-        self.rhs = rhs
-        self._hash = hash(("imp", lhs._hash, rhs._hash))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Implies and other.lhs == self.lhs and other.rhs == self.rhs
-        )
-
-    __hash__ = Formula.__hash__
 
 
 class Box(Formula):
     __slots__ = ("prog", "body")
 
-    def __init__(self, prog: Program, body: Formula):
-        self.prog = prog
-        self.body = body
-        self._hash = hash(("box", prog._hash, body._hash))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Box and other.prog == self.prog and other.body == self.body
-        )
-
-    __hash__ = Formula.__hash__
-
 
 class Atomic(Program):
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("atom", name))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Atomic and other.name == self.name)
-
-    __hash__ = Program.__hash__
 
 
 class Test(Program):
     __slots__ = ("formula",)
     __test__ = False  # not a pytest case, despite the name
 
-    def __init__(self, formula: Formula):
-        self.formula = formula
-        self._hash = hash(("test", formula._hash))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Test and other.formula == self.formula)
-
-    __hash__ = Program.__hash__
-
 
 class Seq(Program):
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Program, right: Program):
-        self.left = left
-        self.right = right
-        self._hash = hash(("seq", left._hash, right._hash))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Seq and other.left == self.left and other.right == self.right
-        )
-
-    __hash__ = Program.__hash__
 
 
 class Union(Program):
     __slots__ = ("left", "right")
 
-    def __init__(self, left: Program, right: Program):
-        self.left = left
-        self.right = right
-        self._hash = hash(("union", left._hash, right._hash))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Union and other.left == self.left and other.right == self.right
-        )
-
-    __hash__ = Program.__hash__
-
 
 class Star(Program):
     __slots__ = ("sub",)
-
-    def __init__(self, sub: Program):
-        self.sub = sub
-        self._hash = hash(("star", sub._hash))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Star and other.sub == self.sub)
-
-    __hash__ = Program.__hash__
 
 
 ZERO = Zero()
@@ -294,9 +234,13 @@ def atomic_programs_of(f: Formula | Program) -> set[str]:
 
 
 def _walk(node, vars_out, atoms_out):
+    seen = set()
     stack = [node]
     while stack:
         x = stack.pop()
+        if x in seen:
+            continue
+        seen.add(x)
         t = type(x)
         if t is Var:
             if vars_out is not None:
@@ -347,22 +291,21 @@ def rewrite(
     f: Formula | Program,
     sub: Mapping[str, Formula],
     psub: Mapping[str, Program],
-    done: dict[int, Formula | Program],
+    done: dict[Formula | Program, Formula | Program],
 ) -> Formula | Program:
     """The one substitution loop behind `substitute` and box abstraction.
 
-    `done` maps id() of nodes of f to their replacements; those nodes are
+    `done` maps nodes of f to their replacements; those nodes are
     replaced whole and never entered, like variables named in `sub` and
     atomic programs named in `psub`.  The loop keeps an explicit stack, so
-    depth is bounded by memory, not the interpreter's recursion limit, and
-    it rebuilds a node only when one of its children changed, so shared
-    subterms stay shared.
+    depth is bounded by memory, not the interpreter's recursion limit; it
+    visits each shared subterm once and rebuilds a node only when one of
+    its children changed.
     """
     stack = [f]
     while stack:
         x = stack[-1]
-        key = id(x)
-        if key in done:
+        if x in done:
             stack.pop()
             continue
         t = type(x)
@@ -374,7 +317,7 @@ def rewrite(
             out = x
         elif t is Not or t is Star or t is Test:
             c = x.formula if t is Test else x.sub
-            a = done.get(id(c))
+            a = done.get(c)
             if a is None:
                 stack.append(c)
                 continue
@@ -386,16 +329,16 @@ def rewrite(
                 l, r = x.prog, x.body
             else:  # Seq, Union
                 l, r = x.left, x.right
-            a = done.get(id(l))
-            b = done.get(id(r))
+            a = done.get(l)
+            b = done.get(r)
             if a is None or b is None:
                 stack.append(r)
                 stack.append(l)
                 continue
             out = x if a is l and b is r else t(a, b)
-        done[key] = out
+        done[x] = out
         stack.pop()
-    return done[id(f)]
+    return done[f]
 
 
 # --- decomposition closure -------------------------------------------------

@@ -105,6 +105,21 @@ def test_prove_reports_violation(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().out
 
 
+def test_deep_formulas_exit_zero(capsys):
+    from importlib.resources import files
+
+    model = str(files("mvpdl").joinpath("data/counterexample.kml"))
+    deep = "[a]p^400 -> [a]p^400"
+    assert main(["eval", "--model", model, "--world", "u", deep]) == 0
+    assert capsys.readouterr().out.strip() == "4/4"
+    assert main(["check", "--model", model, deep]) == 0
+    assert "true in every world" in capsys.readouterr().out
+    assert main(["valid", "p^400 -> p^400", "--n", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "valid"
+    assert main(["flclosure", "p^400 -> p^400"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "p^400 -> p^400"
+
+
 def test_bundled_counterexample_model(capsys):
     from importlib.resources import files
 
@@ -161,7 +176,7 @@ def test_resolution_consistency_against_model(model_file, capsys):
     assert "needs a resolution" in capsys.readouterr().err
 
 
-def test_error_exits_are_two(tmp_path, capsys):
+def test_error_exits_are_two(tmp_path, capsys, monkeypatch):
     assert main(["taut", "p ->", "--n", "2"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["eval", "--model", str(tmp_path / "missing.kml"), "--world", "u", "p"]) == 2
@@ -170,8 +185,11 @@ def test_error_exits_are_two(tmp_path, capsys):
     bad.write_text("n = 2\nworlds: u\nval p: u=1/3\n")
     assert main(["eval", "--model", str(bad), "--world", "u", "p"]) == 2
     assert "denominator" in capsys.readouterr().err
-    # an internal failure (here the recursion limit of structural equality
-    # on a deep formula) exits 2, never 1, which reads as "not valid"
-    assert main(["valid", "p^400 -> p^400", "--n", "2"]) == 2
-    assert capsys.readouterr().err.startswith("error: internal:")
+    # an internal failure exits 2, never 1, which reads as "not valid"
+    def fail(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("mvpdl.cli.decide_valid", fail)
+    assert main(["valid", "p -> p", "--n", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: internal: RecursionError")
     assert main([]) == 2

@@ -167,9 +167,9 @@ def test_tau_built_only_from_doubling_maps():
     seen = set()
 
     def walk(f):
-        if id(f) in seen:
+        if f in seen:
             return
-        seen.add(id(f))
+        seen.add(f)
         t = type(f).__name__
         if t == "Var":
             assert f.name == "p"

@@ -125,10 +125,17 @@ def test_round_trip_on_random_trees():
     rng = random.Random(20240817)
     for _ in range(2500):
         f = random_formula(rng, rng.randrange(5))
-        assert parse_formula(format_formula(f)) == f
+        assert parse_formula(format_formula(f)) is f
     for _ in range(1200):
         p = random_program(rng, rng.randrange(5))
-        assert parse_program(format_program(p)) == p
+        assert parse_program(format_program(p)) is p
+
+
+def test_deep_power_prints_and_parses_back():
+    f = power(Var("p"), 3000)
+    text = format_formula(f)
+    assert text == "p^3000"
+    assert parse_formula(text) is f
 
 
 def test_pathological_nesting_is_a_parse_error():

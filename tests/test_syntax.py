@@ -1,7 +1,14 @@
 """Sugar expansion, substitution, and the decomposition closure."""
 
+import copy
+import gc
+import pickle
 import random
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
+from mvpdl import syntax
 from mvpdl.luk import all_values, eval_prop
 from mvpdl.parser import parse_formula
 from mvpdl.syntax import (
@@ -50,9 +57,63 @@ def test_sugar_expands_to_core():
 
 def test_structural_equality_and_hashing():
     assert Box(Star(A), P) == Box(Star(Atomic("a")), Var("p"))
+    # trees are interned: equal trees are one object
+    assert Var("p") is Var("p")
+    assert Box(Star(A), P) is Box(Star(Atomic("a")), Var("p"))
     assert Box(Star(A), P) != Box(Star(B), P)
     assert len({Box(A, P), Box(Atomic("a"), Var("p")), Box(B, P)}) == 2
     assert Seq(A, B) != Union(A, B)
+
+
+def test_copies_and_pickles_are_the_same_node():
+    f = Box(Seq(Test(Not(P)), Star(A)), Implies(P, ZERO))
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_deep_trees_compare_equal():
+    assert power(P, 3000) == power(P, 3000)
+    assert power(P, 3000) != power(Q, 3000)
+
+
+def test_intern_table_releases_dropped_trees():
+    gc.collect()
+    start = len(syntax._table)
+    rng = random.Random(5)
+    for _ in range(10_000):
+        random_formula(rng, 4, var_names=("p", "q", "r", "s"))
+    gc.collect()
+    assert len(syntax._table) <= start + 20
+
+
+def test_threads_racing_to_build_a_tree_get_one_node():
+    def build(_):
+        rng = random.Random(11)
+        out = []
+        for _ in range(400):
+            f = random_formula(rng, 4, var_names=("t1", "t2", "t3"))
+            Not(Implies(f, Var("t4")))  # built and dropped at once
+            out.append(f)
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            results = list(pool.map(build, range(16), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(f is g for other in results[1:] for f, g in zip(results[0], other))
+
+
+def test_walk_visits_shared_subterms_once():
+    f = P
+    for _ in range(40):
+        f = iff(f, Q)  # the tree doubles at each step, the shared graph does not
+    t0 = time.perf_counter()
+    assert variables_of(f) == {"p", "q"}
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_desugaring_preserves_semantics():
