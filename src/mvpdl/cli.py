@@ -3,8 +3,9 @@
 Subcommands: eval, check, taut, flclosure, filter, sat, valid, prove,
 randmodel, and the game group ulam {build,check,run}.  Exit status 0 on
 affirmative verdicts, 1 on negative ones, 2 on any error, internal
-failures included.  `--json` switches the sat/valid reports (and most
-other outputs) to a stable JSON shape.
+failures included, and on a sat/valid answer without a verdict (a witness
+exists, but none within --max-worlds).  `--json` switches the sat/valid
+reports (and most other outputs) to a stable JSON shape.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:
-        print(f"error: {exc} (raise --budget to continue)", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -142,8 +143,15 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (("sat", "decide satisfiability"), ("valid", "decide validity")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("formula")
-        p.add_argument("--max-worlds", type=int, default=None)
-        p.add_argument("--budget", type=int, default=10**6, help="candidate-model budget")
+        p.add_argument(
+            "--max-worlds", type=int, default=None, help="largest witness to report (default: any)"
+        )
+        p.add_argument(
+            "--budget",
+            type=int,
+            default=10**6,
+            help="candidate row sets to try (past the row cap: candidate models)",
+        )
         common(p, n=True)
         p.set_defaults(handler=_cmd_sat if name == "sat" else _cmd_valid)
 
@@ -291,6 +299,10 @@ def _sat_payload(result, n) -> dict:
     return payload
 
 
+def _worlds(k: int) -> str:
+    return "1 world" if k == 1 else f"{k} worlds"
+
+
 def _cmd_sat(args) -> int:
     n = _require_n(args)
     f = parse_formula(args.formula)
@@ -304,14 +316,13 @@ def _cmd_sat(args) -> int:
             f"satisfiable at world {result.world} of:\n{format_model(result.model)}",
         )
         return 0
-    payload["verdict"] = "unsatisfiable" if result.complete else "no model within bound"
-    _emit(
-        args,
-        payload,
-        ("unsatisfiable" if result.complete else "no model found")
-        + f" (worlds explored up to {result.bound_used}, complete={result.complete})",
-    )
-    return 1
+    if result.complete:
+        payload["verdict"] = "unsatisfiable"
+        _emit(args, payload, f"unsatisfiable (worlds explored up to {result.bound_used}, complete=True)")
+        return 1
+    payload["verdict"] = "no witness within bound"
+    _emit(args, payload, f"satisfiable, but no witness within {_worlds(result.bound_used)} (incomplete)")
+    return 2
 
 
 def _cmd_valid(args) -> int:
@@ -332,9 +343,9 @@ def _cmd_valid(args) -> int:
         payload["verdict"] = "valid"
         _emit(args, payload, "valid")
         return 0
-    payload["verdict"] = "unknown"
-    _emit(args, payload, f"no refutation within {result.bound_used} worlds (incomplete)")
-    return 1
+    payload["verdict"] = "no witness within bound"
+    _emit(args, payload, f"not valid, but no refutation within {_worlds(result.bound_used)} (incomplete)")
+    return 2
 
 
 def _cmd_prove(args) -> int:

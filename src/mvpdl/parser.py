@@ -404,64 +404,77 @@ def _chain(parts: list[Formula], op: str, level: int) -> str:
 
 
 def _fmt_f(f: Formula, ctx: int) -> str:
-    t = type(f)
-    if t is Var:
-        return f.name
-    if t is Zero:
-        return "0"
-    if t is Not:
-        if type(f.sub) is Zero:
-            return "1"
-        inner = f.sub
-        if type(inner) is Box and type(inner.body) is Not:
-            text = f"<{_fmt_p(inner.prog, 0)}>" + _fmt_f(inner.body.sub, _L_PRE)
-            return _wrap(text, _L_PRE, ctx)
-        if _match_odot(f) is not None:
-            parts = _spine(f, _match_odot)
-            if len(parts) >= 2 and all(p == parts[0] for p in parts):
-                text = _fmt_f(parts[0], _L_POST + 1) + f"^{len(parts)}"
-                return _wrap(text, _L_POST, ctx)
-            if (
-                len(parts) == 2
-                and type(parts[0]) is Implies
-                and type(parts[1]) is Implies
-                and parts[0].lhs == parts[1].rhs
-                and parts[0].rhs == parts[1].lhs
+    """f's text in a context binding at level ctx.  Prefix operators
+    ([α], <α>, ~ and k.) all bind at one level, so a run of them is taken
+    by the loop, with no recursion per operator."""
+    heads = ""
+    while True:
+        t = type(f)
+        if t is Var:
+            level, text = _L_ATOM, f.name
+        elif t is Zero:
+            level, text = _L_ATOM, "0"
+        elif t is Box:
+            heads += f"[{_fmt_p(f.prog, 0)}]"
+            f = f.body
+            continue
+        elif t is Not:
+            inner = f.sub
+            if type(inner) is Zero:
+                level, text = _L_ATOM, "1"
+            elif type(inner) is Box and type(inner.body) is Not:
+                heads += f"<{_fmt_p(inner.prog, 0)}>"
+                f = inner.body.sub
+                continue
+            elif _match_odot(f) is not None:
+                parts = _spine(f, _match_odot)
+                if len(parts) >= 2 and all(p == parts[0] for p in parts):
+                    level, text = _L_POST, _fmt_f(parts[0], _L_POST + 1) + f"^{len(parts)}"
+                elif (
+                    len(parts) == 2
+                    and type(parts[0]) is Implies
+                    and type(parts[1]) is Implies
+                    and parts[0].lhs == parts[1].rhs
+                    and parts[0].rhs == parts[1].lhs
+                ):
+                    lhs, rhs = parts[0].lhs, parts[0].rhs
+                    level, text = _L_IFF, _fmt_f(lhs, _L_IFF) + " <-> " + _fmt_f(rhs, _L_IFF + 1)
+                else:
+                    level, text = _L_ODOT, _chain(parts, "(.)", _L_ODOT)
+            elif (
+                type(inner) is Implies
+                and type(inner.lhs) is Implies
+                and type(inner.lhs.lhs) is Not
+                and type(inner.lhs.rhs) is Not
+                and type(inner.rhs) is Not
+                and inner.lhs.rhs == inner.rhs
             ):
-                text = _fmt_f(parts[0].lhs, _L_IFF) + " <-> " + _fmt_f(parts[0].rhs, _L_IFF + 1)
-                return _wrap(text, _L_IFF, ctx)
-            return _wrap(_chain(parts, "(.)", _L_ODOT), _L_ODOT, ctx)
-        if (
-            type(inner) is Implies
-            and type(inner.lhs) is Implies
-            and type(inner.lhs.lhs) is Not
-            and type(inner.lhs.rhs) is Not
-            and type(inner.rhs) is Not
-            and inner.lhs.rhs == inner.rhs
-        ):
-            a, b = inner.lhs.lhs.sub, inner.rhs.sub
-            text = _fmt_f(a, _L_AND) + " & " + _fmt_f(b, _L_AND + 1)
-            return _wrap(text, _L_AND, ctx)
-        return _wrap("~" + _fmt_f(f.sub, _L_PRE), _L_PRE, ctx)
-    if t is Implies:
-        if type(f.lhs) is Implies and f.lhs.rhs == f.rhs:
-            text = _fmt_f(f.lhs.lhs, _L_OR) + " | " + _fmt_f(f.rhs, _L_OR + 1)
-            return _wrap(text, _L_OR, ctx)
-        if _match_oplus(f) is not None:
+                a, b = inner.lhs.lhs.sub, inner.rhs.sub
+                level, text = _L_AND, _fmt_f(a, _L_AND) + " & " + _fmt_f(b, _L_AND + 1)
+            else:
+                heads += "~"
+                f = inner
+                continue
+        elif t is Implies and type(f.lhs) is Implies and f.lhs.rhs == f.rhs:
+            level, text = _L_OR, _fmt_f(f.lhs.lhs, _L_OR) + " | " + _fmt_f(f.rhs, _L_OR + 1)
+        elif t is Implies:
             # claim the sugar for k-fold repetition, or a sum of two
             # implication-free parts; anything else reads better as ->
-            parts = _spine(f, _match_oplus)
+            parts = _spine(f, _match_oplus) if type(f.lhs) is Not else ()
             if len(parts) >= 2 and all(p == parts[0] for p in parts):
-                text = f"{len(parts)}." + _fmt_f(parts[0], _L_PRE)
-                return _wrap(text, _L_PRE, ctx)
+                heads += f"{len(parts)}."
+                f = parts[0]
+                continue
             if len(parts) == 2 and type(parts[0]) is not Implies and type(parts[1]) is not Implies:
-                return _wrap(_chain(parts, "(+)", _L_OPLUS), _L_OPLUS, ctx)
-        text = _fmt_f(f.lhs, _L_IMP + 1) + " -> " + _fmt_f(f.rhs, _L_IMP)
-        return _wrap(text, _L_IMP, ctx)
-    if t is Box:
-        text = f"[{_fmt_p(f.prog, 0)}]" + _fmt_f(f.body, _L_PRE)
-        return _wrap(text, _L_PRE, ctx)
-    raise TypeError(f"not a formula: {f!r}")
+                level, text = _L_OPLUS, _chain(parts, "(+)", _L_OPLUS)
+            else:
+                level, text = _L_IMP, _fmt_f(f.lhs, _L_IMP + 1) + " -> " + _fmt_f(f.rhs, _L_IMP)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        break
+    if heads:
+        level, text = _L_PRE, heads + _wrap(text, level, _L_PRE)
+    return text if level >= ctx else f"({text})"
 
 
 def _fmt_p(p: Program, ctx: int) -> str:
@@ -470,8 +483,11 @@ def _fmt_p(p: Program, ctx: int) -> str:
         return p.name
     if t is Test:
         return _wrap(_fmt_f(p.formula, 0) + "?", _P_ATOM, ctx)
-    if t is Star:
-        return _wrap(_fmt_p(p.sub, _P_STAR) + "*", _P_STAR, ctx)
+    if t is Star:  # a run of stars binds at one level: a loop, no recursion
+        stars = 0
+        while type(p) is Star:
+            p, stars = p.sub, stars + 1
+        return _wrap(_fmt_p(p, _P_STAR) + "*" * stars, _P_STAR, ctx)
     if t is Seq:
         text = _fmt_p(p.left, _P_SEQ) + ";" + _fmt_p(p.right, _P_SEQ + 1)
         return _wrap(text, _P_SEQ, ctx)

@@ -1,24 +1,55 @@
-"""Satisfiability and validity over finite (n+1)-valued models.
+"""Satisfiability and validity over finite (n+1)-valued models, by
+elimination over closure rows.
 
-Satisfiability search runs in two cooperating layers under one state
-budget, deepening the world count from 1 upward:
+A row assigns a value to every member of the formula's closure,
+respecting the connective arithmetic, the test, seq and union laws and
+the star unfolding law (`_Rows.generate`, which also drops rows by two
+refinement rules).  Variables, atomic boxes and star boxes are its free
+positions.  Row v is an allowed a-successor of row w when v[ψ] >= w[[a]ψ]
+for every [a]ψ in the closure; β-steps between rows follow the program
+laws, a test ψ? keeping the rows that value ψ at n.  Elimination repeats
+two rules until neither drops a row:
 
-* Candidate worlds are first abstracted as rows: assignments of a value
-  to every member of the formula's closure that respect the connective
-  arithmetic, the program unfolding laws, and the test law.  Variables,
-  atomic boxes and star boxes are the free positions; everything else is
-  derived.  Real worlds always project to such rows, so when no row gives
-  the goal value the formula is settled outright, and models never need
-  more worlds than there are distinct rows.
-* For a fixed world count, either the row subsets are enumerated and
-  atomic relations assigned against the box constraints (small row
-  spaces), or plain models over the formula's vocabulary are enumerated
-  directly (small vocabularies).  Every candidate that survives is
-  re-checked with the model checker before it is reported, so a reported
-  witness is always genuine.
+* Box rule: drop w when some [a]ψ = c < n in w has no surviving allowed
+  successor v with v[ψ] = c.
+* Star rule: drop w when some [β*]φ = c < n in w reaches no surviving
+  row with φ = c along allowed β-steps.
 
-A completed search below the closure bound is a definitive negative; an
-exhausted budget raises instead of reporting anything.
+Soundness: the row of every world of every model survives.  It is a
+generated row, and no rule drops it first: a box value below n is the
+minimum over successors, attained at some successor, whose row is an
+allowed successor and survives; a star value c below n is attained at
+some world on a β-path, and every step of that path is an allowed
+β-step between surviving rows.  So when no row giving the formula its
+goal value survives, no model has such a world: a complete negative
+verdict.
+
+Completeness: take any set S of rows with every allowed edge among them
+as a model, each row a world valued by its variables.  When elimination
+inside S keeps S, every row's values are the real ones (truth lemma, by
+induction over the closure).  For an atomic box the allowed edges give
+value >= w[[a]ψ] and the box rule attains it.  For a star, w[[β*]φ] <=
+w[φ] and w[[β*]φ] <= w[[β][β*]φ], so along allowed β-steps the value
+does not decrease and every reachable row has φ >= w[[β*]φ]; the star
+rule reaches a row with φ equal to it when it is below n.  Conversely,
+the rows of the worlds of any model, with every allowed edge, pass both
+rules by the soundness argument.  So a set of rows is a model with the
+rows' values exactly when elimination inside it keeps it; the surviving
+rows form one, and a model of k worlds gives one of at most k rows.
+
+The search looks for a small witness first: single goal rows with their
+loops (a linear scan, not charged to the budget), then, under the
+candidate budget, sets of up to max_worlds rows (2 when unbounded),
+goal rows of the highest formula value first.  Unbounded, it then takes
+the surviving rows reachable from the first surviving goal row, also
+when the budget runs out first.  The model checker re-checks every
+witness before it is reported.
+
+The one exponential step is the row enumeration, capped at
+_ROW_ENUM_CAP free assignments.  Past the cap there are no rows and so
+no negative verdict; the search then tries the models of 1, 2, ...
+worlds over the formula's vocabulary, up to max_worlds and under the
+budget, and raises BudgetExceeded when none of them is a witness.
 
 Validity is decided by searching for a world where the formula's value
 falls below 1, which is the same search as satisfiability of the negated
@@ -34,7 +65,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from math import comb
+from functools import reduce
+from operator import and_, or_
 
 from .kripke import KripkeModel
 from .syntax import (
@@ -55,9 +87,7 @@ from .syntax import (
 )
 
 DEFAULT_BUDGET = 10**6
-_ROW_ENUM_CAP = 300_000  # skip row abstraction past this many free assignments
-_SUBSET_CAP = 60_000  # row-subset route only below this many subsets
-_FANOUT_CAP = 4_096  # and only when the relation fan-out stays below this
+_ROW_ENUM_CAP = 400_000  # free-member assignments the row enumeration may visit
 
 
 @dataclass
@@ -81,7 +111,8 @@ class Satisfiable:
 
 @dataclass
 class Unsatisfiable:
-    """No witness up to bound_used worlds; definitive when complete."""
+    """No witness of at most bound_used worlds.  Complete: no model at
+    all.  Incomplete: a model exists, but none that small."""
 
     bound_used: int
     complete: bool
@@ -94,7 +125,8 @@ SatResult = Satisfiable | Unsatisfiable
 
 
 class BudgetExceeded(RuntimeError):
-    """State budget ran out before the search settled; not a verdict."""
+    """The candidate budget or the row enumeration cap ran out before the
+    search settled; not a verdict."""
 
     def __init__(self, message: str, stats: SearchStats):
         super().__init__(message)
@@ -150,15 +182,12 @@ class _Rows:
             g for g in self.closure if type(g) is Box and type(g.prog) is Star
         ]
         self.free = self.var_slots + self.abox_slots + self.star_slots
-        self.rows: list[tuple[int, ...]] | None = None
 
     def free_assignments(self) -> int:
         return (self.n + 1) ** len(self.free)
 
     def generate(self) -> list[tuple[int, ...]]:
-        """All locally consistent rows, in ascending tuple order."""
-        if self.rows is not None:
-            return self.rows
+        """All locally consistent rows, in ascending tuple order, refined."""
         n = self.n
         free = [self.index[g] for g in self.free]
         plan, unfold = self._plan()
@@ -182,8 +211,7 @@ class _Rows:
             if all(vals[i] == min(vals[a], vals[b]) for i, a, b in unfold):
                 rows.append(tuple(vals))
         rows.sort()
-        self.rows = self._refine(rows)
-        return self.rows
+        return self._refine(rows)
 
     def _plan(self) -> tuple[list[tuple[int, int, int, int]], list[tuple[int, int, int]]]:
         """The derived members as (slot, op, a, b) steps over slots, each
@@ -252,6 +280,11 @@ class _Rows:
 
         Dropping rows can raise a least value or establish a new body
         ordering, hence the fixpoint.
+
+        The verdict does not need these rules: every row they drop, the
+        elimination drops too.  They are a pre-filter for speed, cheaper
+        per row than the box and star rules; without them the decide
+        benchmark's ops take about 30 % longer in total.
         """
         by_prog: dict[Program, list[tuple[int, int]]] = {}
         for g in self.closure:
@@ -282,6 +315,136 @@ class _Rows:
         return rows
 
 
+# --- elimination ------------------------------------------------------------
+
+
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Elimination:
+    """The refined rows as bit positions, their allowed edges, and the
+    two drop rules.  Row sets are Python ints, bit i standing for row i."""
+
+    def __init__(self, info: _Rows, rows: list[tuple[int, ...]]):
+        self.n = info.n
+        self.rows = rows
+        self.info = info
+        index = info.index
+        self.boxes: dict[str, list[tuple[int, int]]] = {}
+        for g in info.abox_slots:
+            self.boxes.setdefault(g.prog.name, []).append((index[g], index[g.body]))
+        # a row valuing [α]φ at c < n needs an α-path to a row valuing φ at
+        # c; α is an atomic program (box rule) or a star (star rule)
+        self.rules = [(index[g], index[g.body], g.prog) for g in info.abox_slots + info.star_slots]
+        self._cuts: dict[tuple[int, int, int], int] = {}
+        self._preds: dict[str, list[tuple[int, int]]] = {}
+
+    def cut(self, slot: int, lo: int, hi: int) -> int:
+        """The rows valuing closure member `slot` from lo to hi."""
+        got = self._cuts.get((slot, lo, hi))
+        if got is None:
+            bits = "".join("1" if lo <= row[slot] <= hi else "0" for row in reversed(self.rows))
+            got = self._cuts[slot, lo, hi] = int(bits, 2)
+        return got
+
+    def succ(self, a: str, w: int) -> int:
+        """The allowed a-successors of row w: the rows v with v[ψ] >=
+        w[[a]ψ] for every [a]ψ in the closure."""
+        row = self.rows[w]
+        return reduce(and_, (self.cut(body, row[box], self.n) for box, body in self.boxes[a]))
+
+    def _pred(self, a: str) -> list[tuple[int, int]]:
+        """The rows grouped by their values of the a-box bodies, each
+        group with the rows it is an allowed a-successor of."""
+        got = self._preds.get(a)
+        if got is None:
+            pairs = self.boxes[a]
+            groups: dict[tuple[int, ...], int] = {}
+            for i, row in enumerate(self.rows):
+                key = tuple(row[body] for _, body in pairs)
+                groups[key] = groups.get(key, 0) | 1 << i
+            got = self._preds[a] = [
+                (group, reduce(and_, (self.cut(box, 0, c) for (box, _), c in zip(pairs, key))))
+                for key, group in groups.items()
+            ]
+        return got
+
+    def pre(self, prog: Program, rows: int, alive: int) -> int:
+        """The alive rows with a prog-path into rows (a subset of alive).
+
+        Rows travel backward through a sequence of programs, the last one
+        first, by the program laws: an atomic program takes its allowed
+        edges, a test keeps the rows valuing its formula at n, `;` splits
+        into its parts, `+` into two sequences, and `*` into no step or
+        one more step and the star again.  pre distributes over unions of
+        rows, so each row passes each sequence at most once; the
+        sequences are closure-like, so there are finitely many."""
+        out = 0
+        done: dict[tuple[Program, ...], int] = {}
+        work = [((prog,), rows)]
+        while work:
+            progs, x = work.pop()
+            x &= ~done.get(progs, 0)
+            if not x:
+                continue
+            done[progs] = done.get(progs, 0) | x
+            if not progs:
+                out |= x
+                continue
+            p, rest = progs[-1], progs[:-1]
+            t = type(p)
+            if t is Atomic:
+                work.append((rest, alive & reduce(or_, (r for g, r in self._pred(p.name) if g & x), 0)))
+            elif t is Test:
+                work.append((rest, x & self.cut(self.info.index[p.formula], self.n, self.n)))
+            elif t is Seq:
+                work.append((rest + (p.left, p.right), x))
+            elif t is Union:
+                work += [(rest + (p.left,), x), (rest + (p.right,), x)]
+            else:
+                work += [(rest, x), (rest + (p, p.sub), x)]
+        return out
+
+    def eliminate(self, alive: int) -> int:
+        """Drop rows breaking a rule until none does; the rows kept."""
+        dropped = True
+        while dropped:
+            dropped = False
+            for slot, body, prog in self.rules:
+                for c in range(self.n):
+                    need = alive & self.cut(slot, c, c)
+                    if need:
+                        bad = need & ~self.pre(prog, alive & self.cut(body, c, c), alive)
+                        if bad:
+                            alive &= ~bad
+                            dropped = True
+        return alive
+
+    def alone(self, w: int) -> bool:
+        """Whether row w with its allowed loops passes both rules: each
+        program with a box below n needs the loop, attaining every box,
+        and a star below n must be attained at w itself."""
+        row, n = self.rows[w], self.n
+        for pairs in self.boxes.values():
+            if any(row[box] < n for box, _ in pairs) and any(row[body] != row[box] for box, body in pairs):
+                return False
+        return all(row[body] == row[slot] for slot, body, _ in self.rules if row[slot] < n)
+
+    def reach(self, w: int, alive: int) -> int:
+        """The alive rows reachable from row w along allowed edges."""
+        seen = frontier = 1 << w
+        while frontier:
+            step = reduce(or_, (self.succ(a, v) for v in _bits(frontier) for a in self.boxes), 0)
+            frontier = step & alive & ~seen
+            seen |= frontier
+        return seen
+
+
 # --- search -----------------------------------------------------------------
 
 
@@ -292,174 +455,83 @@ def _meets_goal(value: int, n: int, want_true: bool) -> bool:
 def _search(
     f: Formula, n: int, want_true: bool, max_worlds: int | None, budget: int
 ) -> SatResult:
-    start = time.perf_counter()
-    stats = SearchStats()
     if n < 1:
         raise ValueError("resolution must be >= 1")
-    rows_info = _Rows(f, n)
-    theoretical = (n + 1) ** len(rows_info.closure)
-    if max_worlds is None:
-        max_worlds = theoretical
-    if max_worlds < 1:
+    if max_worlds is not None and max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
-
-    rows: list[tuple[int, ...]] | None = None
-    goal_rows: list[int] = []
-    if rows_info.free_assignments() <= _ROW_ENUM_CAP:
-        rows = rows_info.generate()
-        stats.atoms_generated = len(rows)
-        fi = rows_info.index[f]
-        goal_rows = [i for i, row in enumerate(rows) if _meets_goal(row[fi], n, want_true)]
-        if not goal_rows:
-            stats.wall_time = time.perf_counter() - start
-            return Unsatisfiable(bound_used=theoretical, complete=True, stats=stats)
-
-    var_names = sorted(variables_of(f))
-    atom_names = sorted(atomic_programs_of(f))
-    definitive = min(theoretical, len(rows)) if rows is not None else theoretical
-    top = min(max_worlds, definitive)
-
-    for k in range(1, top + 1):
-        hit = None
-        if rows is not None and _row_route_fits(len(rows), k, len(atom_names)):
-            hit = _row_route(f, n, want_true, k, rows_info, rows, set(goal_rows), stats, budget, start)
-        else:
-            hit = _direct_route(
-                f, n, want_true, k, var_names, atom_names, stats, budget, start
-            )
-        if hit is not None:
-            model, world = hit
-            stats.wall_time = time.perf_counter() - start
-            return Satisfiable(model=model, world=world, bound_used=k, stats=stats)
-
-    complete = top >= definitive
-    stats.wall_time = time.perf_counter() - start
-    return Unsatisfiable(
-        bound_used=theoretical if complete else top, complete=complete, stats=stats
-    )
-
-
-def _tick(stats: SearchStats, budget: int, start: float):
-    stats.nodes_explored += 1
-    if stats.nodes_explored > budget:
+    stats = SearchStats()
+    start = time.perf_counter()
+    try:
+        return _decide(f, n, want_true, max_worlds, budget, stats)
+    finally:  # also for BudgetExceeded, which carries the stats
         stats.wall_time = time.perf_counter() - start
-        raise BudgetExceeded(
-            f"state budget of {budget} candidates exhausted", stats
-        )
 
 
-def _row_route_fits(row_count: int, k: int, atom_count: int) -> bool:
-    if k > row_count:
-        return False
-    if comb(row_count, k) > _SUBSET_CAP:
-        return False
-    return (2**k) ** (k * max(atom_count, 1)) <= _FANOUT_CAP
+def _decide(
+    f: Formula, n: int, want_true: bool, max_worlds: int | None, budget: int, stats: SearchStats
+) -> SatResult:
+    info = _Rows(f, n)
+    if info.free_assignments() > _ROW_ENUM_CAP:
+        # no rows, so no negative verdict: only a small model can answer
+        sizes = itertools.count(1) if max_worlds is None else range(1, max_worlds + 1)
+        models = itertools.chain.from_iterable(_models(f, n, k) for k in sizes)
+        hit = _first_witness(f, n, want_true, itertools.islice(models, budget), stats)
+        if hit is None:
+            raise BudgetExceeded(
+                f"no verdict: the row space of {info.free_assignments()} assignments is past the "
+                f"cap of {_ROW_ENUM_CAP}, and no witness is among {stats.nodes_explored} models",
+                stats,
+            )
+        return hit
+    rows = info.generate()
+    stats.atoms_generated = len(rows)
+    fi = info.index[f]
+    goals = sorted(
+        (i for i, row in enumerate(rows) if _meets_goal(row[fi], n, want_true)),
+        key=lambda i: -rows[i][fi],
+    )
+    elim = _Elimination(info, rows)
 
-
-def _row_route(f, n, want_true, k, rows_info, rows, goal_set, stats, budget, start):
-    """Models over k distinct rows: assign atomic relations against the
-    box constraints, then re-check the real value."""
-    closure_index = rows_info.index
-    abox_by_atom: dict[str, list[tuple[int, int]]] = {}
-    for g in rows_info.abox_slots:
-        abox_by_atom.setdefault(g.prog.name, []).append(
-            (closure_index[g], closure_index[g.body])
-        )
-    atom_names = sorted(atomic_programs_of(f))
-    var_slots = rows_info.var_slots
-    var_positions = [closure_index[g] for g in var_slots]
-
-    for combo in itertools.combinations(range(len(rows)), k):
-        if goal_set.isdisjoint(combo):
-            continue
-        chosen = [rows[i] for i in combo]
-        # Successor-set options per (world, atomic program).
-        slot_options: list[list[tuple[int, ...]]] = []
-        dead = False
-        for atom in atom_names:
-            boxes = abox_by_atom.get(atom, ())
-            for w in range(k):
-                row_w = chosen[w]
-                allowed = [
-                    v
-                    for v in range(k)
-                    if all(chosen[v][body_i] >= row_w[box_i] for box_i, body_i in boxes)
-                ]
-                options = []
-                for mask in range(1 << len(allowed)):
-                    subset = tuple(allowed[j] for j in range(len(allowed)) if mask >> j & 1)
-                    good = True
-                    for box_i, body_i in boxes:
-                        m = n
-                        for v in subset:
-                            bv = chosen[v][body_i]
-                            if bv < m:
-                                m = bv
-                        if m != row_w[box_i]:
-                            good = False
-                            break
-                    if good:
-                        options.append(subset)
-                if not options:
-                    dead = True
-                    break
-                slot_options.append(options)
-            if dead:
-                break
-        if dead:
-            continue
-        world_names = [f"s{i}" for i in range(k)]
-        valuation = {
-            g.name: {world_names[w]: chosen[w][pos] for w in range(k)}
-            for g, pos in zip(var_slots, var_positions)
+    def found(members: int, w: int) -> Satisfiable:
+        """The rows of members as worlds, with every allowed edge, checked."""
+        names = {i: f"s{k}" for k, i in enumerate(_bits(members))}
+        relations = {
+            a: [(names[u], names[v]) for u in names for v in _bits(elim.succ(a, u) & members)]
+            for a in elim.boxes
         }
-        for pick in itertools.product(*slot_options):
-            _tick(stats, budget, start)
-            relations = {}
-            slot = 0
-            for atom in atom_names:
-                pairs = set()
-                for w in range(k):
-                    for v in pick[slot]:
-                        pairs.add((world_names[w], world_names[v]))
-                    slot += 1
-                relations[atom] = pairs
-            model = KripkeModel(n, world_names, relations, valuation)
-            col = [model.value(w, f).num for w in world_names]
-            for w in range(k):
-                if _meets_goal(col[w], n, want_true):
-                    return model, world_names[w]
-    return None
+        valuation = {g.name: {names[i]: rows[i][info.index[g]] for i in names} for g in info.var_slots}
+        model = KripkeModel(n, list(names.values()), relations, valuation)
+        if not _meets_goal(model.value(names[w], f).num, n, want_true):
+            raise RuntimeError(f"witness row {w} fails the model check")
+        return Satisfiable(model=model, world=names[w], bound_used=len(names), stats=stats)
 
+    for w in goals:  # one world with its loops: linear, so not charged
+        stats.nodes_explored += 1
+        if elim.alone(w):
+            return found(1 << w, w)
+    alive = elim.eliminate((1 << len(rows)) - 1) if goals else 0
+    goals = [w for w in goals if alive >> w & 1]
+    if not goals:
+        return Unsatisfiable(bound_used=(n + 1) ** len(info.closure), complete=True, stats=stats)
 
-def _direct_route(f, n, want_true, k, var_names, atom_names, stats, budget, start):
-    """All models of size k over the formula's vocabulary, lexicographically."""
-    world_names = [f"s{i}" for i in range(k)]
-    all_pairs = [(u, v) for u in world_names for v in world_names]
-    rel_masks = range(1 << len(all_pairs))
-    for value_choice in itertools.product(range(n + 1), repeat=len(var_names) * k):
-        valuation = {
-            var: {
-                world_names[w]: value_choice[vi * k + w] for w in range(k)
-            }
-            for vi, var in enumerate(var_names)
-        }
-        for masks in itertools.product(rel_masks, repeat=len(atom_names)):
-            _tick(stats, budget, start)
-            relations = {
-                atom: {
-                    all_pairs[j]
-                    for j in range(len(all_pairs))
-                    if masks[ai] >> j & 1
-                }
-                for ai, atom in enumerate(atom_names)
-            }
-            model = KripkeModel(n, world_names, relations, valuation)
-            col = [model.value(w, f).num for w in world_names]
-            for w in range(k):
-                if _meets_goal(col[w], n, want_true):
-                    return model, world_names[w]
-    return None
+    tries = (  # a goal row and k - 1 rows it reaches, k up to max_worlds (2 unbounded)
+        (w, others)
+        for k in range(2, (max_worlds or 2) + 1)
+        for w in goals
+        for others in itertools.combinations(_bits(elim.reach(w, alive) & ~(1 << w)), k - 1)
+    )
+    for w, others in itertools.islice(tries, budget):
+        stats.nodes_explored += 1
+        kept = elim.eliminate(sum(1 << i for i in others) | 1 << w)
+        if kept >> w & 1:
+            return found(kept, w)
+    # Unbounded, the reach set is a witness anyway, so an exhausted budget
+    # only ends the hunt for a smaller one.
+    if max_worlds is None:
+        return found(elim.reach(goals[0], alive), goals[0])
+    if next(tries, None) is not None:
+        raise BudgetExceeded(f"state budget of {budget} candidates exhausted; raise it to go on", stats)
+    return Unsatisfiable(bound_used=max_worlds, complete=False, stats=stats)
 
 
 # --- independent oracle -----------------------------------------------------
@@ -472,8 +544,8 @@ def enumerate_oracle(
     worlds over the formula's own variables and atomic programs.
 
     Definitive for that size.  Deliberately has no shortcuts and shares
-    nothing with decide_sat beyond the model checker, so the two can
-    cross-validate.
+    nothing with the elimination beyond the model checker, so the two
+    can cross-validate.
     """
     if exact_worlds < 1:
         raise ValueError("exact_worlds must be >= 1")
@@ -481,26 +553,32 @@ def enumerate_oracle(
         raise OracleGuard(f"oracle guard is {guard} worlds, asked for {exact_worlds}")
     start = time.perf_counter()
     stats = SearchStats()
-    worlds = [f"u{i}" for i in range(exact_worlds)]
+    hit = _first_witness(f, n, True, _models(f, n, exact_worlds), stats)
+    stats.wall_time = time.perf_counter() - start
+    if hit is not None:
+        return hit
+    complete = exact_worlds >= (n + 1) ** len(fl_closure(f))
+    return Unsatisfiable(bound_used=exact_worlds, complete=complete, stats=stats)
+
+
+def _models(f: Formula, n: int, k: int):
+    """Every model of k worlds over f's variables and atomic programs."""
+    worlds = [f"u{i}" for i in range(k)]
     var_names = sorted(variables_of(f))
     atom_names = sorted(atomic_programs_of(f))
     pairs = [(u, v) for u in worlds for v in worlds]
-    for value_choice in itertools.product(range(n + 1), repeat=len(var_names) * exact_worlds):
-        valuation = {}
-        for vi, var in enumerate(var_names):
-            valuation[var] = {
-                worlds[w]: value_choice[vi * exact_worlds + w] for w in range(exact_worlds)
-            }
+    for values in itertools.product(range(n + 1), repeat=len(var_names) * k):
+        valuation = {x: dict(zip(worlds, values[i * k : i * k + k])) for i, x in enumerate(var_names)}
         for masks in itertools.product(range(1 << len(pairs)), repeat=len(atom_names)):
-            stats.nodes_explored += 1
-            relations = {}
-            for ai, atom in enumerate(atom_names):
-                relations[atom] = {pairs[j] for j in range(len(pairs)) if masks[ai] >> j & 1}
-            model = KripkeModel(n, worlds, relations, valuation)
-            for w in worlds:
-                if model.value(w, f).num == n:
-                    stats.wall_time = time.perf_counter() - start
-                    return Satisfiable(model=model, world=w, bound_used=exact_worlds, stats=stats)
-    stats.wall_time = time.perf_counter() - start
-    complete = exact_worlds >= (n + 1) ** len(fl_closure(f))
-    return Unsatisfiable(bound_used=exact_worlds, complete=complete, stats=stats)
+            relations = {a: [pq for j, pq in enumerate(pairs) if m >> j & 1] for a, m in zip(atom_names, masks)}
+            yield KripkeModel(n, worlds, relations, valuation)
+
+
+def _first_witness(f, n, want_true, models, stats: SearchStats) -> Satisfiable | None:
+    """The first of models with a world meeting the goal, each model
+    counted as explored."""
+    for model in models:
+        stats.nodes_explored += 1
+        for w in model.worlds:
+            if _meets_goal(model.value(w, f).num, n, want_true):
+                return Satisfiable(model=model, world=w, bound_used=len(model.worlds), stats=stats)

@@ -88,6 +88,29 @@ def test_valid_verdicts(capsys):
     assert "not valid" in out and "value 3/4" in out
 
 
+def test_answers_without_a_verdict_exit_two(capsys):
+    # satisfiable, but no witness of one world: not a negative verdict
+    assert main(["sat", "<a>p & ~p", "--n", "2", "--max-worlds", "1"]) == 2
+    assert "satisfiable, but no witness within 1 world" in capsys.readouterr().out
+    code = main(["valid", "(p & [a*](p -> [a]p)) -> [a*]p", "--n", "4", "--max-worlds", "1"])
+    assert code == 2
+    assert "not valid, but no refutation within 1 world" in capsys.readouterr().out
+
+
+def test_row_space_past_the_cap_still_answers(capsys):
+    # 5^9 assignments to the free closure members: past the row cap, the
+    # small models answer when one of them is a witness
+    assert main(["valid", "[a]p & [a]q & [a]r & [a]s -> t", "--n", "4"]) == 1
+    assert "not valid" in capsys.readouterr().out
+    # and without one there is no verdict, but an error at once
+    code = main(["valid", "[a]p & [a]q & [a]r & [a]s & t -> t", "--n", "4", "--max-worlds", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no verdict: the row space of 1953125 assignments")
+    assert "Traceback" not in captured.err
+
+
 def test_prove_golden_file(tmp_path, capsys):
     from importlib.resources import files
 

@@ -138,6 +138,22 @@ def test_deep_power_prints_and_parses_back():
     assert parse_formula(text) is f
 
 
+def test_deep_boxes_and_stars_print_without_recursion():
+    f = P
+    for _ in range(3000):
+        f = Box(A, f)
+    assert format_formula(f) == "[a]" * 3000 + "p"
+    assert repr(f) == "Formula('" + "[a]" * 3000 + "p')"
+    g = P
+    for _ in range(1000):
+        g = Not(Box(A, Not(Not(g))))
+    assert format_formula(g) == "<a>~" * 1000 + "p"
+    prog = A
+    for _ in range(3000):
+        prog = Star(prog)
+    assert format_program(prog) == "a" + "*" * 3000
+
+
 def test_pathological_nesting_is_a_parse_error():
     deep = "(" * 4000 + "p" + ")" * 4000
     with pytest.raises(ParseError):

@@ -3,21 +3,24 @@
 import random
 
 import pytest
+from relational import Relational
 
-from mvpdl.kripke import KripkeModel
-from mvpdl.parser import parse_formula
+from mvpdl.kripke import KripkeModel, random_model
+from mvpdl.parser import format_formula, parse_formula
 from mvpdl.sat import (
     BudgetExceeded,
     OracleGuard,
     Satisfiable,
     Unsatisfiable,
+    _Elimination,
+    _Rows,
     decide_sat,
     decide_valid,
     enumerate_oracle,
     is_validity_verdict,
 )
-from mvpdl.syntax import Not, power
-from mvpdl.tautologies import random_formula
+from mvpdl.syntax import Atomic, Box, Implies, Not, Star, power
+from mvpdl.tautologies import random_formula, random_program
 
 
 def test_variable_is_satisfiable_in_one_world():
@@ -158,6 +161,27 @@ def test_budget_is_an_error_not_a_verdict():
     assert not r.is_sat and r.complete
 
 
+def test_unbounded_search_outlasts_its_budget():
+    # the smallest model has 3 worlds: w and two distinct successors
+    f = parse_formula("~p & ~q & <a>p & <a>q & [a]~(p & q)")
+    assert not enumerate_oracle(f, 1, 2).is_sat
+    for budget in (0, 1, 2):
+        r = decide_sat(f, 1, budget=budget)
+        assert isinstance(r, Satisfiable) and r.bound_used >= 3
+        assert r.model.value(r.world, f).num == 1
+    with pytest.raises(BudgetExceeded):
+        decide_sat(f, 1, max_worlds=3, budget=2)
+
+
+def test_past_the_row_cap_small_models_answer():
+    # 5^9 free assignments: no rows, but a one-world model refutes it
+    r = decide_valid(parse_formula("[a]p & [a]q & [a]r & [a]s -> t"), 4)
+    assert isinstance(r, Satisfiable) and r.bound_used == 1
+    assert r.stats.atoms_generated == 0
+    with pytest.raises(BudgetExceeded, match="no verdict"):
+        decide_valid(parse_formula("[a]p & [a]q & [a]r & [a]s & t -> t"), 4, budget=50)
+
+
 def test_search_is_deterministic():
     f = parse_formula("<a>p & ~p")
     a = decide_sat(f, 2)
@@ -178,14 +202,12 @@ def test_stats_are_reported():
 
 
 def test_axiom_instances_are_never_refuted():
-    # variable-level instance of every axiom schema: either certified
-    # valid within the completeness bound, or at least unrefuted within
-    # the configured cap
+    # the variable-level instance of every axiom schema is certified valid
+    # at each n
     from mvpdl.proofs import axiom_ids, instantiate_axiom
-    from mvpdl.syntax import Atomic, Var
+    from mvpdl.syntax import Var
 
-    certified = 0
-    for n in (1, 2):
+    for n in (1, 2, 3, 4):
         for axiom_id in axiom_ids():
             f = instantiate_axiom(
                 axiom_id,
@@ -193,11 +215,76 @@ def test_axiom_instances_are_never_refuted():
                 fsub={"p": Var("p"), "q": Var("q")},
                 psub={"a": Atomic("a"), "b": Atomic("b")},
             )
-            try:
-                r = decide_valid(f, n, max_worlds=2, budget=400_000)
-            except BudgetExceeded:
+            r = decide_valid(f, n, max_worlds=2, budget=400_000)
+            assert is_validity_verdict(r), (axiom_id, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_schema_formula_is_certified_valid(n):
+    from mvpdl.tautologies import SCHEMA_COUNT, schema_formulas
+
+    for index in range(1, SCHEMA_COUNT + 1):
+        for f in schema_formulas(index, n):
+            assert is_validity_verdict(decide_valid(f, n, budget=300)), (index, format_formula(f))
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [("(p & [a*]((p -> [a]p)^3)) -> [a*]p", 3), ("[(a+b)*]p -> [a*][b*]p", 4)],
+)
+def test_induction_and_star_splitting_are_certified_valid(text, n):
+    assert is_validity_verdict(decide_valid(parse_formula(text), n, budget=300))
+
+
+STAR_SHAPES = [
+    "[(a;b)*]q",
+    "[(a+q?)*]p",
+    "[(p?;a)*]q -> <(q?;b)*>p",
+    "[((p -> [a*]q)?;b)*]<(a;q?)*>p",
+    "[(([q?]p)?;(a+b*))*]p",
+    "[(a;a)*]p & [a*][b*]q",
+    "<(p?;a + ~p?;b)*>(q & ~p)",
+]
+
+
+def test_real_rows_survive_elimination():
+    # soundness: the closure row of every world of every model is
+    # generated and kept; rows come from the relational oracle, not from
+    # the model checker
+    rng = random.Random(4242)
+    names = {"var_names": ("p", "q"), "atom_names": ("a", "b")}
+    checked = compound = 0
+    kept = {}  # (formula, n) -> closure rows, their positions, survivors
+    for trial in range(300):
+        n = rng.randint(1, 3)
+        m = random_model(
+            seed=rng.randrange(2**31),
+            n=n,
+            world_count=rng.randint(1, 6),
+            edge_density=rng.choice((0.0, 0.2, 0.5)),
+        )
+        f = random_formula(rng, rng.randint(1, 3), **names)
+        if trial % 3 == 0:
+            f = Implies(Box(Star(random_program(rng, 2, **names)), random_formula(rng, 1, **names)), f)
+        elif trial % 3 == 1:
+            f = parse_formula(STAR_SHAPES[trial % len(STAR_SHAPES)])
+        if (f, n) not in kept:
+            info = _Rows(f, n)
+            if info.free_assignments() > 20_000:
                 continue
-            assert not r.is_sat, (axiom_id, n)
-            if r.complete:
-                certified += 1
-    assert certified >= 4  # several small schemas settle definitively
+            rows = info.generate()
+            alive = _Elimination(info, rows).eliminate((1 << len(rows)) - 1)
+            kept[f, n] = info, {row: i for i, row in enumerate(rows)}, alive
+        info, position, alive = kept[f, n]
+        ref = Relational(m)
+        columns = [ref.profile(g) for g in info.closure]
+        for w in range(len(m.worlds)):
+            row = tuple(col[w] for col in columns)
+            assert row in position, (trial, format_formula(f))
+            assert alive >> position[row] & 1, (trial, format_formula(f))
+        checked += 1
+        compound += any(
+            type(g) is Box and type(g.prog) is Star and type(g.prog.sub) is not Atomic
+            for g in info.closure
+        )
+    assert checked > 250 and compound > 50
