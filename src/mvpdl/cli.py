@@ -318,7 +318,7 @@ def _cmd_sat(args) -> int:
         return 0
     if result.complete:
         payload["verdict"] = "unsatisfiable"
-        _emit(args, payload, f"unsatisfiable (worlds explored up to {result.bound_used}, complete=True)")
+        _emit(args, payload, "unsatisfiable (complete: no goal row survives elimination)")
         return 1
     payload["verdict"] = "no witness within bound"
     _emit(args, payload, f"satisfiable, but no witness within {_worlds(result.bound_used)} (incomplete)")

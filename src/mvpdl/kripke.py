@@ -6,32 +6,36 @@ the body over a program's successors, with the empty minimum equal to 1
 so dead ends validate every box.
 
 Evaluation computes whole value columns (one numerator per world)
-bottom-up over shared subterms and caches them per model.  A box maps
-its body column to a new column by the regular-program laws, so only
-atomic successor and predecessor lists are ever built, lazily per
-atomic program:
+bottom-up over shared subterms and caches them per model.  A box takes
+its column from the columns of the closure members its law reads
+(`syntax.laws`), so only atomic successor and predecessor lists are ever
+built, lazily per atomic program:
 
-    [a]f      minimum of f over the a-successors (n at dead ends)
-    [g?]f     f where g has value 1, and 1 elsewhere (tests are partial
-              identities over fully true worlds: [q?]p <-> ~q^n | p)
-    [a;b]f  = [a][b]f
-    [a+b]f  = min([a]f, [b]f)
-    [b*]f   = gfp X. min(f, [b]X)
+    [a]f      ATOM  minimum of f over the a-successors (n at dead ends)
+    [a;b]f    MIN   the column of [a][b]f
+    [a+b]f    MIN   the pointwise minimum of [a]f and [b]f
+    [g?]f     TEST  f where g has value 1, and 1 elsewhere (tests are
+                    partial identities over fully true worlds)
+    [b*]f     STAR  one flood over the states of its automaton
 
-Star over an atomic program or a union of atomic programs floods
-backward: worlds are taken in ascending body value, and each one not yet
-reached hands its value to every unreached world that reaches it through
-unreached worlds.  The reached set stays closed under predecessors, so a
-world is first reached from the lowest-valued world it can reach: the
-minimum over its star successors, in O(W + E + n).  Any other star
-iterates X -> min(f, [b]X) from X = f.  The map is monotone and the
-first step cannot rise, so the iterates fall; every fixpoint lies below
-each of them, and the value chain is finite, so they stop at the
-greatest fixpoint.
+A star box g = [b*]f is read through `syntax.star_states`: states s (g
+and closure members [b'][b*]f) whose edges take one atomic step, or a
+test that stays at worlds where its formula has value 1, or accept.  The
+value of state s at world w is the minimum of f over the worlds where
+some path from (w, s) through worlds x states accepts; with no such
+world it is 1.  The flood computes that for every state at once,
+backward over worlds x states: accepting pairs are taken in ascending f
+value, and each one not yet reached hands its value to every unreached
+pair that reaches it through unreached pairs.  The reached set stays
+closed under predecessors, so a pair is first reached from the
+lowest-valued accepting pair it can reach, which is its value; each pair
+and each edge between pairs is handled once, in O((W + E) * states) for
+W worlds and E atomic edges.  The columns of the other states are
+cached too.
 
-Programs are walked with explicit stacks, so program depth is bounded by
-memory rather than by the interpreter's recursion limit.  Models are
-immutable after construction.
+Formulas and programs are walked with explicit stacks, so depth is
+bounded by memory rather than by the interpreter's recursion limit.
+Models are immutable after construction.
 """
 
 from __future__ import annotations
@@ -40,20 +44,10 @@ import random
 from typing import Iterable, Mapping, Sequence
 
 from .luk import TruthValue
-from .syntax import (
-    Atomic,
-    Box,
-    Formula,
-    Implies,
-    Not,
-    Program,
-    Seq,
-    Star,
-    Test,
-    Union,
-    Var,
-    Zero,
-)
+from .syntax import ATOM, MIN, STAR, TEST, Box, Formula, Implies, Not, Var, Zero, laws, star_states
+
+
+_NOT, _IMP = "not", "imp"  # the connectives' ops, beside the laws' ops
 
 
 class ModelError(ValueError):
@@ -174,10 +168,12 @@ class KripkeModel:
         if got is not None:
             return got
         n = self.n
-        stack: list[tuple[Formula, bool]] = [(f, False)]
+        # (node, None) asks for node's column; (node, law) makes it once
+        # the columns the law reads are in the cache
+        stack: list[tuple[Formula, object]] = [(f, None)]
         while stack:
-            node, ready = stack.pop()
-            if not ready:
+            node, law = stack.pop()
+            if law is None:
                 if node in prof:
                     continue
                 t = type(node)
@@ -189,89 +185,48 @@ class KripkeModel:
                 elif t is Zero:
                     prof[node] = self._zeros
                 elif t is Not:
-                    stack.append((node, True))
-                    stack.append((node.sub, False))
+                    stack.append((node, _NOT))
+                    stack.append((node.sub, None))
                 elif t is Implies:
-                    stack.append((node, True))
-                    stack.append((node.lhs, False))
-                    stack.append((node.rhs, False))
+                    stack.append((node, _IMP))
+                    stack.append((node.lhs, None))
+                    stack.append((node.rhs, None))
                 elif t is Box:
-                    stack.append((node, True))
-                    stack.append((node.body, False))
-                    # test formulas inside the program are evaluated first
-                    progs = [node.prog]
-                    while progs:
-                        p = progs.pop()
-                        pt = type(p)
-                        if pt is Test:
-                            stack.append((p.formula, False))
-                        elif pt is Seq or pt is Union:
-                            progs.append(p.left)
-                            progs.append(p.right)
-                        elif pt is Star:
-                            progs.append(p.sub)
-                        elif pt is not Atomic:
-                            raise ModelError(f"not a program: {p!r}")
+                    try:
+                        op, members = laws(node)
+                        if op is STAR:
+                            members = star_states(node)
+                    except TypeError as e:  # a box over something else
+                        raise ModelError(str(e)) from None
+                    stack.append((node, (op, members)))
+                    if op is STAR:  # the flood reads the body and every test's gate
+                        gates = {gate for edges in members.values() for _, gate, _ in edges}
+                        members = ({node.body} | gates) - {None}
+                    for g in members:
+                        stack.append((g, None))
                 else:
                     raise ModelError(f"cannot evaluate {node!r}")
+                continue
+            if law is _NOT:
+                col = [n - x for x in prof[node.sub]]
+            elif law is _IMP:
+                a = prof[node.lhs]
+                b = prof[node.rhs]
+                col = [n if x <= y else n - x + y for x, y in zip(a, b)]
             else:
-                t = type(node)
-                if t is Not:
-                    col = [n - x for x in prof[node.sub]]
-                elif t is Implies:
-                    a = prof[node.lhs]
-                    b = prof[node.rhs]
-                    col = [n if x <= y else n - x + y for x, y in zip(a, b)]
-                else:  # Box
-                    col = self._box(node.prog, prof[node.body])
-                prof[node] = col
+                op, members = law
+                if op is ATOM:
+                    col = self._atomic_box(node.prog.name, prof[members[0]])
+                elif op is MIN:
+                    col = prof[members[0]]
+                    if len(members) == 2:
+                        col = [x if x < y else y for x, y in zip(col, prof[members[1]])]
+                elif op is TEST:
+                    col = [x if c == n else n for c, x in zip(prof[members[0]], prof[members[1]])]
+                else:
+                    col = self._star(node, members)
+            prof[node] = col
         return prof[f]
-
-    def _box(self, prog: Program, body: list[int]) -> list[int]:
-        """Column of [prog] over a body column; the columns of the
-        program's test formulas are already in the profile cache."""
-        n = self.n
-        done: list[list[int]] = []  # columns of finished steps
-        # steps: (_BOX, program, column) applies a box to a column;
-        # (_THEN, program, None) applies it to the last finished column;
-        # (_MIN, None, None) merges the last two; (_STEP, program, (f, X))
-        # takes one top-down star iterate X -> min(f, [program]X).
-        todo: list[tuple] = [(_BOX, prog, body)]
-        while todo:
-            op, p, arg = todo.pop()
-            if op == _THEN:
-                todo.append((_BOX, p, done.pop()))
-            elif op == _MIN:
-                right = done.pop()
-                done.append([x if x < y else y for x, y in zip(done.pop(), right)])
-            elif op == _STEP:
-                f, x = arg
-                y = [a if a < b else b for a, b in zip(f, done.pop())]
-                if y == x:
-                    done.append(x)
-                else:
-                    todo.append((_STEP, p, (f, y)))
-                    todo.append((_BOX, p, y))
-            elif type(p) is Atomic:
-                done.append(self._atomic_box(p.name, arg))
-            elif type(p) is Test:
-                cond = self._prof[p.formula]
-                done.append([x if c == n else n for x, c in zip(arg, cond)])
-            elif type(p) is Seq:
-                todo.append((_THEN, p.left, None))
-                todo.append((_BOX, p.right, arg))
-            elif type(p) is Union:
-                todo.append((_MIN, None, None))
-                todo.append((_BOX, p.right, arg))
-                todo.append((_BOX, p.left, arg))
-            else:  # Star
-                atoms = _union_atoms(p.sub)
-                if atoms is not None:
-                    done.append(self._flood(atoms, arg))
-                else:
-                    todo.append((_STEP, p.sub, (arg, arg)))
-                    todo.append((_BOX, p.sub, arg))
-        return done.pop()
 
     def _atomic_box(self, name: str, body: list[int]) -> list[int]:
         n = self.n
@@ -287,28 +242,44 @@ class KripkeModel:
             col.append(m)
         return col
 
-    def _flood(self, atoms: set[str], body: list[int]) -> list[int]:
-        """[(a1+...+ak)*] over a body column, by backward flooding from
-        the worlds in ascending body value."""
-        preds = [self._adjacency(a, True) for a in atoms]
-        buckets: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for w, x in enumerate(body):
-            buckets[x].append(w)
-        col = [-1] * len(body)
-        for x, seeds in enumerate(buckets):
-            for s in seeds:
-                if col[s] >= 0:
-                    continue
-                col[s] = x
-                todo = [s]
-                while todo:
-                    v = todo.pop()
-                    for pred in preds:
-                        for u in pred[v]:
-                            if col[u] < 0:
-                                col[u] = x
-                                todo.append(u)
-        return col
+    def _star(self, g: Formula, auto: dict) -> list[int]:
+        """Column of star box g from one backward flood over worlds x the
+        states of its automaton `auto` (`star_states`); the columns of the
+        other states are cached too."""
+        n, prof = self.n, self._prof
+        body = prof[g.body]
+        index = {state: i for i, state in enumerate(auto)}
+        cols = [[n] * len(body) for _ in auto]  # n until reached below n
+        seeds = [[[] for _ in auto] for _ in range(n)]  # value -> state -> worlds
+        into: list[list[tuple[int, list[list[int]]]]] = [[] for _ in auto]  # per target state
+        for i, edges in enumerate(auto.values()):
+            for name, gate, target in edges:
+                if target is None:  # accepting
+                    for w, x in enumerate(body):
+                        if x < n:
+                            seeds[x][i].append(w)
+                elif name is None:  # a test: the worlds where the gate is 1, staying
+                    into[index[target]].append((i, [[w] if x == n else [] for w, x in enumerate(prof[gate])]))
+                else:
+                    into[index[target]].append((i, self._adjacency(name, True)))
+        for x, by_state in enumerate(seeds):
+            for i, worlds in enumerate(by_state):
+                col = cols[i]
+                for w in worlds:
+                    if col[w] < n:
+                        continue
+                    col[w] = x
+                    todo = [(w, i)]
+                    while todo:
+                        v, t = todo.pop()
+                        for s, preds in into[t]:
+                            c = cols[s]
+                            for u in preds[v]:
+                                if c[u] == n:
+                                    c[u] = x
+                                    todo.append((u, s))
+        prof.update(zip(auto, cols))
+        return prof[g]
 
     def _adjacency(self, name: str, backward: bool) -> list[list[int]]:
         """Successor (or predecessor) index lists of an atomic program."""
@@ -325,27 +296,6 @@ class KripkeModel:
                 lists[idx[u]].append(idx[v])
         self._adj[key] = lists
         return lists
-
-
-_BOX, _THEN, _MIN, _STEP = range(4)
-
-
-def _union_atoms(prog: Program) -> set[str] | None:
-    """Names of the atomic programs of a union of atomic programs, or
-    None for any other shape."""
-    names = set()
-    todo = [prog]
-    while todo:
-        p = todo.pop()
-        t = type(p)
-        if t is Atomic:
-            names.add(p.name)
-        elif t is Union:
-            todo.append(p.left)
-            todo.append(p.right)
-        else:
-            return None
-    return names
 
 
 def random_model(

@@ -349,7 +349,7 @@ def parse_program(text: str) -> Program:
 
 # Formula levels, binding loose to tight; programs use their own scale.
 _L_IFF, _L_IMP, _L_OR, _L_AND, _L_OPLUS, _L_ODOT, _L_POST, _L_PRE, _L_ATOM = range(1, 10)
-_P_UNION, _P_SEQ, _P_STAR, _P_ATOM = range(1, 5)
+_P_UNION, _P_SEQ, _P_STAR = range(1, 4)
 
 
 def format_formula(f: Formula) -> str:
@@ -365,23 +365,34 @@ def _wrap(text: str, level: int, ctx: int) -> str:
     return f"({text})" if level < ctx else text
 
 
-def _match_odot(f):
-    # ~(~~x -> ~y) is x (.) y
-    if (
-        type(f) is Not
-        and type(f.sub) is Implies
-        and type(f.sub.lhs) is Not
-        and type(f.sub.lhs.sub) is Not
-        and type(f.sub.rhs) is Not
-    ):
-        return f.sub.lhs.sub.sub, f.sub.rhs.sub
-    return None
-
-
 def _match_oplus(f):
     # ~x -> y is x (+) y
     if type(f) is Implies and type(f.lhs) is Not:
         return f.lhs.sub, f.rhs
+    return None
+
+
+def _match_or(f):
+    # (x -> y) -> y is x | y
+    if type(f) is Implies and type(f.lhs) is Implies and f.lhs.rhs == f.rhs:
+        return f.lhs.lhs, f.rhs
+    return None
+
+
+def _match_odot(f):
+    # ~(~x (+) ~y) is x (.) y
+    return _dual(f, _match_oplus)
+
+
+def _match_and(f):
+    # ~(~x | ~y) is x & y
+    return _dual(f, _match_or)
+
+
+def _dual(f, matcher):
+    m = matcher(f.sub) if type(f) is Not else None
+    if m is not None and type(m[0]) is Not and type(m[1]) is Not:
+        return m[0].sub, m[1].sub
     return None
 
 
@@ -397,40 +408,54 @@ def _spine(f, matcher) -> list[Formula]:
     return parts
 
 
-def _chain(parts: list[Formula], op: str, level: int) -> str:
-    bits = [_fmt_f(parts[0], level)]
-    bits += [_fmt_f(p, level + 1) for p in parts[1:]]
-    return f" {op} ".join(bits)
+def _left(f: Formula, matcher, op: str, level: int) -> str:
+    """The left operand f of a left-associative operator at `level`,
+    followed by the operator; a chain of that operator nested on the
+    left of f is flattened, not recursed into."""
+    rights = []
+    while (m := matcher(f)) is not None:
+        f, right = m
+        rights.append(right)
+    text = _fmt_f(f, level) + op
+    while rights:
+        text += _fmt_f(rights.pop(), level + 1) + op
+    return text
 
 
 def _fmt_f(f: Formula, ctx: int) -> str:
-    """f's text in a context binding at level ctx.  Prefix operators
-    ([α], <α>, ~ and k.) all bind at one level, so a run of them is taken
-    by the loop, with no recursion per operator."""
-    heads = ""
+    """f's text in a context binding at level ctx.
+
+    An operator's text is a head and then the operand it prints last:
+    the body of a prefix operator ([α], <α>, ~, k.), or the right operand
+    of a binary one, whose head holds its left operand (a left-nested
+    chain of the same operator flattened).  The loop takes that last
+    operand, so chains of either kind cost no recursion; the parentheses
+    opened on the way are closed at the end.
+    """
+    out = closing = ""
     while True:
         t = type(f)
         if t is Var:
             level, text = _L_ATOM, f.name
-        elif t is Zero:
+            break
+        if t is Zero:
             level, text = _L_ATOM, "0"
-        elif t is Box:
-            heads += f"[{_fmt_p(f.prog, 0)}]"
-            f = f.body
-            continue
+            break
+        if t is Box:
+            level, head, f, then = _L_PRE, f"[{_fmt_p(f.prog, 0)}]", f.body, _L_PRE
         elif t is Not:
             inner = f.sub
             if type(inner) is Zero:
                 level, text = _L_ATOM, "1"
-            elif type(inner) is Box and type(inner.body) is Not:
-                heads += f"<{_fmt_p(inner.prog, 0)}>"
-                f = inner.body.sub
-                continue
-            elif _match_odot(f) is not None:
+                break
+            if type(inner) is Box and type(inner.body) is Not:
+                level, head, f, then = _L_PRE, f"<{_fmt_p(inner.prog, 0)}>", inner.body.sub, _L_PRE
+            elif (m := _match_odot(f)) is not None:
                 parts = _spine(f, _match_odot)
                 if len(parts) >= 2 and all(p == parts[0] for p in parts):
                     level, text = _L_POST, _fmt_f(parts[0], _L_POST + 1) + f"^{len(parts)}"
-                elif (
+                    break
+                if (
                     len(parts) == 2
                     and type(parts[0]) is Implies
                     and type(parts[1]) is Implies
@@ -438,60 +463,63 @@ def _fmt_f(f: Formula, ctx: int) -> str:
                     and parts[0].rhs == parts[1].lhs
                 ):
                     lhs, rhs = parts[0].lhs, parts[0].rhs
-                    level, text = _L_IFF, _fmt_f(lhs, _L_IFF) + " <-> " + _fmt_f(rhs, _L_IFF + 1)
+                    level, head, f, then = _L_IFF, _fmt_f(lhs, _L_IFF) + " <-> ", rhs, _L_IFF + 1
                 else:
-                    level, text = _L_ODOT, _chain(parts, "(.)", _L_ODOT)
-            elif (
-                type(inner) is Implies
-                and type(inner.lhs) is Implies
-                and type(inner.lhs.lhs) is Not
-                and type(inner.lhs.rhs) is Not
-                and type(inner.rhs) is Not
-                and inner.lhs.rhs == inner.rhs
-            ):
-                a, b = inner.lhs.lhs.sub, inner.rhs.sub
-                level, text = _L_AND, _fmt_f(a, _L_AND) + " & " + _fmt_f(b, _L_AND + 1)
+                    level, head, f, then = _L_ODOT, _left(m[0], _match_odot, " (.) ", _L_ODOT), m[1], _L_ODOT + 1
+            elif (m := _match_and(f)) is not None:
+                level, head, f, then = _L_AND, _left(m[0], _match_and, " & ", _L_AND), m[1], _L_AND + 1
             else:
-                heads += "~"
-                f = inner
-                continue
-        elif t is Implies and type(f.lhs) is Implies and f.lhs.rhs == f.rhs:
-            level, text = _L_OR, _fmt_f(f.lhs.lhs, _L_OR) + " | " + _fmt_f(f.rhs, _L_OR + 1)
+                level, head, f, then = _L_PRE, "~", inner, _L_PRE
+        elif (m := _match_or(f)) is not None:
+            level, head, f, then = _L_OR, _left(m[0], _match_or, " | ", _L_OR), m[1], _L_OR + 1
         elif t is Implies:
             # claim the sugar for k-fold repetition, or a sum of two
             # implication-free parts; anything else reads better as ->
             parts = _spine(f, _match_oplus) if type(f.lhs) is Not else ()
             if len(parts) >= 2 and all(p == parts[0] for p in parts):
-                heads += f"{len(parts)}."
-                f = parts[0]
-                continue
-            if len(parts) == 2 and type(parts[0]) is not Implies and type(parts[1]) is not Implies:
-                level, text = _L_OPLUS, _chain(parts, "(+)", _L_OPLUS)
+                level, head, f, then = _L_PRE, f"{len(parts)}.", parts[0], _L_PRE
+            elif len(parts) == 2 and type(parts[0]) is not Implies and type(parts[1]) is not Implies:
+                level, head, f, then = _L_OPLUS, _fmt_f(parts[0], _L_OPLUS) + " (+) ", parts[1], _L_OPLUS + 1
             else:
-                level, text = _L_IMP, _fmt_f(f.lhs, _L_IMP + 1) + " -> " + _fmt_f(f.rhs, _L_IMP)
+                level, head, f, then = _L_IMP, _fmt_f(f.lhs, _L_IMP + 1) + " -> ", f.rhs, _L_IMP
         else:
             raise TypeError(f"not a formula: {f!r}")
-        break
-    if heads:
-        level, text = _L_PRE, heads + _wrap(text, level, _L_PRE)
-    return text if level >= ctx else f"({text})"
+        if level < ctx:
+            out += "("
+            closing += ")"
+        out += head
+        ctx = then
+    return out + (text if level >= ctx else f"({text})") + closing
 
 
 def _fmt_p(p: Program, ctx: int) -> str:
+    """p's text in a context binding at level ctx.  As in `_fmt_f`, the
+    loop takes the right operand of `;` and `+`, with a left-nested chain
+    of the same operator flattened before it."""
+    out = closing = ""
+    while type(p) is Seq or type(p) is Union:
+        t = type(p)
+        level, op = (_P_SEQ, ";") if t is Seq else (_P_UNION, " + ")
+        if level < ctx:
+            out += "("
+            closing += ")"
+        rights = [p.right]
+        while type(p := p.left) is t:
+            rights.append(p.right)
+        out += _fmt_p(p, level) + op
+        while len(rights) > 1:
+            out += _fmt_p(rights.pop(), level + 1) + op
+        p, ctx = rights[0], level + 1
     t = type(p)
     if t is Atomic:
-        return p.name
-    if t is Test:
-        return _wrap(_fmt_f(p.formula, 0) + "?", _P_ATOM, ctx)
-    if t is Star:  # a run of stars binds at one level: a loop, no recursion
+        text = p.name
+    elif t is Test:
+        text = _fmt_f(p.formula, 0) + "?"  # binds tightest: never wrapped
+    elif t is Star:  # a run of stars binds at one level
         stars = 0
         while type(p) is Star:
             p, stars = p.sub, stars + 1
-        return _wrap(_fmt_p(p, _P_STAR) + "*" * stars, _P_STAR, ctx)
-    if t is Seq:
-        text = _fmt_p(p.left, _P_SEQ) + ";" + _fmt_p(p.right, _P_SEQ + 1)
-        return _wrap(text, _P_SEQ, ctx)
-    if t is Union:
-        text = _fmt_p(p.left, _P_UNION) + " + " + _fmt_p(p.right, _P_UNION + 1)
-        return _wrap(text, _P_UNION, ctx)
-    raise TypeError(f"not a program: {p!r}")
+        text = _wrap(_fmt_p(p, _P_STAR) + "*" * stars, _P_STAR, ctx)
+    else:
+        raise TypeError(f"not a program: {p!r}")
+    return out + text + closing

@@ -2,18 +2,27 @@
 elimination over closure rows.
 
 A row assigns a value to every member of the formula's closure,
-respecting the connective arithmetic, the test, seq and union laws and
-the star unfolding law (`_Rows.generate`, which also drops rows by two
-refinement rules).  Variables, atomic boxes and star boxes are its free
-positions.  Row v is an allowed a-successor of row w when v[ψ] >= w[[a]ψ]
-for every [a]ψ in the closure; β-steps between rows follow the program
-laws, a test ψ? keeping the rows that value ψ at n.  Elimination repeats
-two rules until neither drops a row:
+respecting the connective arithmetic and the program laws of
+`syntax.laws`: MIN and TEST fix a box from other members, and a star box
+must meet its unfolding law (`_Rows.generate`, which also drops rows by
+two refinement rules).  Variables, atomic boxes and star boxes are its
+free positions.  Row v is an allowed a-successor of row w when v[ψ] >=
+w[[a]ψ] for every [a]ψ in the closure.  β-steps between rows run through
+the automaton of [β*]φ (`syntax.star_states`): from row w in state s an
+edge takes one allowed step of its atomic program into its target
+state, or a test that stays at w when w values its formula at n, or
+accepts at w itself.  Elimination repeats two rules until neither drops
+a row:
 
 * Box rule: drop w when some [a]ψ = c < n in w has no surviving allowed
   successor v with v[ψ] = c.
-* Star rule: drop w when some [β*]φ = c < n in w reaches no surviving
-  row with φ = c along allowed β-steps.
+* Star rule: drop w when some [β*]φ = c < n in w, from the automaton's
+  first state, accepts at no surviving row with φ = c along allowed
+  steps between surviving rows.
+
+Both rules take one backward flood over rows x automaton states, with
+row sets as bitsets (`_Elimination.pre`); the box rule's automaton is
+one a-step into a state that accepts.
 
 Soundness: the row of every world of every model survives.  It is a
 generated row, and no rule drops it first: a box value below n is the
@@ -70,19 +79,19 @@ from operator import and_, or_
 
 from .kripke import KripkeModel
 from .syntax import (
-    Atomic,
+    ATOM,
+    MIN,
+    STAR,
     Box,
     Formula,
-    Program,
     Implies,
     Not,
-    Seq,
-    Star,
-    Test,
-    Union,
+    Program,
     Var,
     atomic_programs_of,
     fl_closure,
+    laws,
+    star_states,
     variables_of,
 )
 
@@ -164,7 +173,7 @@ def is_validity_verdict(result: SatResult) -> bool:
 # --- row abstraction --------------------------------------------------------
 
 
-_NOT, _IMP, _TEST, _MIN = range(4)  # ops of the row plan
+_NOT, _IMP = "not", "imp"  # the connectives' ops in the row plan, beside MIN and TEST
 
 
 class _Rows:
@@ -174,13 +183,10 @@ class _Rows:
         self.n = n
         self.closure = fl_closure(f)
         self.index = {g: i for i, g in enumerate(self.closure)}
+        self.box_laws = {g: laws(g) for g in self.closure if type(g) is Box}
         self.var_slots = [g for g in self.closure if type(g) is Var]
-        self.abox_slots = [
-            g for g in self.closure if type(g) is Box and type(g.prog) is Atomic
-        ]
-        self.star_slots = [
-            g for g in self.closure if type(g) is Box and type(g.prog) is Star
-        ]
+        self.abox_slots = [g for g, (op, _) in self.box_laws.items() if op is ATOM]
+        self.star_slots = [g for g, (op, _) in self.box_laws.items() if op is STAR]
         self.free = self.var_slots + self.abox_slots + self.star_slots
 
     def free_assignments(self) -> int:
@@ -199,13 +205,13 @@ class _Rows:
             for i, op, a, b in plan:
                 x = vals[a]
                 y = vals[b]
-                if op == _IMP:
+                if op is _IMP:
                     vals[i] = n if x <= y else n - x + y
-                elif op == _MIN:
+                elif op is MIN:
                     vals[i] = x if x < y else y
-                elif op == _NOT:
+                elif op is _NOT:
                     vals[i] = n - x
-                else:  # _TEST: a is the test formula, b the body
+                else:  # TEST: a is the test formula, b the body
                     vals[i] = y if x == n else n
             # Star boxes are free but must satisfy the unfolding law.
             if all(vals[i] == min(vals[a], vals[b]) for i, a, b in unfold):
@@ -213,17 +219,17 @@ class _Rows:
         rows.sort()
         return self._refine(rows)
 
-    def _plan(self) -> tuple[list[tuple[int, int, int, int]], list[tuple[int, int, int]]]:
+    def _plan(self) -> tuple[list[tuple[int, str, int, int]], list[tuple[int, int, int]]]:
         """The derived members as (slot, op, a, b) steps over slots, each
         after the slots it reads, and the unfolding law of each star box
         [b*]f as (slot, slot of f, slot of [b][b*]f).
 
-        Derived members follow the connectives and the test, seq and
-        union laws; a dependency cycle would have to pass through a free
-        member, so the order exists.
+        Derived members follow the connectives and the MIN and TEST laws
+        (`syntax.laws`); a dependency cycle would have to pass through a
+        free member, so the order exists.
         """
         index = self.index
-        steps: dict[int, tuple[int, int, int, int]] = {}
+        steps: dict[int, tuple[int, str, int, int]] = {}
         unfold = []
         for i, g in enumerate(self.closure):
             t = type(g)
@@ -232,18 +238,12 @@ class _Rows:
             elif t is Implies:
                 steps[i] = (i, _IMP, index[g.lhs], index[g.rhs])
             elif t is Box:
-                prog = g.prog
-                pt = type(prog)
-                if pt is Test:
-                    steps[i] = (i, _TEST, index[prog.formula], index[g.body])
-                elif pt is Seq:
-                    j = index[Box(prog.left, Box(prog.right, g.body))]
-                    steps[i] = (i, _MIN, j, j)
-                elif pt is Union:
-                    a, b = index[Box(prog.left, g.body)], index[Box(prog.right, g.body)]
-                    steps[i] = (i, _MIN, a, b)
-                elif pt is Star:
-                    unfold.append((i, index[g.body], index[Box(prog.sub, g)]))
+                op, members = self.box_laws[g]
+                a, b = index[members[0]], index[members[-1]]
+                if op is STAR:
+                    unfold.append((i, a, b))
+                elif op is not ATOM:
+                    steps[i] = (i, op, a, b)
         plan = []
         placed = set(range(len(self.closure))) - steps.keys()
         for root in steps:
@@ -338,11 +338,12 @@ class _Elimination:
         self.boxes: dict[str, list[tuple[int, int]]] = {}
         for g in info.abox_slots:
             self.boxes.setdefault(g.prog.name, []).append((index[g], index[g.body]))
-        # a row valuing [α]φ at c < n needs an α-path to a row valuing φ at
-        # c; α is an atomic program (box rule) or a star (star rule)
-        self.rules = [(index[g], index[g.body], g.prog) for g in info.abox_slots + info.star_slots]
         self._cuts: dict[tuple[int, int, int], int] = {}
         self._preds: dict[str, list[tuple[int, int]]] = {}
+        self._autos: dict[Formula, list] = {}
+        # a row valuing [α]φ at c < n needs an α-path to a row valuing φ at
+        # c; α is an atomic program (box rule) or a star (star rule)
+        self.rules = [(index[g], index[g.body], g) for g in info.abox_slots + info.star_slots]
 
     def cut(self, slot: int, lo: int, hi: int) -> int:
         """The rows valuing closure member `slot` from lo to hi."""
@@ -374,52 +375,57 @@ class _Elimination:
             ]
         return got
 
-    def pre(self, prog: Program, rows: int, alive: int) -> int:
-        """The alive rows with a prog-path into rows (a subset of alive).
+    def _automaton(self, g: Formula) -> list[list[tuple[int, str | None, int]]]:
+        """The automaton of box g's program over rows: for a star box its
+        `syntax.star_states`, for an atomic box one step into a state
+        that accepts.  Its states by position, g first, and one more for
+        acceptance; per target its edges (source, atomic name or None,
+        gate rows), the gate rows valuing a test's formula at n, or all
+        rows."""
+        got = self._autos.get(g)
+        if got is not None:
+            return got
+        if self.info.box_laws[g][0] is STAR:
+            auto = star_states(g)
+        else:
+            auto = {g: [(g.prog.name, None, g.body)], g.body: [(None, None, None)]}
+        index = {state: i for i, state in enumerate(auto)}
+        index[None] = len(auto)
+        into: list[list[tuple[int, str | None, int]]] = [[] for _ in index]
+        for i, edges in enumerate(auto.values()):
+            for name, gate, target in edges:
+                ok = -1 if gate is None else self.cut(self.info.index[gate], self.n, self.n)
+                into[index[target]].append((i, name, ok))
+        self._autos[g] = into
+        return into
 
-        Rows travel backward through a sequence of programs, the last one
-        first, by the program laws: an atomic program takes its allowed
-        edges, a test keeps the rows valuing its formula at n, `;` splits
-        into its parts, `+` into two sequences, and `*` into no step or
-        one more step and the star again.  pre distributes over unions of
-        rows, so each row passes each sequence at most once; the
-        sequences are closure-like, so there are finitely many."""
-        out = 0
-        done: dict[tuple[Program, ...], int] = {}
-        work = [((prog,), rows)]
+    def pre(self, g: Formula, rows: int, alive: int) -> int:
+        """The alive rows from which box g's automaton accepts in rows (a
+        subset of alive), along allowed edges between alive rows: one
+        backward flood over rows x states, as bitsets."""
+        into = self._automaton(g)
+        reached = [0] * len(into)
+        work = [(len(into) - 1, rows)]
         while work:
-            progs, x = work.pop()
-            x &= ~done.get(progs, 0)
-            if not x:
-                continue
-            done[progs] = done.get(progs, 0) | x
-            if not progs:
-                out |= x
-                continue
-            p, rest = progs[-1], progs[:-1]
-            t = type(p)
-            if t is Atomic:
-                work.append((rest, alive & reduce(or_, (r for g, r in self._pred(p.name) if g & x), 0)))
-            elif t is Test:
-                work.append((rest, x & self.cut(self.info.index[p.formula], self.n, self.n)))
-            elif t is Seq:
-                work.append((rest + (p.left, p.right), x))
-            elif t is Union:
-                work += [(rest + (p.left,), x), (rest + (p.right,), x)]
-            else:
-                work += [(rest, x), (rest + (p, p.sub), x)]
-        return out
+            t, x = work.pop()
+            for i, name, ok in into[t]:  # name None: a test or acceptance, no step
+                step = x if name is None else alive & reduce(or_, (r for grp, r in self._pred(name) if grp & x), 0)
+                new = step & ok & ~reached[i]
+                if new:
+                    reached[i] |= new
+                    work.append((i, new))
+        return reached[0]
 
     def eliminate(self, alive: int) -> int:
         """Drop rows breaking a rule until none does; the rows kept."""
         dropped = True
         while dropped:
             dropped = False
-            for slot, body, prog in self.rules:
+            for slot, body, g in self.rules:
                 for c in range(self.n):
                     need = alive & self.cut(slot, c, c)
                     if need:
-                        bad = need & ~self.pre(prog, alive & self.cut(body, c, c), alive)
+                        bad = need & ~self.pre(g, alive & self.cut(body, c, c), alive)
                         if bad:
                             alive &= ~bad
                             dropped = True

@@ -6,7 +6,11 @@ diamonds) is sugar that expands to core terms at construction time, so
 every semantic operation only ever sees the five core shapes.
 
 Programs are atomic names, tests on formulas, sequential composition,
-nondeterministic choice and iteration (star).
+nondeterministic choice and iteration (star).  This module states the
+regular-program laws, once: `laws` gives the law of a box and the
+closure members it reads, `star_states` derives from it the ε-free
+automaton of a star box, and the Fischer-Ladner closure, the decider and
+the model checker all read them.
 
 Trees are immutable and interned (hash-consed): constructing a node whose
 class and fields equal those of a live node returns that node.  So `==`
@@ -341,16 +345,96 @@ def rewrite(
     return done[f]
 
 
+# --- the regular-program laws ---------------------------------------------
+#
+# A box over a program takes its value from a few closure members, by one
+# law per program shape; laws(g) gives the law and those members:
+#
+#   [a]φ      ATOM  (φ,)              minimum of φ over the a-successors
+#   [α;β]φ    MIN   ([α][β]φ,)        = [α][β]φ
+#   [α+β]φ    MIN   ([α]φ, [β]φ)      = min([α]φ, [β]φ)
+#   [ψ?]φ     TEST  (ψ, φ)            φ where ψ is 1, and 1 elsewhere
+#   [β*]φ     STAR  (φ, [β][β*]φ)     greatest X with X = min(φ, [β]X)
+
+ATOM, MIN, TEST, STAR = "atom", "min", "test", "star"
+
+
+def laws(g: Box) -> tuple[str, tuple[Formula, ...]]:
+    """The law of box g and the closure members it reads, in the order
+    of the table above."""
+    prog, body = g.prog, g.body
+    t = type(prog)
+    if t is Atomic:
+        return ATOM, (body,)
+    if t is Seq:
+        return MIN, (Box(prog.left, Box(prog.right, body)),)
+    if t is Union:
+        return MIN, (Box(prog.left, body), Box(prog.right, body))
+    if t is Test:
+        return TEST, (prog.formula, body)
+    if t is Star:
+        return STAR, (body, Box(prog.sub, g))
+    raise TypeError(f"not a program: {prog!r}")
+
+
+Edge = tuple[str | None, Formula | None, Formula | None]
+
+
+def star_states(g: Box) -> dict[Formula, list[Edge]]:
+    """The automaton of a star box g = [β*]φ over atomic programs and
+    tests, read off the laws; it has no other ε-moves.
+
+    Its states are g and the bodies of the atomic and test members on its
+    chain, closure members [β'][β*]φ (the Glushkov or Antimirov states of
+    β*), g first.  Each state maps to its edges (name, gate, target): one
+    step of atomic program `name` into state `target`; with no name, a
+    test, which stays at its world and passes where the gate formula has
+    value 1; with all three None, acceptance, reaching φ.  A state's edges
+    come from following the laws from it: MIN and an inner star go on to
+    every member, g accepts and goes on to [β]g, and an atomic or test
+    member ends in an edge.  Every member met is a box [π]g or g itself,
+    so φ is reached only through g.  A test is a step of its own rather
+    than a condition folded into the next atomic step, so the automaton
+    stays linear in β: k test choices in sequence would otherwise give
+    2^k combined conditions.
+    """
+    auto: dict[Formula, list[Edge]] = {g: []}
+    todo = [g]
+    while todo:
+        state = todo.pop()
+        edges = auto[state]
+        seen = set()
+        work = [state]
+        while work:
+            x = work.pop()
+            if x in seen:
+                continue
+            seen.add(x)
+            op, members = laws(x)
+            if x is g:
+                edges.append((None, None, None))
+                work.append(members[1])
+            elif op is ATOM or op is TEST:
+                edge = (x.prog.name, None, members[0]) if op is ATOM else (None, members[0], members[1])
+                edges.append(edge)
+                if edge[2] not in auto:
+                    auto[edge[2]] = []
+                    todo.append(edge[2])
+            else:  # MIN, or a star inside β
+                work.extend(members)
+    return auto
+
+
 # --- decomposition closure -------------------------------------------------
 
 
 def fl_closure(seed: Formula | Iterable[Formula]) -> list[Formula]:
     """Least formula set containing the seed and closed under decomposition.
 
-    The eight rules: subformulas of ~ and ->; body of a box; [a][b]f from
-    [a;b]f; [a]f and [b]f from [a+b]f; [a][a*]f from [a*]f; and test
-    formula plus body from [g?]f.  Returns the members in deterministic
-    first-reached (breadth-first) order; the seed comes first.
+    The rules: subformulas of ~ and ->; and the body of a box with the
+    members its law reads (see `laws`).  Returns the members in
+    deterministic first-reached (breadth-first) order; the seed comes
+    first.
     """
     if isinstance(seed, Formula):
         seeds = [seed]
@@ -376,17 +460,6 @@ def fl_closure(seed: Formula | Iterable[Formula]) -> list[Formula]:
             add(g.rhs)
         elif t is Box:
             add(g.body)
-            prog = g.prog
-            pt = type(prog)
-            if pt is Seq:
-                add(Box(prog.left, Box(prog.right, g.body)))
-            elif pt is Union:
-                add(Box(prog.left, g.body))
-                add(Box(prog.right, g.body))
-            elif pt is Star:
-                add(Box(prog.sub, g))
-            elif pt is Test:
-                add(prog.formula)
+            for m in laws(g)[1]:
+                add(m)
     return list(out)
-
-

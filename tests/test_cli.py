@@ -77,6 +77,9 @@ def test_sat_json_schema(capsys):
 def test_sat_negative_exit(capsys):
     assert main(["sat", "0", "--n", "2"]) == 1
     assert "unsatisfiable" in capsys.readouterr().out
+    # the verdict names what it rests on, not a world count nobody explored
+    assert main(["sat", "p & ~p^3", "--n", "3"]) == 1
+    assert capsys.readouterr().out == "unsatisfiable (complete: no goal row survives elimination)\n"
 
 
 def test_valid_verdicts(capsys):

@@ -144,6 +144,10 @@ def test_model_validation_errors():
         m.value("zz", parse_formula("p"))
     with pytest.raises(ModelError):
         m.value("u", parse_formula("undeclared"))
+    # boxes over a formula, built through the API
+    for prog in (Var("p"), Seq(Atomic("a"), Var("p")), Star(Var("p"))):
+        with pytest.raises(ModelError, match="not a program"):
+            m.value("u", Box(prog, Var("p")))
 
 
 def test_model_file_round_trip():
@@ -264,7 +268,7 @@ def test_column_fixpoints_match_relational_oracle():
         got = m.value_profile(f)
         assert [got[w].num for w in m.worlds] == want, (trial, format_formula(f))
         compound_stars += _has_compound_star(f)
-    assert compound_stars > 250  # the top-down star route must be exercised
+    assert compound_stars > 250  # stars with more than one automaton state or with tests
 
 
 def test_fixed_star_and_test_shapes_match_relational_oracle():
@@ -278,6 +282,11 @@ def test_fixed_star_and_test_shapes_match_relational_oracle():
         "[((p -> [a*]q)?;b)*]<(a;q?)*>p",
         "[(a;a)*]p & [a*][b*]q",
         "[(([q?]p)?;(a+b*))*]p",
+        "[(p?)*]q",
+        "[(a*;p?)*]q",
+        "[((a+p?)*;b)*]q",
+        "[(q?;(p?+a))*]p",
+        "[((a;b)*)*]p",
     ]
     for seed in range(60):
         density = (0.0, 0.15, 0.4)[seed % 3]
@@ -287,6 +296,19 @@ def test_fixed_star_and_test_shapes_match_relational_oracle():
             f = parse_formula(t)
             got = m.value_profile(f)
             assert [got[w].num for w in m.worlds] == oracle.profile(f), (seed, t)
+
+
+def test_even_steps_star_on_a_long_path():
+    # [(a;a)*]p at world i is the minimum of p over worlds i, i+2, ...
+    size = 2000
+    worlds = [f"w{i}" for i in range(size)]
+    path = {"a": list(zip(worlds, worlds[1:]))}
+    rng = random.Random(5)
+    for values in ([4] * (size - 1) + [0], [rng.randint(0, 4) for _ in worlds]):
+        m = KripkeModel(4, worlds, path, {"p": dict(zip(worlds, values))})
+        got = m.value_profile(parse_formula("[(a;a)*]p"))
+        want = [min(values[i::2]) for i in range(size)]
+        assert [got[w].num for w in worlds] == want
 
 
 def test_deep_program_evaluates_like_a_box_chain():

@@ -152,6 +152,20 @@ def test_deep_boxes_and_stars_print_without_recursion():
     for _ in range(3000):
         prog = Star(prog)
     assert format_program(prog) == "a" + "*" * 3000
+    h = P
+    for _ in range(3000):
+        h = Implies(Q, h)
+    assert format_formula(h) == "q -> " * 3000 + "p"
+    assert repr(h) == "Formula('" + "q -> " * 3000 + "p')"
+    seq = B
+    for _ in range(3000):
+        seq = Seq(B, seq)
+    assert format_program(seq) == "b;(" * 2999 + "b;b" + ")" * 2999
+    # the parser builds left-nested chains without recursion
+    for text in ("a;" * 3000 + "a", "a + " * 3000 + "a"):
+        assert format_program(parse_program(text)) == text
+    for text in ("p & " * 3000 + "p", "p | " * 3000 + "p"):
+        assert format_formula(parse_formula(text)) == text
 
 
 def test_pathological_nesting_is_a_parse_error():

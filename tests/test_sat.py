@@ -244,6 +244,11 @@ STAR_SHAPES = [
     "[(([q?]p)?;(a+b*))*]p",
     "[(a;a)*]p & [a*][b*]q",
     "<(p?;a + ~p?;b)*>(q & ~p)",
+    "[(p?)*]q",
+    "[(a*;p?)*]q",
+    "[((a+p?)*;b)*]q",
+    "[(q?;(p?+a))*]p",
+    "[((a;b)*)*]p",
 ]
 
 
@@ -267,7 +272,7 @@ def test_real_rows_survive_elimination():
         if trial % 3 == 0:
             f = Implies(Box(Star(random_program(rng, 2, **names)), random_formula(rng, 1, **names)), f)
         elif trial % 3 == 1:
-            f = parse_formula(STAR_SHAPES[trial % len(STAR_SHAPES)])
+            f = parse_formula(STAR_SHAPES[trial // 3 % len(STAR_SHAPES)])
         if (f, n) not in kept:
             info = _Rows(f, n)
             if info.free_assignments() > 20_000:

@@ -31,6 +31,7 @@ from mvpdl.syntax import (
     odot,
     oplus,
     power,
+    star_states,
     substitute,
     times,
     variables_of,
@@ -220,6 +221,21 @@ def test_fl_closure_properties_random():
         assert set(again) == set(members)  # idempotent
         bigger = fl_closure([f, random_formula(rng, 2)])
         assert set(members) <= set(bigger)  # monotone in the seed
+
+
+def test_star_states_are_closure_members_linear_in_the_program():
+    g = parse_formula("[(a;a)*]p")
+    assert star_states(g) == {
+        g: [(None, None, None), ("a", None, parse_formula("[a][(a;a)*]p"))],
+        parse_formula("[a][(a;a)*]p"): [("a", None, g)],
+    }
+    # a test is a step of its own, so k test choices in sequence give
+    # O(k) states and edges, not 2^k combinations of conditions
+    g = parse_formula("[(" + ";".join(f"(p{i}? + q{i}?)" for i in range(12)) + ";a)*]r")
+    auto = star_states(g)
+    assert next(iter(auto)) is g
+    assert set(auto) <= set(fl_closure(g))
+    assert sum(len(edges) for edges in auto.values()) < 60
 
 
 def test_variable_and_atom_collection():
