@@ -60,18 +60,17 @@ def filter_model(m: KripkeModel, seed: Formula) -> FiltrationResult:
     sigs = _signatures(m, closure)
     ordered = sorted(set(sigs.values()))
     name_of_sig = {sig: f"c{i}" for i, sig in enumerate(ordered)}
-    class_of = {w: name_of_sig[sigs[w]] for w in m.worlds}
+    classes = [name_of_sig[sigs[w]] for w in m.worlds]  # per world index
+    class_of = dict(zip(m.worlds, classes))
     quotient_worlds = [f"c{i}" for i in range(len(ordered))]
     relations = {
-        atom: {(class_of[u], class_of[v]) for u, v in pairs}
-        for atom, pairs in m.relations.items()
+        atom: {(classes[u], classes[v]) for u, vs in enumerate(lists) for v in vs}
+        for atom, lists in m._succ.items()
     }
     valuation: dict[str, dict[str, int]] = {}
     for var in m.variables:
         per_class: dict[str, int] = {}
-        for w in m.worlds:
-            c = class_of[w]
-            v = m.atomic_value(w, var).num
+        for c, v in zip(classes, m._vcols[var]):
             if v > per_class.get(c, -1):
                 per_class[c] = v
         valuation[var] = per_class

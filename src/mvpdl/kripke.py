@@ -5,11 +5,15 @@ truth values per propositional variable.  The box takes the minimum of
 the body over a program's successors, with the empty minimum equal to 1
 so dead ends validate every box.
 
+A model stores its edges once, as successor index lists per declared
+atomic program, built while the world names are checked; predecessor
+lists are built from them on first use, and the world-name pairs of
+`relations` only when something reads that attribute.
+
 Evaluation computes whole value columns (one numerator per world)
 bottom-up over shared subterms and caches them per model.  A box takes
 its column from the columns of the closure members its law reads
-(`syntax.laws`), so only atomic successor and predecessor lists are ever
-built, lazily per atomic program:
+(`syntax.laws`), so only the atomic index lists are ever read:
 
     [a]f      ATOM  minimum of f over the a-successors (n at dead ends)
     [a;b]f    MIN   the column of [a][b]f
@@ -57,21 +61,24 @@ class ModelError(ValueError):
 class KripkeModel:
     """Finite world set, atomic relations, and an exact atomic valuation.
 
-    relations maps atomic program names to world-name pairs; valuation maps
-    variable names to a per-world value (numerator int or TruthValue).  The
-    valuation must be total on worlds x declared variables.  Atomic
-    programs that were never declared denote the empty relation.
+    relations maps atomic program names to world-name pairs (a pair given
+    twice counts once); valuation maps variable names to a per-world value
+    (numerator int or TruthValue).  The valuation must be total on worlds
+    x declared variables.  Atomic programs that were never declared denote
+    the empty relation.
     """
 
     __slots__ = (
         "n",
         "worlds",
         "variables",
-        "relations",
         "_widx",
+        "_succ",
+        "_pred",
+        "_view",
         "_vcols",
         "_zeros",
-        "_adj",
+        "_tvs",
         "_prof",
     )
 
@@ -90,16 +97,18 @@ class KripkeModel:
             raise ModelError("a model needs at least one world")
         if len(set(self.worlds)) != len(self.worlds):
             raise ModelError("duplicate world names")
-        self._widx = {w: i for i, w in enumerate(self.worlds)}
-        rels = {}
+        widx = self._widx = {w: i for i, w in enumerate(self.worlds)}
+        self._succ: dict[str, list[list[int]]] = {}
         for atom, pairs in relations.items():
-            out = set()
+            lists: list[list[int]] = [[] for _ in self.worlds]
             for u, v in pairs:
-                if u not in self._widx or v not in self._widx:
-                    raise ModelError(f"relation {atom!r} uses undeclared world in ({u!r}, {v!r})")
-                out.add((u, v))
-            rels[atom] = frozenset(out)
-        self.relations = rels
+                try:
+                    lists[widx[u]].append(widx[v])
+                except KeyError:
+                    raise ModelError(f"relation {atom!r} uses undeclared world in ({u!r}, {v!r})") from None
+            self._succ[atom] = lists
+        self._pred: dict[str, list[list[int]]] = {}
+        self._view: dict[str, frozenset[tuple[str, str]]] | None = None
         self._vcols: dict[str, list[int]] = {}
         for var, per_world in valuation.items():
             col = []
@@ -117,8 +126,21 @@ class KripkeModel:
             self._vcols[var] = col
         self.variables = tuple(sorted(self._vcols))
         self._zeros = [0] * len(self.worlds)
-        self._adj: dict[tuple[str, bool], list[list[int]]] = {}
+        self._tvs: dict[int, TruthValue] = {}
         self._prof: dict[Formula, list[int]] = {}
+
+    @property
+    def relations(self) -> dict[str, frozenset[tuple[str, str]]]:
+        """Each declared atomic program's edges as a frozenset of
+        world-name pairs, built from the index lists on first read."""
+        view = self._view
+        if view is None:
+            ws = self.worlds
+            view = self._view = {
+                atom: frozenset((ws[u], ws[v]) for u, vs in enumerate(lists) for v in vs)
+                for atom, lists in self._succ.items()
+            }
+        return view
 
     # -- evaluation --
 
@@ -132,7 +154,10 @@ class KripkeModel:
     def value_profile(self, f: Formula) -> dict[str, TruthValue]:
         """Truth value of f at every world."""
         col = self._profile(f)
-        return {w: TruthValue(col[i], self.n) for i, w in enumerate(self.worlds)}
+        tvs = self._tvs  # one shared TruthValue per numerator
+        for x in set(col).difference(tvs):
+            tvs[x] = TruthValue(x, self.n)
+        return dict(zip(self.worlds, map(tvs.__getitem__, col)))
 
     def satisfies(self, world: str, f: Formula) -> bool:
         """Whether f is true (value 1) at the world."""
@@ -281,21 +306,22 @@ class KripkeModel:
         prof.update(zip(auto, cols))
         return prof[g]
 
-    def _adjacency(self, name: str, backward: bool) -> list[list[int]]:
-        """Successor (or predecessor) index lists of an atomic program."""
-        key = (name, backward)
-        got = self._adj.get(key)
-        if got is not None:
-            return got
-        idx = self._widx
-        lists: list[list[int]] = [[] for _ in self.worlds]
-        for u, v in self.relations.get(name, ()):
-            if backward:
-                lists[idx[v]].append(idx[u])
-            else:
-                lists[idx[u]].append(idx[v])
-        self._adj[key] = lists
-        return lists
+    def _adjacency(self, name: str, backward: bool) -> Sequence[Sequence[int]]:
+        """Successor (or predecessor) index lists of an atomic program;
+        predecessor lists are built from the successor lists on first use."""
+        succ = self._succ.get(name)
+        if succ is None:  # undeclared: the empty relation
+            return ((),) * len(self.worlds)
+        if not backward:
+            return succ
+        pred = self._pred.get(name)
+        if pred is None:
+            pred = [[] for _ in succ]
+            for u, vs in enumerate(succ):
+                for v in vs:
+                    pred[v].append(u)
+            self._pred[name] = pred
+        return pred
 
 
 def random_model(
@@ -313,12 +339,7 @@ def random_model(
     worlds = [f"w{i}" for i in range(world_count)]
     relations = {}
     for atom in atom_names:
-        pairs = set()
-        for u in worlds:
-            for v in worlds:
-                if rng.random() < edge_density:
-                    pairs.add((u, v))
-        relations[atom] = pairs
+        relations[atom] = [(u, v) for u in worlds for v in worlds if rng.random() < edge_density]
     valuation = {}
     for var in var_names:
         valuation[var] = {w: rng.randint(0, n) for w in worlds}
@@ -341,17 +362,16 @@ def disjoint_union(models: Sequence[KripkeModel]) -> KripkeModel:
             raise ModelError("mixed resolutions in union")
         if set(m.variables) != variables:
             raise ModelError("mixed variable sets in union")
-    worlds = []
-    relations: dict[str, set[tuple[str, str]]] = {}
+    worlds: list[str] = []
+    relations: dict[str, list[tuple[str, str]]] = {}
     valuation: dict[str, dict[str, int]] = {v: {} for v in variables}
     for i, m in enumerate(models):
-        rename = {w: f"m{i}:{w}" for w in m.worlds}
-        worlds.extend(rename[w] for w in m.worlds)
-        for atom, pairs in m.relations.items():
-            relations.setdefault(atom, set()).update((rename[u], rename[v]) for u, v in pairs)
+        names = [f"m{i}:{w}" for w in m.worlds]
+        worlds.extend(names)
+        for atom, lists in m._succ.items():
+            relations.setdefault(atom, []).extend((names[u], names[v]) for u, vs in enumerate(lists) for v in vs)
         for var in variables:
-            for w in m.worlds:
-                valuation[var][rename[w]] = m.atomic_value(w, var).num
+            valuation[var].update(zip(names, m._vcols[var]))
     return KripkeModel(n, worlds, relations, valuation)
 
 
@@ -370,7 +390,9 @@ def disjoint_union(models: Sequence[KripkeModel]) -> KripkeModel:
 def parse_model(text: str) -> KripkeModel:
     n = None
     worlds: list[str] = []
-    relations: dict[str, set[tuple[str, str]]] = {}
+    # sources and targets in two lists: no tuple per edge is kept, so a
+    # large file does not set off the cycle collector again and again
+    relations: dict[str, tuple[list[str], list[str]]] = {}
     valuation: dict[str, dict[str, int]] = {}
 
     def err(lineno, msg):
@@ -397,14 +419,15 @@ def parse_model(text: str) -> KripkeModel:
             if not sep:
                 err(lineno, "missing ':' in rel line")
             atom = head.strip()
-            pairs = relations.setdefault(atom, set())
+            us, vs = relations.setdefault(atom, ([], []))
             tail = tail.strip()
             if tail:
                 for chunk in tail.split(","):
                     u, sep2, v = chunk.partition("->")
                     if not sep2:
                         err(lineno, f"bad edge {chunk.strip()!r}, expected u->v")
-                    pairs.add((u.strip(), v.strip()))
+                    us.append(u.strip())
+                    vs.append(v.strip())
             continue
         if line.startswith("val "):
             head, sep, tail = line[4:].partition(":")
@@ -437,20 +460,19 @@ def parse_model(text: str) -> KripkeModel:
             if den_i != n:
                 err(lineno, f"denominator {den_i} does not match n = {n}")
             cleaned[var][w] = num_i
-    return KripkeModel(n, worlds, relations, cleaned)
+    return KripkeModel(n, worlds, {atom: zip(us, vs) for atom, (us, vs) in relations.items()}, cleaned)
 
 
 def format_model(m: KripkeModel, comments: Sequence[str] = ()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.append(f"n = {m.n}")
     lines.append("worlds: " + " ".join(m.worlds))
-    order = {w: i for i, w in enumerate(m.worlds)}
-    for atom in sorted(m.relations):
-        pairs = sorted(m.relations[atom], key=lambda uv: (order[uv[0]], order[uv[1]]))
-        body = ", ".join(f"{u}->{v}" for u, v in pairs)
+    ws = m.worlds
+    for atom, lists in sorted(m._succ.items()):
+        body = ", ".join(f"{ws[u]}->{ws[v]}" for u, vs in enumerate(lists) for v in sorted(set(vs)))
         lines.append(f"rel {atom}: {body}")
     for var in m.variables:
-        body = " ".join(f"{w}={m.atomic_value(w, var)}" for w in m.worlds)
+        body = " ".join(f"{w}={x}/{m.n}" for w, x in zip(ws, m._vcols[var]))
         lines.append(f"val {var}: {body}")
     return "\n".join(lines) + "\n"
 

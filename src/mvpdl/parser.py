@@ -422,6 +422,55 @@ def _left(f: Formula, matcher, op: str, level: int) -> str:
     return text
 
 
+def _leading(parts) -> int:
+    """How many parts, from the first, equal the first."""
+    same = 0
+    for p in parts:
+        if p != parts[0]:
+            break
+        same += 1
+    return same
+
+
+def _sugared(parts, k: int, same: int) -> bool:
+    """Whether the (+) node of the first k parts of a (+) spine, `same` of
+    them leading equal, claims its sugar: k-fold repetition, or a sum of
+    two implication-free parts.  Anything else reads better as ->."""
+    return k >= 2 and (k <= same or k == 2 and type(parts[0]) is not Implies and type(parts[1]) is not Implies)
+
+
+def _imp_left(f: Formula, parts, same: int) -> str:
+    """Text of the left operand of f and the " -> " after it, where f
+    prints as a plain `->` and has (+) spine `parts`, `same` of them
+    leading equal.  A left operand that prints as a plain `->` too, bare
+    or as `~` of the (+) node one part shorter, is parenthesized and
+    walked into by the loop; only the first operand that prints
+    otherwise is recursed into."""
+    opens, rights, k = [], [], len(parts)
+    while True:
+        x = f.lhs
+        if k > 2:  # x is ~g, g the (+) node of the first k - 1 parts
+            k -= 1
+            if _sugared(parts, k, same):
+                break
+            opens.append("~(")
+            f = x.sub
+        elif type(x) is Implies and _match_or(x) is None:
+            parts = _spine(x, _match_oplus) if type(x.lhs) is Not else ()
+            same, k = _leading(parts), len(parts)
+            if _sugared(parts, k, same):
+                break
+            opens.append("(")
+            f = x
+        else:
+            break
+        rights.append(f.rhs)
+    text = "".join(opens) + _fmt_f(x, _L_IMP + 1)
+    while rights:
+        text += " -> " + _fmt_f(rights.pop(), _L_IMP) + ")"
+    return text + " -> "
+
+
 def _fmt_f(f: Formula, ctx: int) -> str:
     """f's text in a context binding at level ctx.
 
@@ -473,15 +522,14 @@ def _fmt_f(f: Formula, ctx: int) -> str:
         elif (m := _match_or(f)) is not None:
             level, head, f, then = _L_OR, _left(m[0], _match_or, " | ", _L_OR), m[1], _L_OR + 1
         elif t is Implies:
-            # claim the sugar for k-fold repetition, or a sum of two
-            # implication-free parts; anything else reads better as ->
             parts = _spine(f, _match_oplus) if type(f.lhs) is Not else ()
-            if len(parts) >= 2 and all(p == parts[0] for p in parts):
+            same = _leading(parts)
+            if 2 <= len(parts) == same:
                 level, head, f, then = _L_PRE, f"{len(parts)}.", parts[0], _L_PRE
-            elif len(parts) == 2 and type(parts[0]) is not Implies and type(parts[1]) is not Implies:
+            elif _sugared(parts, len(parts), same):
                 level, head, f, then = _L_OPLUS, _fmt_f(parts[0], _L_OPLUS) + " (+) ", parts[1], _L_OPLUS + 1
             else:
-                level, head, f, then = _L_IMP, _fmt_f(f.lhs, _L_IMP + 1) + " -> ", f.rhs, _L_IMP
+                level, head, f, then = _L_IMP, _imp_left(f, parts, same), f.rhs, _L_IMP
         else:
             raise TypeError(f"not a formula: {f!r}")
         if level < ctx:

@@ -1,14 +1,19 @@
 """Model checking: box semantics against the relational oracle, file format."""
 
+import hashlib
 import random
+from importlib.resources import files
 
 import pytest
 
+from mvpdl import cli
+from mvpdl.filtration import filter_model
 from mvpdl.kripke import (
     KripkeModel,
     ModelError,
     disjoint_union,
     format_model,
+    load_model,
     parse_model,
     random_model,
 )
@@ -115,6 +120,10 @@ def test_value_profile_matches_value():
     prof = m.value_profile(f)
     for w in m.worlds:
         assert prof[w] == m.value(w, f)
+    # one shared value object per numerator
+    big = random_model(seed=9, n=2, world_count=40)
+    values = list(big.value_profile(parse_formula("[a*]p -> q")).values())
+    assert len({id(v) for v in values}) == len(set(values))
 
 
 def test_random_model_contract():
@@ -197,6 +206,83 @@ def test_model_file_errors():
         parse_model("worlds: u\nval p: u=1/2\n")
     with pytest.raises(ModelError, match="edge"):
         parse_model("n = 2\nworlds: u\nrel a: u=v\n")
+
+
+def _shaped(pairs, kind):
+    """The same edges as a list with duplicates, a set or a one-shot generator."""
+    if kind == "list":
+        return pairs + pairs[::2]
+    if kind == "set":
+        return set(pairs)
+    return (uv for uv in pairs)
+
+
+def test_relations_given_as_list_set_or_generator():
+    rng = random.Random(91)
+    names = {"var_names": ("p", "q"), "atom_names": ("a", "b", "c")}
+    for trial in range(40):
+        base = random_model(
+            seed=trial, n=rng.randint(1, 4), world_count=rng.randint(1, 8), edge_density=rng.choice((0.0, 0.2, 0.5))
+        )
+        valuation = {v: {w: base.atomic_value(w, v) for w in base.worlds} for v in base.variables}
+        formulas = [random_formula(rng, 3, **names) for _ in range(4)]
+        formulas.append(Box(Star(random_program(rng, 2, **names)), random_formula(rng, 2, **names)))
+        for kind in ("list", "set", "generator"):
+            rels = {a: _shaped(sorted(pairs), kind) for a, pairs in base.relations.items()}
+            m = KripkeModel(base.n, base.worlds, rels, valuation)
+            assert m.relations == base.relations, kind
+            assert m.relations is m.relations
+            oracle = Relational(m)
+            for f in formulas:
+                got = m.value_profile(f)
+                assert got == base.value_profile(f), (kind, format_formula(f))
+                assert [got[w].num for w in m.worlds] == oracle.profile(f), (kind, format_formula(f))
+            assert format_model(m) == format_model(base)
+    for kind in ("list", "set", "generator"):
+        pairs = _shaped([("u", "u"), ("u", "w")], kind)
+        with pytest.raises(ModelError) as err:
+            KripkeModel(2, ["u"], {"a": pairs}, {})
+        assert str(err.value) == "relation 'a' uses undeclared world in ('u', 'w')"
+
+
+def test_loaded_model_is_used_without_the_pair_view(monkeypatch, tmp_path, capsys):
+    text = format_model(random_model(seed=3, n=3, world_count=30, edge_density=0.2))
+    path = tmp_path / "m.kml"
+    path.write_text(text, encoding="utf-8")
+
+    def no_view(self):
+        raise AssertionError("the relations view was built")
+
+    monkeypatch.setattr(KripkeModel, "relations", property(no_view))
+    m = load_model(path)
+    f = parse_formula("[(a+b)*](p -> [a]q) | <b;a>p")
+    m.falsifying_world(f)
+    m.value_profile(f)
+    filter_model(m, f)
+    disjoint_union([m, m])
+    assert format_model(m) == text
+    assert cli.main(["check", "--model", str(path), "[a*]p"]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+
+
+def test_format_model_output_is_pinned():
+    # sha256 of format_model's output before successor index lists
+    # replaced the stored pair sets
+    digest = hashlib.sha256()
+    for seed in range(60):
+        m = random_model(
+            seed=seed,
+            n=1 + seed % 4,
+            world_count=1 + seed % 9,
+            atom_names=("a", "b", "c")[: seed % 4],
+            edge_density=(0.0, 0.2, 0.6)[seed % 3],
+        )
+        digest.update(format_model(m, comments=[f"model {seed}"]).encode())
+        doubled = {a: sorted(pairs) * 2 for a, pairs in m.relations.items()}
+        values = {v: {w: m.atomic_value(w, v) for w in m.worlds} for v in m.variables}
+        digest.update(format_model(KripkeModel(m.n, m.worlds[::-1], doubled, values)).encode())
+    digest.update(format_model(load_model(files("mvpdl").joinpath("data/counterexample.kml"))).encode())
+    assert digest.hexdigest() == "2887fcafdc4c65275c2b257438b41ef450f3a3c282864267cd32e24a28138473"
 
 
 def test_concurrent_reads_are_consistent():

@@ -161,6 +161,19 @@ def test_deep_boxes_and_stars_print_without_recursion():
     for _ in range(3000):
         seq = Seq(B, seq)
     assert format_program(seq) == "b;(" * 2999 + "b;b" + ")" * 2999
+    # left-nested -> whose left operand needs parentheses, alternating
+    # rights so that no level reads as |
+    imp = P
+    for i in range(3000):
+        imp = Implies(imp, (Q, Var("r"))[i % 2])
+    rights = "".join(f" -> {'qr'[i % 2]})" for i in range(2999))
+    assert format_formula(imp) == "(" * 2999 + "p" + rights + " -> r"
+    # a left-nested (+) chain of more than two parts prints as ->
+    plus = P
+    for _ in range(3000):
+        plus = oplus(plus, Q)
+    assert format_formula(plus) == "~(" * 2998 + "~(p (+) q)" + " -> q)" * 2998 + " -> q"
+    assert repr(plus) == "Formula('" + format_formula(plus) + "')"
     # the parser builds left-nested chains without recursion
     for text in ("a;" * 3000 + "a", "a + " * 3000 + "a"):
         assert format_program(parse_program(text)) == text
