@@ -49,13 +49,9 @@ def main(argv=None) -> int:
     _merge_global_flags(args)
     try:
         return args.handler(args)
-    except (ParseError, ModelError, GameError, DerivationFormatError, CliError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (
+        ParseError, ModelError, GameError, DerivationFormatError, CliError, ValueError, BudgetExceeded, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a failure must never read as a negative verdict
@@ -171,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ulam", help="searching game with lies")
     usub = p.add_subparsers(dest="ulam_command")
-    p.set_defaults(handler=lambda args: (_ for _ in ()).throw(CliError("choose a ulam subcommand")))
+    p.set_defaults(handler=_cmd_ulam)
 
     def game_args(q):
         q.add_argument("--m", type=int, required=True, help="search space size (elements 1..m)")
@@ -281,7 +277,7 @@ def _cmd_filter(args) -> int:
     return 0
 
 
-def _sat_payload(result, n) -> dict:
+def _sat_payload(result) -> dict:
     payload = {
         "bound_used": result.bound_used,
         "complete": getattr(result, "complete", True),
@@ -307,7 +303,7 @@ def _cmd_sat(args) -> int:
     n = _require_n(args)
     f = parse_formula(args.formula)
     result = decide_sat(f, n, max_worlds=args.max_worlds, budget=args.budget)
-    payload = _sat_payload(result, n)
+    payload = _sat_payload(result)
     if result.is_sat:
         payload["verdict"] = "satisfiable"
         _emit(
@@ -329,7 +325,7 @@ def _cmd_valid(args) -> int:
     n = _require_n(args)
     f = parse_formula(args.formula)
     result = decide_valid(f, n, max_worlds=args.max_worlds, budget=args.budget)
-    payload = _sat_payload(result, n)
+    payload = _sat_payload(result)
     if result.is_sat:
         payload["verdict"] = "refuted"
         value = result.model.value(result.world, f)
@@ -391,6 +387,10 @@ def _cmd_randmodel(args) -> int:
     else:
         print(text, end="")
     return 0
+
+
+def _cmd_ulam(args) -> int:
+    raise CliError("choose a ulam subcommand")
 
 
 def _game_config(args) -> GameConfig:

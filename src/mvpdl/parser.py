@@ -9,9 +9,22 @@ Question atoms of the form `Q{1,3}` (and complements `~Q{1,3}`) lex as a
 single token and are only legal as atomic program names; the searching
 game layer resolves them against a concrete search space.
 
-The printer emits sugar where it recognizes the expanded pattern and core
-syntax otherwise; since trees are interned, `parse(print(f))` always
-returns the very node `f`.
+The parser takes runs of prefix operators, `->` chains and left-nested
+chains in loops.  The one nesting it recurses on is brackets: parentheses,
+and a formula inside a program's test.  That is its one limit: text whose
+parentheses nest past about 100 levels (under Python's default recursion
+limit) is refused with a `ParseError`.
+
+The printer is one table walked by one loop.  `_shape` states the sugar
+rules once: it gives a node's binding level and its text as literal
+strings and (child, context) pairs, sugar where the expanded pattern is
+found and core syntax otherwise.  `_emit` expands those from one explicit
+stack and parenthesizes a node whose level is below its context, so no
+depth of nesting recurses.  One rule reads the context itself: a `(.)`
+node that is the left operand of `(.)` prints as a plain `(.)` chain,
+never as `^k` or `<->`, so `r (.) r (.) x` does not read `r^2 (.) x`.
+Since trees are interned, parsing the printed text returns the very node
+`f` whenever its parentheses nest less deeply than the parser's limit.
 """
 
 from __future__ import annotations
@@ -153,9 +166,6 @@ class _Parser:
 
     # -- machinery --
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
     def at(self, kind: str) -> bool:
         return self.tokens[self.i].kind == kind
 
@@ -196,10 +206,13 @@ class _Parser:
         return f
 
     def imp(self) -> Formula:
-        f = self.f_or()
-        if self.at("->"):
-            self.eat("->")
-            return Implies(f, self.imp())
+        parts = [self.f_or()]
+        while self.at("->"):
+            self.i += 1
+            parts.append(self.f_or())
+        f = parts.pop()
+        while parts:  # right associative
+            f = Implies(parts.pop(), f)
         return f
 
     def f_or(self) -> Formula:
@@ -238,43 +251,43 @@ class _Parser:
         return f
 
     def pre(self) -> Formula:
-        if self.at("~"):
-            self.eat("~")
-            return Not(self.pre())
-        if self.at("int") and self.tokens[self.i + 1].kind == ".":
-            k = int(self.eat("int").text)
-            self.eat(".")
-            return times(k, self.pre())
-        if self.at("["):
-            self.eat("[")
-            p = self.program()
-            self.eat("]")
-            return Box(p, self.pre())
-        if self.at("<"):
-            self.eat("<")
-            p = self.program()
-            self.eat(">")
-            return diamond(p, self.pre())
-        return self.prim()
+        ops = []  # a run of prefix operators: (constructor, first argument), None for ~
+        while True:
+            tok = self.tokens[self.i]
+            if tok.kind == "~":
+                self.i += 1
+                ops.append(None)
+            elif tok.kind == "int" and self.tokens[self.i + 1].kind == ".":
+                self.i += 2
+                ops.append((times, int(tok.text)))
+            elif tok.kind == "[" or tok.kind == "<":
+                self.i += 1
+                ops.append((Box if tok.kind == "[" else diamond, self.program()))
+                self.eat("]" if tok.kind == "[" else ">")
+            else:
+                break
+        f = self.prim()
+        while ops:  # innermost first
+            op = ops.pop()
+            f = Not(f) if op is None else op[0](op[1], f)
+        return f
 
     def prim(self) -> Formula:
-        if self.at("("):
-            self.eat("(")
+        tok = self.tokens[self.i]
+        if tok.kind == "(":
+            self.i += 1
             f = self.formula()
             self.eat(")")
             return f
-        if self.at("int"):
-            tok = self.peek()
-            if tok.text == "0":
-                self.eat("int")
-                return ZERO
-            if tok.text == "1":
-                self.eat("int")
-                return ONE
+        if tok.kind == "ident":
+            self.i += 1
+            return Var(tok.text)
+        if tok.kind != "int":
+            self.fail("formula")
+        if tok.text not in ("0", "1"):
             self.fail("0 or 1")
-        if self.at("ident"):
-            return Var(self.eat("ident").text)
-        self.fail("formula")
+        self.i += 1
+        return ONE if tok.text == "1" else ZERO
 
     # -- programs --
 
@@ -347,22 +360,114 @@ def parse_program(text: str) -> Program:
 
 # --- printing -------------------------------------------------------------
 
-# Formula levels, binding loose to tight; programs use their own scale.
-_L_IFF, _L_IMP, _L_OR, _L_AND, _L_OPLUS, _L_ODOT, _L_POST, _L_PRE, _L_ATOM = range(1, 10)
-_P_UNION, _P_SEQ, _P_STAR = range(1, 4)
+# Binding levels, loose to tight, two apart: an operand that must bind
+# tighter than its operator sits at the operator's level + 1, so only the
+# left operand of (.) sits at _ODOT itself.  Program contexts are _PROG and
+# up, so `_shape` finds a formula in one (or a program below it) in no branch
+# and raises the type error.
+_IFF, _IMP, _OR, _AND, _OPLUS, _ODOT, _POST, _PRE, _ATOM = range(2, 20, 2)
+_PROG, _UNION, _SEQ, _STAR, _PATOM = range(20, 30, 2)
 
 
 def format_formula(f: Formula) -> str:
     """Canonical text; parsing it back yields the same (interned) node."""
-    return _fmt_f(f, 0)
+    return _emit(f, 0)
 
 
 def format_program(p: Program) -> str:
-    return _fmt_p(p, 0)
+    return _emit(p, _PROG)
 
 
-def _wrap(text: str, level: int, ctx: int) -> str:
-    return f"({text})" if level < ctx else text
+def _emit(node, ctx: int) -> str:
+    """node's text in context ctx, written from one stack of strings and
+    (node, context) pairs, so that no depth of nesting recurses.  A node's
+    first part is taken at once and the rest go on the stack."""
+    out, stack, flat = [], [], set()
+    item = (node, ctx)
+    while True:
+        if type(item) is str:
+            out.append(item)
+            if not stack:
+                return "".join(out)
+            item = stack.pop()
+            continue
+        node, ctx = item
+        level, parts = _shape(node, ctx, flat)
+        if level < ctx:
+            out.append("(")
+            stack.append(")")
+        stack += parts[:0:-1]
+        item = parts[0]
+
+
+def _shape(f, ctx: int, flat: set):
+    """f's binding level and its text, as strings and (child, context)
+    pairs: the sugar where the expanded pattern is found, core syntax
+    otherwise.  `flat` holds chain nodes already found not to repeat."""
+    t = type(f)
+    if ctx >= _PROG:
+        if t is Atomic:
+            return _PATOM, (f.name,)
+        if t is Test:  # binds tightest: never wrapped
+            return _PATOM, ((f.formula, 0), "?")
+        if t is Star:
+            return _STAR, ((f.sub, _STAR), "*")
+        if t is Seq:
+            return _SEQ, ((f.left, _SEQ), ";", (f.right, _SEQ + 1))
+        if t is Union:
+            return _UNION, ((f.left, _UNION), " + ", (f.right, _UNION + 1))
+    elif t is Var:
+        return _ATOM, (f.name,)
+    elif t is Zero:
+        return _ATOM, ("0",)
+    elif t is Box:
+        return _PRE, ("[", (f.prog, _PROG), "]", (f.body, _PRE))
+    elif t is Not:
+        g = f.sub
+        if type(g) is Zero:
+            return _ATOM, ("1",)
+        if type(g) is Box and type(g.body) is Not:  # ~[α]~x is <α>x
+            return _PRE, ("<", (g.prog, _PROG), ">", (g.body.sub, _PRE))
+        if (m := _match_odot(f)) is not None:
+            a, b = m
+            if ctx != _ODOT:  # the left operand of (.) prints as a plain chain
+                if k := _repeats(a, b, _match_odot, flat):
+                    return _POST, ((b, _POST + 1), f"^{k}")
+                # (x -> y) (.) (y -> x) is x <-> y
+                if type(a) is Implies and type(b) is Implies and a.lhs is b.rhs and a.rhs is b.lhs:
+                    return _IFF, ((a.lhs, _IFF), " <-> ", (a.rhs, _IFF + 1))
+            return _ODOT, ((a, _ODOT), " (.) ", (b, _ODOT + 1))
+        if type(g) is Implies and type(g.lhs) is Implies and g.lhs.rhs is g.rhs:  # ~(~x | ~y) is x & y
+            x, y = g.lhs.lhs, g.rhs
+            if type(x) is Not and type(y) is Not:
+                return _AND, ((x.sub, _AND), " & ", (y.sub, _AND + 1))
+        return _PRE, ("~", (g, _PRE))
+    elif t is Implies:
+        a, b = f.lhs, f.rhs
+        if type(a) is Implies and a.rhs is b:  # (x -> y) -> y is x | y
+            return _OR, ((a.lhs, _OR), " | ", (b, _OR + 1))
+        if type(a) is Not:  # ~x -> y is x (+) y
+            if k := _repeats(a.sub, b, _match_oplus, flat):
+                return _PRE, (f"{k}.", (b, _PRE))
+            if type(a.sub) is not Implies and type(b) is not Implies:  # else -> reads better
+                return _OPLUS, ((a.sub, _OPLUS), " (+) ", (b, _OPLUS + 1))
+        return _IMP, ((a, _IMP + 1), " -> ", (b, _IMP))
+    raise TypeError(f"not a {'program' if ctx >= _PROG else 'formula'}: {f!r}")
+
+
+def _repeats(a, part, matcher, flat: set) -> int:
+    """k if a op part, for the operator `matcher` matches, is the k-fold
+    chain of part, else 0.  The walk down the chain of a stops at the
+    first part that differs; the nodes it passed then repeat no part
+    either and go into `flat`, so that each is walked once."""
+    passed = []
+    while (m := matcher(a)) is not None and m[1] is part and a not in flat:
+        passed.append(a)
+        a = m[0]
+    if m is None and a is part:
+        return len(passed) + 2
+    flat.update(passed)
+    return 0
 
 
 def _match_oplus(f):
@@ -372,202 +477,9 @@ def _match_oplus(f):
     return None
 
 
-def _match_or(f):
-    # (x -> y) -> y is x | y
-    if type(f) is Implies and type(f.lhs) is Implies and f.lhs.rhs == f.rhs:
-        return f.lhs.lhs, f.rhs
-    return None
-
-
 def _match_odot(f):
     # ~(~x (+) ~y) is x (.) y
-    return _dual(f, _match_oplus)
-
-
-def _match_and(f):
-    # ~(~x | ~y) is x & y
-    return _dual(f, _match_or)
-
-
-def _dual(f, matcher):
-    m = matcher(f.sub) if type(f) is Not else None
+    m = _match_oplus(f.sub) if type(f) is Not else None
     if m is not None and type(m[0]) is Not and type(m[1]) is Not:
         return m[0].sub, m[1].sub
     return None
-
-
-def _spine(f, matcher) -> list[Formula]:
-    parts = []
-    m = matcher(f)
-    while m is not None:
-        f, right = m
-        parts.append(right)
-        m = matcher(f)
-    parts.append(f)
-    parts.reverse()
-    return parts
-
-
-def _left(f: Formula, matcher, op: str, level: int) -> str:
-    """The left operand f of a left-associative operator at `level`,
-    followed by the operator; a chain of that operator nested on the
-    left of f is flattened, not recursed into."""
-    rights = []
-    while (m := matcher(f)) is not None:
-        f, right = m
-        rights.append(right)
-    text = _fmt_f(f, level) + op
-    while rights:
-        text += _fmt_f(rights.pop(), level + 1) + op
-    return text
-
-
-def _leading(parts) -> int:
-    """How many parts, from the first, equal the first."""
-    same = 0
-    for p in parts:
-        if p != parts[0]:
-            break
-        same += 1
-    return same
-
-
-def _sugared(parts, k: int, same: int) -> bool:
-    """Whether the (+) node of the first k parts of a (+) spine, `same` of
-    them leading equal, claims its sugar: k-fold repetition, or a sum of
-    two implication-free parts.  Anything else reads better as ->."""
-    return k >= 2 and (k <= same or k == 2 and type(parts[0]) is not Implies and type(parts[1]) is not Implies)
-
-
-def _imp_left(f: Formula, parts, same: int) -> str:
-    """Text of the left operand of f and the " -> " after it, where f
-    prints as a plain `->` and has (+) spine `parts`, `same` of them
-    leading equal.  A left operand that prints as a plain `->` too, bare
-    or as `~` of the (+) node one part shorter, is parenthesized and
-    walked into by the loop; only the first operand that prints
-    otherwise is recursed into."""
-    opens, rights, k = [], [], len(parts)
-    while True:
-        x = f.lhs
-        if k > 2:  # x is ~g, g the (+) node of the first k - 1 parts
-            k -= 1
-            if _sugared(parts, k, same):
-                break
-            opens.append("~(")
-            f = x.sub
-        elif type(x) is Implies and _match_or(x) is None:
-            parts = _spine(x, _match_oplus) if type(x.lhs) is Not else ()
-            same, k = _leading(parts), len(parts)
-            if _sugared(parts, k, same):
-                break
-            opens.append("(")
-            f = x
-        else:
-            break
-        rights.append(f.rhs)
-    text = "".join(opens) + _fmt_f(x, _L_IMP + 1)
-    while rights:
-        text += " -> " + _fmt_f(rights.pop(), _L_IMP) + ")"
-    return text + " -> "
-
-
-def _fmt_f(f: Formula, ctx: int) -> str:
-    """f's text in a context binding at level ctx.
-
-    An operator's text is a head and then the operand it prints last:
-    the body of a prefix operator ([α], <α>, ~, k.), or the right operand
-    of a binary one, whose head holds its left operand (a left-nested
-    chain of the same operator flattened).  The loop takes that last
-    operand, so chains of either kind cost no recursion; the parentheses
-    opened on the way are closed at the end.
-    """
-    out = closing = ""
-    while True:
-        t = type(f)
-        if t is Var:
-            level, text = _L_ATOM, f.name
-            break
-        if t is Zero:
-            level, text = _L_ATOM, "0"
-            break
-        if t is Box:
-            level, head, f, then = _L_PRE, f"[{_fmt_p(f.prog, 0)}]", f.body, _L_PRE
-        elif t is Not:
-            inner = f.sub
-            if type(inner) is Zero:
-                level, text = _L_ATOM, "1"
-                break
-            if type(inner) is Box and type(inner.body) is Not:
-                level, head, f, then = _L_PRE, f"<{_fmt_p(inner.prog, 0)}>", inner.body.sub, _L_PRE
-            elif (m := _match_odot(f)) is not None:
-                parts = _spine(f, _match_odot)
-                if len(parts) >= 2 and all(p == parts[0] for p in parts):
-                    level, text = _L_POST, _fmt_f(parts[0], _L_POST + 1) + f"^{len(parts)}"
-                    break
-                if (
-                    len(parts) == 2
-                    and type(parts[0]) is Implies
-                    and type(parts[1]) is Implies
-                    and parts[0].lhs == parts[1].rhs
-                    and parts[0].rhs == parts[1].lhs
-                ):
-                    lhs, rhs = parts[0].lhs, parts[0].rhs
-                    level, head, f, then = _L_IFF, _fmt_f(lhs, _L_IFF) + " <-> ", rhs, _L_IFF + 1
-                else:
-                    level, head, f, then = _L_ODOT, _left(m[0], _match_odot, " (.) ", _L_ODOT), m[1], _L_ODOT + 1
-            elif (m := _match_and(f)) is not None:
-                level, head, f, then = _L_AND, _left(m[0], _match_and, " & ", _L_AND), m[1], _L_AND + 1
-            else:
-                level, head, f, then = _L_PRE, "~", inner, _L_PRE
-        elif (m := _match_or(f)) is not None:
-            level, head, f, then = _L_OR, _left(m[0], _match_or, " | ", _L_OR), m[1], _L_OR + 1
-        elif t is Implies:
-            parts = _spine(f, _match_oplus) if type(f.lhs) is Not else ()
-            same = _leading(parts)
-            if 2 <= len(parts) == same:
-                level, head, f, then = _L_PRE, f"{len(parts)}.", parts[0], _L_PRE
-            elif _sugared(parts, len(parts), same):
-                level, head, f, then = _L_OPLUS, _fmt_f(parts[0], _L_OPLUS) + " (+) ", parts[1], _L_OPLUS + 1
-            else:
-                level, head, f, then = _L_IMP, _imp_left(f, parts, same), f.rhs, _L_IMP
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        if level < ctx:
-            out += "("
-            closing += ")"
-        out += head
-        ctx = then
-    return out + (text if level >= ctx else f"({text})") + closing
-
-
-def _fmt_p(p: Program, ctx: int) -> str:
-    """p's text in a context binding at level ctx.  As in `_fmt_f`, the
-    loop takes the right operand of `;` and `+`, with a left-nested chain
-    of the same operator flattened before it."""
-    out = closing = ""
-    while type(p) is Seq or type(p) is Union:
-        t = type(p)
-        level, op = (_P_SEQ, ";") if t is Seq else (_P_UNION, " + ")
-        if level < ctx:
-            out += "("
-            closing += ")"
-        rights = [p.right]
-        while type(p := p.left) is t:
-            rights.append(p.right)
-        out += _fmt_p(p, level) + op
-        while len(rights) > 1:
-            out += _fmt_p(rights.pop(), level + 1) + op
-        p, ctx = rights[0], level + 1
-    t = type(p)
-    if t is Atomic:
-        text = p.name
-    elif t is Test:
-        text = _fmt_f(p.formula, 0) + "?"  # binds tightest: never wrapped
-    elif t is Star:  # a run of stars binds at one level
-        stars = 0
-        while type(p) is Star:
-            p, stars = p.sub, stars + 1
-        text = _wrap(_fmt_p(p, _P_STAR) + "*" * stars, _P_STAR, ctx)
-    else:
-        raise TypeError(f"not a program: {p!r}")
-    return out + text + closing

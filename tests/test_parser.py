@@ -1,5 +1,6 @@
 """Concrete syntax: tokens, precedence, errors, print round trips."""
 
+import hashlib
 import random
 
 import pytest
@@ -32,10 +33,61 @@ from mvpdl.syntax import (
     power,
     times,
 )
-from mvpdl.tautologies import random_formula, random_program
+from mvpdl.tautologies import (
+    SCHEMA_COUNT,
+    random_formula,
+    random_instance,
+    random_program,
+    schema_formulas,
+)
 
-P, Q = Var("p"), Var("q")
+P, Q, R = Var("p"), Var("q"), Var("r")
 A, B = Atomic("a"), Atomic("b")
+
+# One step of each chain shape, (node, i) -> node one level deeper.
+FORMULA_STEPS = (
+    lambda f, i: Box(A, f),
+    lambda f, i: Not(Box(A, Not(Not(f)))),
+    lambda f, i: Not(f),
+    lambda f, i: Implies(Q, f),
+    lambda f, i: Implies(f, (Q, R)[i % 2]),
+    lambda f, i: oplus(f, Q),
+    lambda f, i: oplus(f, (P, Q)[i % 3 == 2]),
+    lambda f, i: odot(f, (P, Q)[i % 3 == 2]),
+    lambda f, i: land(f, P),
+    lambda f, i: lor(f, P),
+    lambda f, i: iff(f, lor(Q, R)),
+    lambda f, i: oplus(Box(A, f), Q),
+    lambda f, i: Implies(Box(A, f), lor(Q, R)),
+    lambda f, i: power(lor(f, Q), 2),
+)
+PROGRAM_STEPS = (
+    lambda p, i: Star(p),
+    lambda p, i: Seq(B, p),
+    lambda p, i: Seq(p, A),
+    lambda p, i: Union(p, A),
+    lambda p, i: Star(Union(p, Test(P))),
+)
+
+
+def _sugar_mix(rng, depth):
+    """Random formula over every sugar constructor, with equal operands
+    now and then so that powers, multiples and <-> show up."""
+    if depth <= 0 or rng.random() < 0.15:
+        return rng.choice((P, Q, R, ZERO, ONE))
+    a = _sugar_mix(rng, depth - 1)
+    pick = rng.randrange(12)
+    if pick == 0:
+        return Not(a)
+    if pick == 1:
+        return power(a, rng.randrange(2, 4))
+    if pick == 2:
+        return times(rng.randrange(2, 4), a)
+    if pick in (3, 4):
+        prog = rng.choice((A, Star(A), Seq(A, B), Union(A, Test(a))))
+        return (Box, diamond)[pick - 3](prog, a)
+    b = a if rng.random() < 0.3 else _sugar_mix(rng, depth - 1)
+    return (Implies, lor, land, oplus, odot, iff, Implies)[pick - 5](a, b)
 
 
 def test_grammar_examples():
@@ -131,6 +183,27 @@ def test_round_trip_on_random_trees():
         assert parse_program(format_program(p)) is p
 
 
+def test_format_output_is_pinned():
+    # sha256 of the printer's output before one shape table and one
+    # explicit stack replaced its recursive walks
+    rng = random.Random(10)
+    texts = [format_formula(random_formula(rng, rng.randrange(6))) for _ in range(1500)]
+    texts += [format_program(random_program(rng, rng.randrange(5))) for _ in range(600)]
+    texts += [format_formula(_sugar_mix(rng, rng.randrange(6))) for _ in range(2000)]
+    for index in range(1, SCHEMA_COUNT + 1):
+        for n in range(1, 5):
+            instances = schema_formulas(index, n) + random_instance(rng, index, n)
+            texts += [format_formula(f) for f in instances]
+    for steps, base, fmt in ((FORMULA_STEPS, P, format_formula), (PROGRAM_STEPS, B, format_program)):
+        for step in steps:
+            node = base
+            for i in range(40):
+                node = step(node, i)
+                texts.append(fmt(node))
+    digest = hashlib.sha256("\n".join(texts).encode())
+    assert digest.hexdigest() == "71c4b8e74431d539796f23270d65aadda9732c8131daf411ce76de1750cd6b92"
+
+
 def test_deep_power_prints_and_parses_back():
     f = power(Var("p"), 3000)
     text = format_formula(f)
@@ -145,9 +218,13 @@ def test_deep_boxes_and_stars_print_without_recursion():
     assert format_formula(f) == "[a]" * 3000 + "p"
     assert repr(f) == "Formula('" + "[a]" * 3000 + "p')"
     g = P
-    for _ in range(1000):
+    for _ in range(3000):
         g = Not(Box(A, Not(Not(g))))
-    assert format_formula(g) == "<a>~" * 1000 + "p"
+    assert format_formula(g) == "<a>~" * 3000 + "p"
+    neg = P
+    for _ in range(3000):
+        neg = Not(neg)
+    assert format_formula(neg) == "~" * 3000 + "p"
     prog = A
     for _ in range(3000):
         prog = Star(prog)
@@ -157,6 +234,9 @@ def test_deep_boxes_and_stars_print_without_recursion():
         h = Implies(Q, h)
     assert format_formula(h) == "q -> " * 3000 + "p"
     assert repr(h) == "Formula('" + "q -> " * 3000 + "p')"
+    # prefix runs and right-nested -> chains parse back without recursion
+    for node in (f, g, neg, h):
+        assert parse_formula(format_formula(node)) is node
     seq = B
     for _ in range(3000):
         seq = Seq(B, seq)
@@ -174,11 +254,31 @@ def test_deep_boxes_and_stars_print_without_recursion():
         plus = oplus(plus, Q)
     assert format_formula(plus) == "~(" * 2998 + "~(p (+) q)" + " -> q)" * 2998 + " -> q"
     assert repr(plus) == "Formula('" + format_formula(plus) + "')"
+    # a left operand that is not a chain of its own operator
+    shapes = (
+        (lambda f: iff(f, lor(Q, R)), "p" + " <-> q | r" * 3000),
+        (lambda f: oplus(Box(A, f), Q), "[a](" * 2999 + "[a]p (+) q" + ") (+) q" * 2999),
+        (lambda f: Implies(Box(A, f), lor(Q, R)), "[a](" * 2999 + "[a]p -> q | r" + ") -> q | r" * 2999),
+        (lambda f: power(lor(f, Q), 2), "(" * 3000 + "p" + " | q)^2" * 3000),
+    )
+    for step, text in shapes:
+        node = P
+        for _ in range(3000):
+            node = step(node)
+        assert format_formula(node) == text
+        assert repr(node) == "Formula('" + text + "')"
     # the parser builds left-nested chains without recursion
     for text in ("a;" * 3000 + "a", "a + " * 3000 + "a"):
         assert format_program(parse_program(text)) == text
     for text in ("p & " * 3000 + "p", "p | " * 3000 + "p"):
         assert format_formula(parse_formula(text)) == text
+
+
+def test_misplaced_nodes_are_type_errors():
+    with pytest.raises(TypeError, match="not a program"):
+        format_formula(Box(Var("p"), Q))
+    with pytest.raises(TypeError, match="not a formula"):
+        format_formula(Not(Atomic("a")))
 
 
 def test_pathological_nesting_is_a_parse_error():
