@@ -1,19 +1,30 @@
-"""Concrete syntax: tokenizer, recursive-descent parser, and printer.
+"""Concrete syntax: one operator table, a tokenizer, a parser and a printer.
 
 Formula precedence, high to low: atoms (`0`, `1`, identifiers, parens);
 prefix `~`, `k.`, `[prog]`, `<prog>`; postfix `^k`; then `(.)`, `(+)`,
 `&`, `|`, `->` (right associative), `<->`.  Program precedence: atoms,
-tests `formula?`; postfix `*`; then `;`; then `+`.
+tests `formula?`; postfix `*`; then `;`; then `+`.  `k` in `^k` and `k.`
+is at most 10,000, since each builds a k-long chain.
 
 Question atoms of the form `Q{1,3}` (and complements `~Q{1,3}`) lex as a
 single token and are only legal as atomic program names; the searching
 game layer resolves them against a concrete search space.
 
-The parser takes runs of prefix operators, `->` chains and left-nested
-chains in loops.  The one nesting it recurses on is brackets: parentheses,
-and a formula inside a program's test.  That is its one limit: text whose
-parentheses nest past about 100 levels (under Python's default recursion
-limit) is refused with a `ParseError`.
+`_OPERATORS` states each infix and postfix operator once: its token,
+binding level, constructor, associativity and printed text.  The parser
+and the printer both read it, and the prefix levels beside it.
+
+The tokenizer is one regular expression that yields (kind, text, offset)
+tuples; a line and column are worked out from the offset only for an
+error.  The parser is one operator-precedence loop over one explicit
+stack (Dijkstra's shunting-yard) that reads formulas and programs
+together.  An identifier or a bracketed group in program position may be
+either sort, so it is read once as a sort-neutral operand, and the token
+after it fixes its sort: a formula operator, `?` or `^` makes it a test's
+formula, while `;`, `+`, `*` or a program's closing bracket makes it a
+program.  So no token is read twice, nothing recurses, and parentheses nest
+to any depth.  A syntax error is reported at the first token that no
+reading of the text can take.
 
 The printer is one table walked by one loop.  `_shape` states the sugar
 rules once: it gives a node's binding level and its text as literal
@@ -24,12 +35,12 @@ depth of nesting recurses.  One rule reads the context itself: a `(.)`
 node that is the left operand of `(.)` prints as a plain `(.)` chain,
 never as `^k` or `<->`, so `r (.) r (.) x` does not read `r^2 (.) x`.
 Since trees are interned, parsing the printed text returns the very node
-`f` whenever its parentheses nest less deeply than the parser's limit.
+`f`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .syntax import (
     Atomic,
@@ -67,306 +78,226 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-@dataclass
-class _Token:
-    kind: str  # "ident", "int", "qatom", "eof", or the punctuation itself
-    text: str
-    line: int
-    col: int
+# Binding levels, loose to tight, two apart: an operand that must bind
+# tighter than its operator sits at the operator's level + 1, so only the
+# left operand of (.) sits at _ODOT itself.  Program levels are _PROG and
+# up, so `_shape` finds a formula in a program context (or a program below
+# one) in no branch and raises the type error, and the parser tells a
+# formula operator from a program one by its level.
+_IFF, _IMP, _OR, _AND, _OPLUS, _ODOT, _POST, _PRE, _ATOM = range(2, 20, 2)
+_PROG, _UNION, _SEQ, _STAR, _PATOM = range(20, 30, 2)
+
+# The operators, each stated once for the parser and the printer.  A row is
+# (binding level, constructor, 1 if right associative, printed text); the
+# parser pushes the row itself and reduces it by its constructor.  A
+# postfix operator reduces only what binds tighter, as if right associative.
+_OPERATORS = {
+    "<->": (_IFF, iff, 0, " <-> "),
+    "->": (_IMP, Implies, 1, " -> "),
+    "|": (_OR, lor, 0, " | "),
+    "&": (_AND, land, 0, " & "),
+    "(+)": (_OPLUS, oplus, 0, " (+) "),
+    "(.)": (_ODOT, odot, 0, " (.) "),
+    "^": (_POST, power, 1, "^"),
+    "+": (_UNION, Union, 0, " + "),
+    ";": (_SEQ, Seq, 0, ";"),
+    "*": (_STAR, Star, 1, "*"),
+}
+
+_MAX_K = 10_000  # largest k in ^k and k.
+
+# Whitespace, then a token: a question atom (or one with no closing
+# brace), an identifier, an integer, a punctuation mark of several
+# characters, or any one other character.
+_TOKEN = re.compile(r"(\s*)(~?[^\W\d_]\w*\{[^}]*\}?|[^\W\d_]\w*|[0-9]+|\(\+\)|\(\.\)|<->|->|\S)")
+_PUNCT = {p: p for p in ("(+)", "(.)", "<->", "->", *"()[]<>|&^;+*?.~")}
 
 
-_PUNCT3 = ("(+)", "(.)", "<->")
-_PUNCT2 = ("->",)
-_PUNCT1 = "()[]<>|&^;+*?.~"
+def _position(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    line = 1
-    col = 1
-    size = len(text)
-
-    def error(msg):
-        raise ParseError(f"{msg} at line {line}, column {col}", line, col)
-
-    while i < size:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if c.isalpha() or (c == "~" and i + 1 < size and text[i + 1].isalpha()):
-            j = i + 1 if c == "~" else i
-            k = j
-            while k < size and (text[k].isalnum() or text[k] == "_"):
-                k += 1
-            if k < size and text[k] == "{":
-                close = text.find("}", k)
-                if close < 0:
-                    error("unterminated '{' in question atom")
-                body = "".join(text[k + 1 : close].split())
-                name = ("~" if c == "~" else "") + text[j:k] + "{" + body + "}"
-                tokens.append(_Token("qatom", name, line, start_col))
-                col += close + 1 - i
-                i = close + 1
-                continue
-            if c != "~":
-                tokens.append(_Token("ident", text[i:k], line, start_col))
-                col += k - i
-                i = k
-                continue
-            # plain negation, falls through
-        if c.isdigit():
-            k = i
-            while k < size and text[k].isdigit():
-                k += 1
-            tokens.append(_Token("int", text[i:k], line, start_col))
-            col += k - i
-            i = k
-            continue
-        three = text[i : i + 3]
-        if three in _PUNCT3:
-            tokens.append(_Token(three, three, line, start_col))
-            i += 3
-            col += 3
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(_Token(two, two, line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            tokens.append(_Token(c, c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        error(f"unexpected character {c!r}")
-    tokens.append(_Token("eof", "", line, col))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tuples, ending in an end-of-input token; kind is
+    "ident", "int", "qatom" or the punctuation itself."""
+    tokens = []
+    offset = 0
+    for space, word in _TOKEN.findall(text):
+        offset += len(space)
+        kind = _PUNCT.get(word)
+        if kind is None:
+            head = word[word[0] == "~"]  # the letter a question atom starts with
+            if "0" <= head <= "9":
+                kind = "int"
+            elif not head.isalpha():  # such as $, ² or ١
+                line, col = _position(text, offset + (word[0] == "~"))
+                raise ParseError(f"unexpected character {head!r} at line {line}, column {col}", line, col)
+            elif "{" not in word:
+                kind = "ident"
+            elif word[-1] != "}":
+                line, col = _position(text, offset)
+                raise ParseError(f"unterminated '{{' in question atom at line {line}, column {col}", line, col)
+            else:
+                kind = "qatom"
+        tokens.append((kind, "".join(word.split()) if kind == "qatom" else word, offset))
+        offset += len(word)
+    tokens.append(("end of input", "", len(text)))
     return tokens
 
 
-class _Fail(Exception):
-    """Internal backtracking signal; never escapes the parser."""
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.far = 0
-        self.far_expected: set[str] = set()
-
-    # -- machinery --
-
-    def at(self, kind: str) -> bool:
-        return self.tokens[self.i].kind == kind
-
-    def eat(self, kind: str) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != kind:
-            self.fail(kind)
-        self.i += 1
-        return tok
-
-    def fail(self, expected: str):
-        if self.i > self.far:
-            self.far = self.i
-            self.far_expected = {expected}
-        elif self.i == self.far:
-            self.far_expected.add(expected)
-        raise _Fail()
-
-    def error(self) -> ParseError:
-        tok = self.tokens[self.far]
-        expected = tuple(sorted(self.far_expected))
-        found = tok.kind if tok.kind != "eof" else "end of input"
-        return ParseError(
-            f"syntax error at line {tok.line}, column {tok.col}: "
-            f"expected {' or '.join(expected)}, found {found}",
-            tok.line,
-            tok.col,
-            expected,
-        )
-
-    # -- formulas --
-
-    def formula(self) -> Formula:
-        f = self.imp()
-        while self.at("<->"):
-            self.eat("<->")
-            f = iff(f, self.imp())
-        return f
-
-    def imp(self) -> Formula:
-        parts = [self.f_or()]
-        while self.at("->"):
-            self.i += 1
-            parts.append(self.f_or())
-        f = parts.pop()
-        while parts:  # right associative
-            f = Implies(parts.pop(), f)
-        return f
-
-    def f_or(self) -> Formula:
-        f = self.f_and()
-        while self.at("|"):
-            self.eat("|")
-            f = lor(f, self.f_and())
-        return f
-
-    def f_and(self) -> Formula:
-        f = self.f_oplus()
-        while self.at("&"):
-            self.eat("&")
-            f = land(f, self.f_oplus())
-        return f
-
-    def f_oplus(self) -> Formula:
-        f = self.f_odot()
-        while self.at("(+)"):
-            self.eat("(+)")
-            f = oplus(f, self.f_odot())
-        return f
-
-    def f_odot(self) -> Formula:
-        f = self.post()
-        while self.at("(.)"):
-            self.eat("(.)")
-            f = odot(f, self.post())
-        return f
-
-    def post(self) -> Formula:
-        f = self.pre()
-        while self.at("^"):
-            self.eat("^")
-            f = power(f, int(self.eat("int").text))
-        return f
-
-    def pre(self) -> Formula:
-        ops = []  # a run of prefix operators: (constructor, first argument), None for ~
-        while True:
-            tok = self.tokens[self.i]
-            if tok.kind == "~":
-                self.i += 1
-                ops.append(None)
-            elif tok.kind == "int" and self.tokens[self.i + 1].kind == ".":
-                self.i += 2
-                ops.append((times, int(tok.text)))
-            elif tok.kind == "[" or tok.kind == "<":
-                self.i += 1
-                ops.append((Box if tok.kind == "[" else diamond, self.program()))
-                self.eat("]" if tok.kind == "[" else ">")
-            else:
-                break
-        f = self.prim()
-        while ops:  # innermost first
-            op = ops.pop()
-            f = Not(f) if op is None else op[0](op[1], f)
-        return f
-
-    def prim(self) -> Formula:
-        tok = self.tokens[self.i]
-        if tok.kind == "(":
-            self.i += 1
-            f = self.formula()
-            self.eat(")")
-            return f
-        if tok.kind == "ident":
-            self.i += 1
-            return Var(tok.text)
-        if tok.kind != "int":
-            self.fail("formula")
-        if tok.text not in ("0", "1"):
-            self.fail("0 or 1")
-        self.i += 1
-        return ONE if tok.text == "1" else ZERO
-
-    # -- programs --
-
-    def program(self) -> Program:
-        p = self.p_seq()
-        while self.at("+"):
-            self.eat("+")
-            p = Union(p, self.p_seq())
-        return p
-
-    def p_seq(self) -> Program:
-        p = self.p_star()
-        while self.at(";"):
-            self.eat(";")
-            p = Seq(p, self.p_star())
-        return p
-
-    def p_star(self) -> Program:
-        p = self.p_base()
-        while self.at("*"):
-            self.eat("*")
-            p = Star(p)
-        return p
-
-    def p_base(self) -> Program:
-        if self.at("qatom"):
-            return Atomic(self.eat("qatom").text)
-        mark = self.i
-        try:
-            f = self.formula()
-            self.eat("?")
-            return Test(f)
-        except _Fail:
-            self.i = mark
-        if self.at("ident"):
-            return Atomic(self.eat("ident").text)
-        if self.at("("):
-            self.eat("(")
-            p = self.program()
-            self.eat(")")
-            return p
-        self.fail("program")
+# Markers on the operator stack, as (level, closing token, constructor).
+# Those at level 1 open a formula, those at level 0 a program, so the level
+# of the stack's top tells which sort an operand there has; both stop every
+# reduction, since operators sit at level 2 and up.  _TEST marks where the
+# formula of a test starts: `?` closes it.  A `(` opened where a program
+# may stand (_GROUP) holds either sort.
+_TEST = (1, "?", None)
+_FORMULA_GROUP = (1, ")", None)
+_FORMULA_END = (1, "end of input", None)
+_GROUP = (0, ")", None)
+_PROGRAM_END = (0, "end of input", None)
+# What a prefix pushes: `~` itself, or the marker that `]` or `>` turns into
+# the box or diamond of the program read up to it.
+_PREFIXES = {"~": (_PRE, Not, None), "[": (0, "]", Box), "<": (0, ">", diamond)}
 
 
 def parse_formula(text: str) -> Formula:
-    p = _Parser(text)
-    try:
-        f = p.formula()
-        if not p.at("eof"):
-            p.fail("end of input")
-        return f
-    except _Fail:
-        raise p.error() from None
-    except RecursionError:
-        raise ParseError("formula nested too deeply", 1, 1) from None
+    return _parse(text, _FORMULA_END)
 
 
 def parse_program(text: str) -> Program:
-    p = _Parser(text)
-    try:
-        prog = p.program()
-        if not p.at("eof"):
-            p.fail("end of input")
-        return prog
-    except _Fail:
-        raise p.error() from None
-    except RecursionError:
-        raise ParseError("program nested too deeply", 1, 1) from None
+    return _parse(text, _PROGRAM_END)
+
+
+def _parse(text: str, end: tuple):
+    """Shunting-yard over `ops` (operators and markers) and `vals`
+    (operands); a str operand is an identifier whose sort is not fixed."""
+    tokens = _tokenize(text)
+    ops, vals, i = [end], [], 0
+    while True:  # at an operand
+        kind, word, _ = tokens[i]
+        i += 1
+        formula = 1 <= ops[-1][0] < _PROG
+        if kind == "ident":
+            vals.append(Var(word) if formula else word)
+        elif kind == "(":
+            ops.append(_FORMULA_GROUP if formula else _GROUP)
+            continue
+        elif kind == "qatom" and not formula:
+            vals.append(Atomic(word))
+        else:
+            if not formula:  # a formula starts here, as a test's
+                ops.append(_TEST)
+            if kind in _PREFIXES:
+                ops.append(_PREFIXES[kind])
+                continue
+            if kind == "int" and tokens[i][0] == ".":
+                ops.append((_PRE, times, _count(text, tokens[i - 1])))
+                i += 1
+                continue
+            if word not in ("0", "1"):
+                either = ("0 or 1" if kind == "int" else "formula",) + (() if formula else ("program",))
+                raise _error(text, tokens[i - 1], either)
+            vals.append(ONE if word == "1" else ZERO)
+        while True:  # after an operand
+            kind, word, _ = tokens[i]
+            i += 1
+            top = vals[-1]
+            neutral = type(top) is str
+            row = _OPERATORS.get(kind)
+            if row is not None:
+                level, make, right, _ = row
+                if (level < _PROG) != (1 <= ops[-1][0] < _PROG):
+                    # of the other sort: only a neutral operand takes it, as a test's formula
+                    if not neutral:
+                        raise _error(text, tokens[i - 1], _closers(ops, False))
+                    vals[-1] = Var(top)
+                    ops.append(_TEST)
+                elif neutral:
+                    vals[-1] = Atomic(top)
+                if ops[-1][0] >= level + right:
+                    _reduce(ops, vals, level + right)
+                if make is Star:
+                    vals[-1] = Star(vals[-1])
+                elif make is not power:
+                    ops.append(row)
+                    break
+                elif tokens[i][0] != "int":
+                    raise _error(text, tokens[i], ("int",))
+                else:
+                    vals[-1] = power(vals[-1], _count(text, tokens[i]))
+                    i += 1
+                continue
+            if neutral:
+                if kind == "?":
+                    vals[-1] = Test(Var(top))
+                    continue
+                if kind == ")" and ops[-1] is _GROUP:  # (a) keeps its sort open
+                    ops.pop()
+                    continue
+                vals[-1] = Atomic(top)
+            _reduce(ops, vals, 2)
+            mark = ops[-1]
+            if mark[1] != kind:
+                if not (kind == ")" and mark is _TEST and ops[-2] is _GROUP):
+                    raise _error(text, tokens[i - 1], _closers(ops, neutral))
+                ops[-2:] = [_TEST]  # a formula in parentheses
+                continue
+            ops.pop()
+            if mark is end:
+                return vals[0]
+            if mark is _TEST:
+                vals[-1] = Test(vals[-1])
+            elif mark[2] is not None:  # ] or > ends a box or diamond's program
+                ops.append((_PRE, mark[2], vals.pop()))
+                break
+
+
+def _reduce(ops: list, vals: list, floor: int) -> None:
+    """Apply the operators on top of `ops` whose level is floor or more."""
+    while ops[-1][0] >= floor:
+        op = ops.pop()
+        last = vals.pop()
+        if op[0] != _PRE:
+            vals[-1] = op[1](vals[-1], last)
+        else:
+            vals.append(op[1](last) if op[2] is None else op[1](op[2], last))
+
+
+def _count(text: str, token: tuple) -> int:
+    """The k of ^k or k., which builds a k-long chain: at most _MAX_K."""
+    k = int(token[1]) if len(token[1].lstrip("0")) <= 5 else _MAX_K + 1
+    if k > _MAX_K:
+        line, col = _position(text, token[2])
+        raise ParseError(f"power or multiple above {_MAX_K} at line {line}, column {col}", line, col, ("int",))
+    return k
+
+
+def _closers(ops: list, neutral: bool) -> tuple[str, ...]:
+    """The tokens that could have ended the operand just read."""
+    i = len(ops) - 1
+    while ops[i][0] >= 2:
+        i -= 1
+    out = {ops[i][1]}
+    if ops[i] is _TEST and ops[i - 1] is _GROUP:
+        out.add(")")
+    if neutral:
+        out.add("?")
+    return tuple(sorted(out))
+
+
+def _error(text: str, token: tuple, expected: tuple[str, ...]) -> ParseError:
+    kind, _, offset = token
+    line, col = _position(text, offset)
+    return ParseError(
+        f"syntax error at line {line}, column {col}: expected {' or '.join(expected)}, found {kind}",
+        line,
+        col,
+        expected,
+    )
 
 
 # --- printing -------------------------------------------------------------
-
-# Binding levels, loose to tight, two apart: an operand that must bind
-# tighter than its operator sits at the operator's level + 1, so only the
-# left operand of (.) sits at _ODOT itself.  Program contexts are _PROG and
-# up, so `_shape` finds a formula in one (or a program below it) in no branch
-# and raises the type error.
-_IFF, _IMP, _OR, _AND, _OPLUS, _ODOT, _POST, _PRE, _ATOM = range(2, 20, 2)
-_PROG, _UNION, _SEQ, _STAR, _PATOM = range(20, 30, 2)
 
 
 def format_formula(f: Formula) -> str:
@@ -392,6 +323,9 @@ def _emit(node, ctx: int) -> str:
             item = stack.pop()
             continue
         node, ctx = item
+        if type(node) is Var and ctx < _PROG:  # binds tightest: never wrapped
+            item = node.name
+            continue
         level, parts = _shape(node, ctx, flat)
         if level < ctx:
             out.append("(")
@@ -413,11 +347,9 @@ def _shape(f, ctx: int, flat: set):
         if t is Star:
             return _STAR, ((f.sub, _STAR), "*")
         if t is Seq:
-            return _SEQ, ((f.left, _SEQ), ";", (f.right, _SEQ + 1))
+            return _infix(";", f.left, f.right)
         if t is Union:
-            return _UNION, ((f.left, _UNION), " + ", (f.right, _UNION + 1))
-    elif t is Var:
-        return _ATOM, (f.name,)
+            return _infix("+", f.left, f.right)
     elif t is Zero:
         return _ATOM, ("0",)
     elif t is Box:
@@ -435,24 +367,31 @@ def _shape(f, ctx: int, flat: set):
                     return _POST, ((b, _POST + 1), f"^{k}")
                 # (x -> y) (.) (y -> x) is x <-> y
                 if type(a) is Implies and type(b) is Implies and a.lhs is b.rhs and a.rhs is b.lhs:
-                    return _IFF, ((a.lhs, _IFF), " <-> ", (a.rhs, _IFF + 1))
-            return _ODOT, ((a, _ODOT), " (.) ", (b, _ODOT + 1))
+                    return _infix("<->", a.lhs, a.rhs)
+            return _infix("(.)", a, b)
         if type(g) is Implies and type(g.lhs) is Implies and g.lhs.rhs is g.rhs:  # ~(~x | ~y) is x & y
             x, y = g.lhs.lhs, g.rhs
             if type(x) is Not and type(y) is Not:
-                return _AND, ((x.sub, _AND), " & ", (y.sub, _AND + 1))
+                return _infix("&", x.sub, y.sub)
         return _PRE, ("~", (g, _PRE))
     elif t is Implies:
         a, b = f.lhs, f.rhs
         if type(a) is Implies and a.rhs is b:  # (x -> y) -> y is x | y
-            return _OR, ((a.lhs, _OR), " | ", (b, _OR + 1))
+            return _infix("|", a.lhs, b)
         if type(a) is Not:  # ~x -> y is x (+) y
             if k := _repeats(a.sub, b, _match_oplus, flat):
                 return _PRE, (f"{k}.", (b, _PRE))
             if type(a.sub) is not Implies and type(b) is not Implies:  # else -> reads better
-                return _OPLUS, ((a.sub, _OPLUS), " (+) ", (b, _OPLUS + 1))
-        return _IMP, ((a, _IMP + 1), " -> ", (b, _IMP))
+                return _infix("(+)", a.sub, b)
+        return _infix("->", a, b)
     raise TypeError(f"not a {'program' if ctx >= _PROG else 'formula'}: {f!r}")
+
+
+def _infix(op: str, a, b):
+    """The shape of a op b: the operand on op's associative side has op's
+    level as its context, the other one a level tighter."""
+    level, _, right, text = _OPERATORS[op]
+    return level, ((a, level + right), text, (b, level + 1 - right))
 
 
 def _repeats(a, part, matcher, flat: set) -> int:

@@ -144,6 +144,14 @@ def test_deep_formulas_exit_zero(capsys):
     assert capsys.readouterr().out.strip() == "valid"
     assert main(["flclosure", "p^400 -> p^400"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "p^400 -> p^400"
+    # 3,000-deep parentheses
+    nested = "(" * 3000 + deep + ")" * 3000
+    assert main(["eval", "--model", model, "--world", "u", nested]) == 0
+    assert capsys.readouterr().out.strip() == "4/4"
+    assert main(["check", "--model", model, nested]) == 0
+    assert "true in every world" in capsys.readouterr().out
+    assert main(["valid", nested, "--n", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "valid"
 
 
 def test_bundled_counterexample_model(capsys):

@@ -2,8 +2,11 @@
 
 import hashlib
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpdl.parser import (
     ParseError,
@@ -15,9 +18,11 @@ from mvpdl.parser import (
 from mvpdl.syntax import (
     Atomic,
     Box,
+    Formula,
     Implies,
     Not,
     ONE,
+    Program,
     Seq,
     Star,
     Test,
@@ -158,6 +163,11 @@ def test_error_positions():
     with pytest.raises(ParseError) as err:
         parse_formula("p ->\n q ->")
     assert err.value.line == 2
+    # integers are ASCII digits: ² and the Arabic-Indic one are no digits
+    for text in ("p^\u00b2", "p^\u0661"):
+        with pytest.raises(ParseError) as err:
+            parse_formula(text)
+        assert (err.value.line, err.value.col) == (1, 3)
 
 
 def test_print_examples():
@@ -202,6 +212,84 @@ def test_format_output_is_pinned():
                 texts.append(fmt(node))
     digest = hashlib.sha256("\n".join(texts).encode())
     assert digest.hexdigest() == "71c4b8e74431d539796f23270d65aadda9732c8131daf411ce76de1750cd6b92"
+
+
+def _parse_corpus():
+    """About 4,000 short texts: garbage over the `test_garbage_inputs`
+    alphabet, and printed trees with one character deleted, inserted or
+    swapped with its neighbour."""
+    rng = random.Random(11)
+    alphabet = "pq ab()[]<>~&|;*?^+-.0123{}"
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 30))) for _ in range(1000)]
+    for i in range(3000):
+        if i % 3 == 0:
+            s = format_formula(random_formula(rng, rng.randrange(5)))
+        elif i % 3 == 1:
+            s = format_program(random_program(rng, rng.randrange(4)))
+        else:
+            s = format_formula(_sugar_mix(rng, rng.randrange(5)))
+        j = rng.randrange(len(s))
+        edit = rng.randrange(3)
+        if edit == 0:
+            s = s[:j] + s[j + 1 :]
+        elif edit == 1:
+            s = s[:j] + rng.choice(alphabet) + s[j:]
+        else:
+            s = s[:j] + s[j + 1 : j + 2] + s[j] + s[j + 2 :]
+        texts.append(s)
+    return texts
+
+
+def _parse_result(parse, fmt, text):
+    try:
+        return fmt(parse(text))
+    except ParseError as err:
+        return f"error {err.line}:{err.col}"
+
+
+def test_parse_results_are_pinned():
+    # sha256 of what the backtracking recursive-descent parser returned
+    # for each text, as a formula and as a program: the printed node or
+    # the error's line and column
+    results = []
+    for text in _parse_corpus():
+        results.append(_parse_result(parse_formula, format_formula, text))
+        results.append(_parse_result(parse_program, format_program, text))
+    digest = hashlib.sha256("\n".join(results).encode())
+    assert digest.hexdigest() == "90e359afc7a9a510d267560f858d7f372eb7b4158984691adce399ac706a4235"
+
+
+def test_huge_powers_and_multiples_fail_at_once():
+    # ^k and k. build a k-long chain, so k is bounded
+    start = time.perf_counter()
+    for text, col in (
+        ("p^99999999999999999999", 3),
+        ("[a]p^99999999999999999999", 6),
+        ("99999999999999999999.p", 1),
+        ("q ->\n  10001.p", 3),
+        ("p^" + "9" * 5000, 3),
+    ):
+        with pytest.raises(ParseError, match="above 10000") as err:
+            parse_formula(text)
+        assert (err.value.line, err.value.col) == (text.count("\n") + 1, col)
+    assert time.perf_counter() - start < 0.5
+    assert parse_formula("p^0003") is power(P, 3)
+
+
+def test_brackets_in_programs_parse_in_linear_time():
+    # a parser that reads each program atom as a test formula first and
+    # backs up to read it as a program takes time exponential in k here
+    k = 40
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_formula("[" + "([" * k + "a" + ")]" * k + "p")
+    assert err.value.col == 2 * k + 3
+    f = parse_formula("[" + "[(" * k + "a" + ")]p?" * k + "]q")
+    assert time.perf_counter() - start < 0.5
+    for _ in range(k):
+        assert type(f) is Box and type(f.prog) is Test
+        f = f.prog.formula
+    assert f is Box(A, P)
 
 
 def test_deep_power_prints_and_parses_back():
@@ -267,6 +355,11 @@ def test_deep_boxes_and_stars_print_without_recursion():
             node = step(node)
         assert format_formula(node) == text
         assert repr(node) == "Formula('" + text + "')"
+        assert parse_formula(text) is node
+    # 2,999-deep parentheses parse back
+    assert parse_program(format_program(seq)) is seq
+    for node in (imp, plus):
+        assert parse_formula(format_formula(node)) is node
     # the parser builds left-nested chains without recursion
     for text in ("a;" * 3000 + "a", "a + " * 3000 + "a"):
         assert format_program(parse_program(text)) == text
@@ -282,9 +375,16 @@ def test_misplaced_nodes_are_type_errors():
 
 
 def test_pathological_nesting_is_a_parse_error():
-    deep = "(" * 4000 + "p" + ")" * 4000
-    with pytest.raises(ParseError):
-        parse_formula(deep)
+    # balanced parentheses nest to any depth; an unclosed one is an error
+    # at the end of the input, however deep
+    assert parse_formula("(" * 4000 + "p" + ")" * 4000) is P
+    assert parse_program("(" * 4000 + "a" + ")" * 4000) is A
+    unbalanced = "(" * 4000 + "p" + ")" * 3999
+    for parse in (parse_formula, parse_program):
+        with pytest.raises(ParseError) as err:
+            parse(unbalanced)
+        assert err.value.col == len(unbalanced) + 1
+        assert ")" in err.value.expected
 
 
 def test_garbage_inputs_raise_parse_errors_only():
@@ -309,3 +409,43 @@ def test_parse_of_print_of_parse_is_stable():
         out = format_formula(f)
         assert parse_formula(out) == f
         assert format_formula(parse_formula(out)) == out
+
+
+def _formula(node):
+    return node if isinstance(node, Formula) else Box(node, Q)
+
+
+def _program(node):
+    return node if isinstance(node, Program) else Test(node)
+
+
+_BINARY = st.sampled_from((Implies, lor, land, oplus, odot, iff))
+
+
+def _grow(kids):
+    """One core or sugar constructor over trees of either sort; a child of
+    the wrong sort goes into a box or a test."""
+    return st.one_of(
+        st.builds(lambda a: Not(_formula(a)), kids),
+        st.builds(lambda make, a, b: make(_formula(a), _formula(b)), _BINARY, kids, kids),
+        st.builds(lambda make, a: make(_formula(a), _formula(a)), _BINARY, kids),
+        st.builds(lambda make, a, b: make(_program(a), _formula(b)), st.sampled_from((Box, diamond)), kids, kids),
+        st.builds(lambda a, k: power(_formula(a), k), kids, st.integers(0, 4)),
+        st.builds(lambda k, a: times(k, _formula(a)), st.integers(0, 4), kids),
+        st.builds(lambda make, a, b: make(_program(a), _program(b)), st.sampled_from((Seq, Union)), kids, kids),
+        st.builds(lambda a: Star(_program(a)), kids),
+        st.builds(lambda a: Test(_formula(a)), kids),
+    )
+
+
+_LEAVES = (P, Q, R, ZERO, ONE, A, B, Atomic("Q{1,3}"), Atomic("~Q{2}"))
+_TREES = st.recursive(st.sampled_from(_LEAVES), _grow, max_leaves=40)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_TREES)
+def test_parse_of_print_is_the_same_node(node):
+    if isinstance(node, Program):
+        assert parse_program(format_program(node)) is node
+    else:
+        assert parse_formula(format_formula(node)) is node
