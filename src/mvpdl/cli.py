@@ -11,6 +11,7 @@ reports (and most other outputs) to a stable JSON shape.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -84,6 +85,7 @@ def _check_model_resolution(model, args) -> None:
         raise CliError(f"model resolution is {model.n}, but --n {n} was given")
 
 
+@functools.cache  # parse_args never changes the parser: one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mvpdl",

@@ -10,6 +10,14 @@ Also provides exhaustive propositional tautology checking and the
 synthesis of one-variable threshold formulas (value 1 from i/n upward,
 0 below) and point indicators, built only from the doubling maps
 x (+) x and x (.) x.
+
+The tautology check reads the whole (n+1)**k table of k variables as
+packed columns: a subformula's values over a block of rows are one int
+with a lane of n.bit_length()+1 bits per row, so each implication is six
+integer operations on every row of the block at once (broadword
+arithmetic, Knuth TAOCP 4A 7.1.3).  A column of a block is at most 4 KiB
+(16,384 rows at n = 1, 8,192 at n = 4) and a block's columns at most 1 MiB
+together; the leading variables that do not fit are constant per block.
 """
 
 from __future__ import annotations
@@ -249,13 +257,97 @@ def eval_prop(f: Formula, assignment: Mapping[str, TruthValue], n: int | None = 
 def prop_counterexample(f: Formula, n: int) -> dict[str, TruthValue] | None:
     """First assignment (in lexicographic order) with value below 1, if any.
 
-    Exhausts the full table, so the cost is (n+1)**#variables.
+    Exhausts the full table, so the cost is (n+1)**#variables lanes of
+    packed arithmetic (see `_first_failing_row`).
     """
     names, steps, root = _lower(f)
-    for nums in itertools.product(range(n + 1), repeat=len(names)):
-        if _run(steps, root, nums, n) != n:
-            return {name: TruthValue(i, n) for name, i in zip(names, nums)}
+    nums = _first_failing_row(len(names), steps, root, n)
+    if nums is None:
+        return None
+    return {name: TruthValue(i, n) for name, i in zip(names, nums)}
+
+
+# A column of a block of the packed table has at most _COLUMN_BITS bits
+# (4 KiB: on larger ints each operation costs more per lane), and the
+# columns of a block together at most _BLOCK_BITS (1 MiB).
+_COLUMN_BITS = 1 << 15
+_BLOCK_BITS = 1 << 23
+
+
+def _first_failing_row(
+    k: int, steps: list[tuple[int, int]], root: int, n: int, column_bits: int = _COLUMN_BITS
+) -> tuple[int, ...] | None:
+    """The numerators of the first row of k variables, in
+    `itertools.product` order, on which the lowered formula is below n.
+
+    The table is evaluated a block of rows at a time, each slot's column
+    packed into one int with one lane of w = n.bit_length() + 1 bits per
+    row, row 0 of the block in the lowest lane.  The last t variables run
+    through all their values in a block, the one before them through a
+    chunk of consecutive values, and the leading ones are constant in it;
+    the blocks follow the rows' order (the last chunk is moved back to end
+    at n, so it reads again some rows that passed).  A lane holds a value
+    0..n below its high bit, so x -> y = n - max(x - y, 0) is computed in
+    every lane at once without a borrow crossing lanes: (x | H) - y keeps
+    the high bit exactly where x >= y, which masks the low bits' x - y.
+    """
+    w = n.bit_length() + 1
+    s = w - 1
+    base = n + 1
+    lanes_cap = max(1, min(column_bits, _BLOCK_BITS // (k + 1 + len(steps))) // w)
+    t = 0
+    while t < k and base ** (t + 1) <= lanes_cap:
+        t += 1
+    size = base**t
+    chunk = min(base, lanes_cap // size) if t < k else 1
+    lanes = chunk * size
+    ones = _repunit(lanes, w)
+    high = ones << s
+    top_col = n * ones
+    trailing = [_ramp(base, base ** (t - 1 - i), lanes, w) for i in range(t)]
+    axes, ramps = [], []
+    if t < k:  # the chunked variable is its chunk's first value plus a ramp
+        axes = [range(base)] * (k - t - 1) + [[min(a, base - chunk) for a in range(0, base, chunk)]]
+        ramps = [0] * (k - t - 1) + [_ramp(chunk, size, lanes, w)]
+    for lead in itertools.product(*axes):
+        vals = [v * ones + r for v, r in zip(lead, ramps)]
+        vals += trailing
+        vals.append(0)
+        push = vals.append
+        for i, j in steps:
+            d = (vals[i] | high) - vals[j]
+            m = (d & high) >> s
+            push(top_col - (d & ((m << s) - m)))
+        diff = vals[root] ^ top_col
+        if diff:
+            row = ((diff & -diff).bit_length() - 1) // w
+            digits = []
+            for _ in range(t):
+                row, v = divmod(row, base)
+                digits.append(v)
+            head = lead[:-1] + (lead[-1] + row,) if lead else ()  # row is the chunk's offset
+            return head + tuple(reversed(digits))
     return None
+
+
+def _ramp(count: int, run: int, lanes: int, w: int) -> int:
+    """The column of lanes lanes of width w that holds 0 in the first run
+    lanes, 1 in the next run, and so on up to count - 1, then again from 0."""
+    period_bits = w * run * count
+    return _counting(count, w * run) * _repunit(run, w) * _repunit(lanes // (run * count), period_bits)
+
+
+def _repunit(count: int, bits: int) -> int:
+    """1 in each of count fields of the given width."""
+    return ((1 << (bits * count)) - 1) // ((1 << bits) - 1)
+
+
+def _counting(count: int, bits: int) -> int:
+    """v in field v for v < count, fields of the given width: the sum of
+    v * x**v with x = 2**bits, in closed form, so that the cost does not
+    grow with count squared."""
+    x = 1 << bits
+    return (x - (count << (bits * count)) + ((count - 1) << (bits * (count + 1)))) // ((x - 1) ** 2)
 
 
 def is_tautology_prop(f: Formula, n: int) -> bool:

@@ -1,9 +1,14 @@
 """Exit codes, output shapes, and golden files of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mvpdl
 from mvpdl.cli import main
 from mvpdl.kripke import parse_model
 
@@ -227,3 +232,37 @@ def test_error_exits_are_two(tmp_path, capsys, monkeypatch):
     assert main(["valid", "p -> p", "--n", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: internal: RecursionError")
     assert main([]) == 2
+
+
+def test_calls_in_one_process_match_fresh_interpreters(model_file, capsys, monkeypatch):
+    # main builds its argument parser once and reuses it: no call may see
+    # what an earlier one parsed
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["taut", "p | ~p", "--n", "2", "--json"],
+        ["taut", "p | ~p", "--n", "2"],
+        ["check", "--model", model_file, "--n", "4", "p"],
+        ["check", "--model", model_file, "p"],
+        ["taut", "p", "--n", "2", "--bogus"],  # refused by the parser itself
+        ["--json", "taut", "p -> p", "--n", "3"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(mvpdl.__file__).parents[1]))
+    fresh = [
+        subprocess.Popen(
+            [sys.executable, "-c", "import sys; from mvpdl.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        for argv in calls
+    ]
+    for argv, proc in zip(calls, fresh):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out, err = proc.communicate(timeout=60)
+        assert (code, captured.out, captured.err) == (proc.returncode, out, err), argv
+    assert [proc.returncode for proc in fresh] == [1, 1, 1, 1, 2, 0]

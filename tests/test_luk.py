@@ -1,6 +1,13 @@
 """Truth-value arithmetic, propositional evaluation, threshold synthesis."""
 
+import hashlib
+import itertools
+import random
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpdl.luk import (
     ResolutionMismatch,
@@ -24,8 +31,27 @@ from mvpdl.luk import (
     tv,
     unary_table,
 )
+from mvpdl.luk import _first_failing_row, _lower
 from mvpdl.parser import parse_formula
-from mvpdl.syntax import Box, Atomic, Not, Var, oplus, power
+from mvpdl.proofs import abstract_boxes
+from mvpdl.syntax import (
+    ONE,
+    ZERO,
+    Atomic,
+    Box,
+    Implies,
+    Not,
+    Var,
+    Zero,
+    iff,
+    land,
+    lor,
+    odot,
+    oplus,
+    power,
+    variables_of,
+)
+from mvpdl.tautologies import SCHEMA_COUNT, random_formula, random_instance
 
 
 def test_negation_examples():
@@ -130,6 +156,128 @@ def test_tautology_checking():
     assert is_tautology_prop(parse_formula("0 -> p"), 3)
     bad = prop_counterexample(parse_formula("p | ~p"), 2)
     assert bad == {"p": tv(1, 2)}
+
+
+def _reference_first_failure(f, n):
+    """The first row in `itertools.product` order on which f is below 1,
+    found row by row with a memoised walk over the tree itself: shares no
+    code with the lowering or the packed table."""
+    names = sorted(variables_of(f))
+
+    def value(g, env, memo):
+        if g not in memo:
+            t = type(g)
+            if t is Var:
+                memo[g] = env[g.name]
+            elif t is Zero:
+                memo[g] = 0
+            elif t is Not:
+                memo[g] = n - value(g.sub, env, memo)
+            else:
+                memo[g] = min(n, n - value(g.lhs, env, memo) + value(g.rhs, env, memo))
+        return memo[g]
+
+    for nums in itertools.product(range(n + 1), repeat=len(names)):
+        if value(f, dict(zip(names, nums)), {}) != n:
+            return dict(zip(names, nums))
+    return None
+
+
+def _grow(kids):
+    return st.one_of(
+        st.builds(Not, kids),
+        st.builds(lambda make, a, b: make(a, b), st.sampled_from((Implies, lor, land, oplus, odot, iff)), kids, kids),
+        st.builds(power, kids, st.integers(0, 4)),
+    )
+
+
+@st.composite
+def _tables(draw):
+    """A formula over at most 6 variables and a resolution n in 1..20 (lane
+    widths of 2 to 6 bits), with at most 1,024 rows; now and then wrapped
+    into a tautology, so that the whole table is read."""
+    k = draw(st.integers(0, 6))
+    n = draw(st.integers(1, max(m for m in range(1, 21) if (m + 1) ** k <= 1024)))
+    names = [Var(f"x{i}") for i in range(k)]
+    f = draw(st.recursive(st.sampled_from(names + [ZERO, ONE]), _grow, max_leaves=12))
+    for x in names:  # every variable occurs
+        f = draw(st.sampled_from((Implies, lor, land, oplus, odot, iff)))(f, x)
+    wrap = draw(st.sampled_from((
+        lambda f: f,
+        lambda f: Implies(f, f),
+        lambda f: iff(power(f, n), power(f, n + 1)),  # powers settle at n
+        lambda f: Implies(power(f, n), power(f, n - 1)),
+        lambda f: Implies(power(f, n - 1), power(f, n)),
+    )))
+    return wrap(f), n
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(_tables(), st.sampled_from((1, 24, 256, 1 << 15)))
+def test_packed_table_agrees_with_a_row_by_row_walk(table, column_bits):
+    f, n = table
+    expected = _reference_first_failure(f, n)
+    got = prop_counterexample(f, n)
+    assert got == (None if expected is None else {k: tv(v, n) for k, v in expected.items()})
+    # narrower columns: more and smaller blocks, down to one row each
+    names, steps, root = _lower(f)
+    row = _first_failing_row(len(names), steps, root, n, column_bits)
+    assert row == (None if expected is None else tuple(expected[k] for k in names))
+
+
+def test_tables_of_many_blocks():
+    names = [f"p{i}" for i in range(1, 9)]
+    text = "p1 -> p8"
+    for a, b in reversed(list(zip(names, names[1:]))):
+        text = f"({a} -> {b}) -> ({text})"
+    # 5^8 = 390,625 rows, in 75 blocks of 2 x 5^5 rows
+    start = time.perf_counter()
+    assert is_tautology_prop(parse_formula(text), 4)
+    assert time.perf_counter() - start < 0.5  # a row at a time took 0.68 s
+    # first below 1 where every variable is above 0: in the sixth block
+    bad = prop_counterexample(parse_formula("~(" + " & ".join(names) + ")"), 4)
+    assert bad == {name: tv(1, 4) for name in names}
+    # below 1 only where every variable is 1: the last row of the last block
+    bad = prop_counterexample(parse_formula("~(" + " & ".join(f"{v}^4" for v in names) + ")"), 4)
+    assert bad == {name: tv(4, 4) for name in names}
+
+
+def _luk_corpus():
+    """4,003 box-abstracted formulas at n = 1..20, with at most 10,000 rows:
+    random formulas, random schema instances, and formulas shaped to be
+    tautologies or near ones."""
+    rng = random.Random(12)
+    out = []
+    while len(out) < 4000:
+        n = 1 + len(out) % 20
+        if len(out) % 4 == 3:
+            fs = random_instance(rng, 1 + rng.randrange(SCHEMA_COUNT), n)
+        elif len(out) % 4 == 2:
+            x, y = (random_formula(rng, 2, ("p", "q", "r", "s")) for _ in "xy")
+            fs = [
+                iff(power(x, n), power(x, n + 1)),
+                Implies(power(x, n - 1), power(x, n)),
+                Implies(odot(x, Implies(x, y)), y),
+                Implies(land(x, y), lor(x, y)),
+                lor(x, Not(x)),
+            ]
+        else:
+            fs = [random_formula(rng, 4, ("p", "q", "r", "s"))]
+        for f in fs:
+            g = abstract_boxes(f)
+            if (n + 1) ** len(variables_of(g)) <= 10_000:
+                out.append((g, n))
+    return out
+
+
+def test_first_counterexamples_are_pinned():
+    # sha256 of the answers of the row-at-a-time table the packed one replaced
+    digest = hashlib.sha256()
+    for g, n in _luk_corpus():
+        bad = prop_counterexample(g, n)
+        answer = "taut" if bad is None else sorted((k, v.num) for k, v in bad.items())
+        digest.update(f"{n} {answer}\n".encode())
+    assert digest.hexdigest() == "537d158e4e442bec1b2fcf7fc8efc6c94fae47384344e0b7ba15a83681bf1f81"
 
 
 def test_tau_thresholds_small():

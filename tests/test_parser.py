@@ -276,6 +276,26 @@ def test_huge_powers_and_multiples_fail_at_once():
     assert parse_formula("p^0003") is power(P, 3)
 
 
+def test_chains_past_the_power_limit_print_text_that_parses_back():
+    # ^k and k. print only up to the parser's limit; a longer chain
+    # prints the limit's sugar followed by the rest of the chain
+    for node, sugar, shorter in (
+        (power(P, 25_000), "p^10000", lambda f: f.sub.lhs.sub.sub),  # x (.) y is ~(~~x -> ~y)
+        (times(25_000, P), "10000.p", lambda f: f.lhs.sub),  # x (+) y is ~x -> y
+    ):
+        for k in range(25_000, 9_999, -1):
+            if k in (25_000, 10_001, 10_000):
+                text = format_formula(node)
+                assert text.startswith(sugar) and text.count("p") == k - 9_999
+                assert parse_formula(text) is node
+            node = shorter(node)
+    x = Implies(Q, R)
+    for node, sugar in ((power(x, 10_001), "(q -> r)^10000 (.) (q -> r)"), (times(10_001, x), "10000.(q -> r) (+) (q -> r)")):
+        text = format_formula(Not(node))
+        assert text == f"~({sugar})"
+        assert parse_formula(text) is Not(node)
+
+
 def test_brackets_in_programs_parse_in_linear_time():
     # a parser that reads each program atom as a test formula first and
     # backs up to read it as a program takes time exponential in k here
