@@ -13,11 +13,12 @@ x (+) x and x (.) x.
 
 The tautology check reads the whole (n+1)**k table of k variables as
 packed columns: a subformula's values over a block of rows are one int
-with a lane of n.bit_length()+1 bits per row, so each implication is six
-integer operations on every row of the block at once (broadword
+with a lane of n.bit_length()+1 bits per row, so each implication is a
+few integer operations on every row of the block at once (broadword
 arithmetic, Knuth TAOCP 4A 7.1.3).  A column of a block is at most 4 KiB
-(16,384 rows at n = 1, 8,192 at n = 4) and a block's columns at most 1 MiB
-together; the leading variables that do not fit are constant per block.
+and a block's columns at most 1 MiB together: the last variables run
+through all their values in a block (3,125 rows at n = 4), and the
+leading ones that do not fit are constant per block.
 """
 
 from __future__ import annotations
@@ -274,19 +275,15 @@ _COLUMN_BITS = 1 << 15
 _BLOCK_BITS = 1 << 23
 
 
-def _first_failing_row(
-    k: int, steps: list[tuple[int, int]], root: int, n: int, column_bits: int = _COLUMN_BITS
-) -> tuple[int, ...] | None:
+def _first_failing_row(k: int, steps: list[tuple[int, int]], root: int, n: int) -> tuple[int, ...] | None:
     """The numerators of the first row of k variables, in
     `itertools.product` order, on which the lowered formula is below n.
 
     The table is evaluated a block of rows at a time, each slot's column
     packed into one int with one lane of w = n.bit_length() + 1 bits per
     row, row 0 of the block in the lowest lane.  The last t variables run
-    through all their values in a block, the one before them through a
-    chunk of consecutive values, and the leading ones are constant in it;
-    the blocks follow the rows' order (the last chunk is moved back to end
-    at n, so it reads again some rows that passed).  A lane holds a value
+    through all their values in a block and the leading ones are constant
+    in it, so the blocks follow the rows' order.  A lane holds a value
     0..n below its high bit, so x -> y = n - max(x - y, 0) is computed in
     every lane at once without a borrow crossing lanes: (x | H) - y keeps
     the high bit exactly where x >= y, which masks the low bits' x - y.
@@ -294,23 +291,17 @@ def _first_failing_row(
     w = n.bit_length() + 1
     s = w - 1
     base = n + 1
-    lanes_cap = max(1, min(column_bits, _BLOCK_BITS // (k + 1 + len(steps))) // w)
+    lanes_cap = max(1, min(_COLUMN_BITS, _BLOCK_BITS // (k + 1 + len(steps))) // w)
     t = 0
     while t < k and base ** (t + 1) <= lanes_cap:
         t += 1
-    size = base**t
-    chunk = min(base, lanes_cap // size) if t < k else 1
-    lanes = chunk * size
+    lanes = base**t
     ones = _repunit(lanes, w)
     high = ones << s
     top_col = n * ones
     trailing = [_ramp(base, base ** (t - 1 - i), lanes, w) for i in range(t)]
-    axes, ramps = [], []
-    if t < k:  # the chunked variable is its chunk's first value plus a ramp
-        axes = [range(base)] * (k - t - 1) + [[min(a, base - chunk) for a in range(0, base, chunk)]]
-        ramps = [0] * (k - t - 1) + [_ramp(chunk, size, lanes, w)]
-    for lead in itertools.product(*axes):
-        vals = [v * ones + r for v, r in zip(lead, ramps)]
+    for lead in itertools.product(range(base), repeat=k - t):
+        vals = [v * ones for v in lead]
         vals += trailing
         vals.append(0)
         push = vals.append
@@ -325,8 +316,7 @@ def _first_failing_row(
             for _ in range(t):
                 row, v = divmod(row, base)
                 digits.append(v)
-            head = lead[:-1] + (lead[-1] + row,) if lead else ()  # row is the chunk's offset
-            return head + tuple(reversed(digits))
+            return lead + tuple(reversed(digits))
     return None
 
 

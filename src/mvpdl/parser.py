@@ -364,7 +364,7 @@ def _shape(f, ctx: int, flat: set):
             a, b = m
             if ctx != _ODOT:  # the left operand of (.) prints as a plain chain
                 if k := _repeats(a, b, _match_odot, flat):
-                    return _chain("(.)", ((b, _POST + 1), f"^{min(k, _MAX_K)}"), b, k)
+                    return _chain(_POST, "(.)", ((b, _POST + 1), f"^{min(k, _MAX_K)}"), b, k)
                 # (x -> y) (.) (y -> x) is x <-> y
                 if type(a) is Implies and type(b) is Implies and a.lhs is b.rhs and a.rhs is b.lhs:
                     return _infix("<->", a.lhs, a.rhs)
@@ -380,7 +380,7 @@ def _shape(f, ctx: int, flat: set):
             return _infix("|", a.lhs, b)
         if type(a) is Not:  # ~x -> y is x (+) y
             if k := _repeats(a.sub, b, _match_oplus, flat):
-                return _chain("(+)", (f"{min(k, _MAX_K)}.", (b, _PRE)), b, k)
+                return _chain(_PRE, "(+)", (f"{min(k, _MAX_K)}.", (b, _PRE)), b, k)
             if type(a.sub) is not Implies and type(b) is not Implies:  # else -> reads better
                 return _infix("(+)", a.sub, b)
         return _infix("->", a, b)
@@ -394,12 +394,13 @@ def _infix(op: str, a, b):
     return level, ((a, level + right), text, (b, level + 1 - right))
 
 
-def _chain(op: str, head: tuple, part, k: int):
-    """The shape of the k-fold op chain of part: head alone (x^k or k.x)
-    for k up to the parser's _MAX_K, else head for _MAX_K followed by
-    op part as many times as are left, which parses to the same node."""
+def _chain(sugar: int, op: str, head: tuple, part, k: int):
+    """The shape of the k-fold op chain of part: head alone (x^k or k.x,
+    at the sugar's level) for k up to the parser's _MAX_K, else head for
+    _MAX_K followed by op part as many times as are left, which parses to
+    the same node."""
     if k <= _MAX_K:
-        return (_POST if op == "(.)" else _PRE), head
+        return sugar, head
     level, _, _, text = _OPERATORS[op]
     return level, head + (text, (part, level + 1)) * (k - _MAX_K)
 

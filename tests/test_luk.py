@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvpdl import luk
 from mvpdl.luk import (
     ResolutionMismatch,
     UnboundVariable,
@@ -31,7 +32,6 @@ from mvpdl.luk import (
     tv,
     unary_table,
 )
-from mvpdl.luk import _first_failing_row, _lower
 from mvpdl.parser import parse_formula
 from mvpdl.proofs import abstract_boxes
 from mvpdl.syntax import (
@@ -220,9 +220,9 @@ def test_packed_table_agrees_with_a_row_by_row_walk(table, column_bits):
     got = prop_counterexample(f, n)
     assert got == (None if expected is None else {k: tv(v, n) for k, v in expected.items()})
     # narrower columns: more and smaller blocks, down to one row each
-    names, steps, root = _lower(f)
-    row = _first_failing_row(len(names), steps, root, n, column_bits)
-    assert row == (None if expected is None else tuple(expected[k] for k in names))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(luk, "_COLUMN_BITS", column_bits)
+        assert prop_counterexample(f, n) == got
 
 
 def test_tables_of_many_blocks():
@@ -230,11 +230,11 @@ def test_tables_of_many_blocks():
     text = "p1 -> p8"
     for a, b in reversed(list(zip(names, names[1:]))):
         text = f"({a} -> {b}) -> ({text})"
-    # 5^8 = 390,625 rows, in 75 blocks of 2 x 5^5 rows
+    # 5^8 = 390,625 rows, in 125 blocks of 5^5 rows
     start = time.perf_counter()
     assert is_tautology_prop(parse_formula(text), 4)
     assert time.perf_counter() - start < 0.5  # a row at a time took 0.68 s
-    # first below 1 where every variable is above 0: in the sixth block
+    # first below 1 where every variable is above 0: in the 32nd block
     bad = prop_counterexample(parse_formula("~(" + " & ".join(names) + ")"), 4)
     assert bad == {name: tv(1, 4) for name in names}
     # below 1 only where every variable is 1: the last row of the last block
