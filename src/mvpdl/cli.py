@@ -455,7 +455,3 @@ def _cmd_ulam_run(args) -> int:
     else:
         print("undetermined: several candidates remain")
     return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

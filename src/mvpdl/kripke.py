@@ -10,9 +10,10 @@ atomic program, built while the world names are checked; predecessor
 lists are built from them on first use, and the world-name pairs of
 `relations` only when something reads that attribute.
 
-Evaluation computes whole value columns (one numerator per world)
-bottom-up over shared subterms and caches them per model.  A box takes
-its column from the columns of the closure members its law reads
+Evaluation computes whole value columns (one numerator per world), one
+per step of `syntax.plan` and each from the columns the step reads, and
+caches them per model; the plan leaves out what the cache holds.  A box
+takes its column from the columns of the closure members its law reads
 (`syntax.laws`), so only the atomic index lists are ever read:
 
     [a]f      ATOM  minimum of f over the a-successors (n at dead ends)
@@ -22,24 +23,26 @@ its column from the columns of the closure members its law reads
                     partial identities over fully true worlds)
     [b*]f     STAR  one flood over the states of its automaton
 
-A star box g = [b*]f is read through `syntax.star_states`: states s (g
-and closure members [b'][b*]f) whose edges take one atomic step, or a
-test that stays at worlds where its formula has value 1, or accept.  The
-value of state s at world w is the minimum of f over the worlds where
-some path from (w, s) through worlds x states accepts; with no such
-world it is 1.  The flood computes that for every state at once,
-backward over worlds x states: accepting pairs are taken in ascending f
-value, and each one not yet reached hands its value to every unreached
-pair that reaches it through unreached pairs.  The reached set stays
-closed under predecessors, so a pair is first reached from the
-lowest-valued accepting pair it can reach, which is its value; each pair
-and each edge between pairs is handled once, in O((W + E) * states) for
-W worlds and E atomic edges.  The columns of the other states are
-cached too.
+A star box g = [b*]f is read through its automaton,
+`syntax.star_states`, which its plan step carries (the step reads f and
+the tests' formulas): states s (g and closure members [b'][b*]f) whose
+edges take one atomic step, or a test that stays at worlds where its
+formula has value 1, or accept.  The value of state s at world w is the
+minimum of f over the worlds where some path from (w, s) through worlds
+x states accepts; with no such world it is 1.  The flood computes that
+for every state at once, backward over worlds x states: accepting pairs
+are taken in ascending f value, and each one not yet reached hands its
+value to every unreached pair that reaches it through unreached pairs.
+The reached set stays closed under predecessors, so a pair is first
+reached from the lowest-valued accepting pair it can reach, which is its
+value; each pair and each edge between pairs is handled once, in
+O((W + E) * states) for W worlds and E atomic edges.  The columns of the
+other states are cached too, and a later step for one of them is
+skipped.
 
-Formulas and programs are walked with explicit stacks, so depth is
-bounded by memory rather than by the interpreter's recursion limit.
-Models are immutable after construction.
+The plan keeps an explicit stack, so depth is bounded by memory rather
+than by the interpreter's recursion limit.  Models are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -48,10 +51,7 @@ import random
 from typing import Iterable, Mapping, Sequence
 
 from .luk import TruthValue
-from .syntax import ATOM, MIN, STAR, TEST, Box, Formula, Implies, Not, Var, Zero, laws, star_states
-
-
-_NOT, _IMP = "not", "imp"  # the connectives' ops, beside the laws' ops
+from .syntax import ATOM, FALSUM, IMP, MIN, NOT, STAR, TEST, VAR, Formula, plan
 
 
 class ModelError(ValueError):
@@ -64,8 +64,8 @@ class KripkeModel:
     relations maps atomic program names to world-name pairs (a pair given
     twice counts once); valuation maps variable names to a per-world value
     (numerator int or TruthValue).  The valuation must be total on worlds
-    x declared variables.  Atomic programs that were never declared denote
-    the empty relation.
+    x declared variables and name no other world.  Atomic programs that
+    were never declared denote the empty relation.
     """
 
     __slots__ = (
@@ -123,6 +123,9 @@ class KripkeModel:
                 if not 0 <= v <= n:
                     raise ModelError(f"numerator {v} of {var!r} at {w!r} out of range 0..{n}")
                 col.append(v)
+            if len(per_world) != len(col):
+                extra = next(w for w in per_world if w not in widx)
+                raise ModelError(f"valuation of {var!r} uses undeclared world {extra!r}")
             self._vcols[var] = col
         self.variables = tuple(sorted(self._vcols))
         self._zeros = [0] * len(self.worlds)
@@ -193,64 +196,35 @@ class KripkeModel:
         if got is not None:
             return got
         n = self.n
-        # (node, None) asks for node's column; (node, law) makes it once
-        # the columns the law reads are in the cache
-        stack: list[tuple[Formula, object]] = [(f, None)]
-        while stack:
-            node, law = stack.pop()
-            if law is None:
-                if node in prof:
-                    continue
-                t = type(node)
-                if t is Var:
-                    col = self._vcols.get(node.name)
+        try:
+            for g, op, reads, auto in plan((f,), prof):
+                if op is IMP:
+                    col = [n if x <= y else n - x + y for x, y in zip(prof[reads[0]], prof[reads[1]])]
+                elif op is NOT:
+                    col = [n - x for x in prof[reads[0]]]
+                elif op is VAR:
+                    col = self._vcols.get(g.name)
                     if col is None:
-                        raise ModelError(f"undeclared variable {node.name!r}")
-                    prof[node] = col
-                elif t is Zero:
-                    prof[node] = self._zeros
-                elif t is Not:
-                    stack.append((node, _NOT))
-                    stack.append((node.sub, None))
-                elif t is Implies:
-                    stack.append((node, _IMP))
-                    stack.append((node.lhs, None))
-                    stack.append((node.rhs, None))
-                elif t is Box:
-                    try:
-                        op, members = laws(node)
-                        if op is STAR:
-                            members = star_states(node)
-                    except TypeError as e:  # a box over something else
-                        raise ModelError(str(e)) from None
-                    stack.append((node, (op, members)))
-                    if op is STAR:  # the flood reads the body and every test's gate
-                        gates = {gate for edges in members.values() for _, gate, _ in edges}
-                        members = ({node.body} | gates) - {None}
-                    for g in members:
-                        stack.append((g, None))
-                else:
-                    raise ModelError(f"cannot evaluate {node!r}")
-                continue
-            if law is _NOT:
-                col = [n - x for x in prof[node.sub]]
-            elif law is _IMP:
-                a = prof[node.lhs]
-                b = prof[node.rhs]
-                col = [n if x <= y else n - x + y for x, y in zip(a, b)]
-            else:
-                op, members = law
-                if op is ATOM:
-                    col = self._atomic_box(node.prog.name, prof[members[0]])
+                        raise ModelError(f"undeclared variable {g.name!r}")
+                elif g in prof:  # a box a star flood cached after the plan entered it
+                    continue
+                elif op is ATOM:
+                    col = self._atomic_box(g.prog.name, prof[reads[0]])
                 elif op is MIN:
-                    col = prof[members[0]]
-                    if len(members) == 2:
-                        col = [x if x < y else y for x, y in zip(col, prof[members[1]])]
+                    col = prof[reads[0]]
+                    if len(reads) == 2:
+                        col = [x if x < y else y for x, y in zip(col, prof[reads[1]])]
                 elif op is TEST:
-                    col = [x if c == n else n for c, x in zip(prof[members[0]], prof[members[1]])]
+                    col = [x if c == n else n for c, x in zip(prof[reads[0]], prof[reads[1]])]
+                elif op is STAR:
+                    col = self._star(g, auto)
+                elif op is FALSUM:
+                    col = self._zeros
                 else:
-                    col = self._star(node, members)
-            prof[node] = col
+                    raise ModelError(f"cannot evaluate {g!r}")
+                prof[g] = col
+        except TypeError as e:  # from `laws` in the plan: a box over something else
+            raise ModelError(str(e)) from None
         return prof[f]
 
     def _atomic_box(self, name: str, body: list[int]) -> list[int]:
@@ -448,7 +422,9 @@ def parse_model(text: str) -> KripkeModel:
                     err(lineno, f"bad fraction {frac!r}")
                 if n is not None and den_i != n:
                     err(lineno, f"denominator {den_i} does not match n = {n}")
-                entries[w.strip()] = (num_i, den_i, lineno)
+                if w in entries:
+                    err(lineno, f"world {w!r} given twice for {var!r}")
+                entries[w] = (num_i, den_i, lineno)
             continue
         err(lineno, f"unrecognized line {line!r}")
     if n is None:

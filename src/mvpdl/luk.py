@@ -11,11 +11,12 @@ synthesis of one-variable threshold formulas (value 1 from i/n upward,
 0 below) and point indicators, built only from the doubling maps
 x (+) x and x (.) x.
 
-The tautology check reads the whole (n+1)**k table of k variables as
-packed columns: a subformula's values over a block of rows are one int
-with a lane of n.bit_length()+1 bits per row, so each implication is a
-few integer operations on every row of the block at once (broadword
-arithmetic, Knuth TAOCP 4A 7.1.3).  A column of a block is at most 4 KiB
+A formula is lowered to a straight-line program of implications in the
+order of `syntax.plan`.  The tautology check reads the whole (n+1)**k
+table of k variables as packed columns: a subformula's values over a
+block of rows are one int with a lane of n.bit_length()+1 bits per row,
+so each implication is a few integer operations on every row of the
+block at once (broadword arithmetic, Knuth TAOCP 4A 7.1.3).  A column of a block is at most 4 KiB
 and a block's columns at most 1 MiB together: the last variables run
 through all their values in a block (3,125 rows at n = 4), and the
 leading ones that do not fit are constant per block.
@@ -26,21 +27,10 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Mapping
 
-from .syntax import (
-    Box,
-    Formula,
-    Implies,
-    Not,
-    Var,
-    Zero,
-    land,
-    odot,
-    oplus,
-    variables_of,
-)
+from .syntax import FALSUM, IMP, NOT, VAR, ZERO, Formula, Not, Var, land, odot, oplus, plan
 
 
 class ResolutionMismatch(ValueError):
@@ -64,16 +54,9 @@ class TruthValue:
         if not 0 <= self.num <= self.n:
             raise ValueError(f"numerator {self.num} out of range 0..{self.n}")
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.n)
-
     @property
     def is_top(self) -> bool:
         return self.num == self.n
-
-    @property
-    def is_bottom(self) -> bool:
-        return self.num == 0
 
     def __str__(self):
         return f"{self.num}/{self.n}"
@@ -93,10 +76,6 @@ def tv(num: int, n: int) -> TruthValue:
 
 def top(n: int) -> TruthValue:
     return TruthValue(n, n)
-
-
-def bottom(n: int) -> TruthValue:
-    return TruthValue(0, n)
 
 
 def all_values(n: int) -> Iterator[TruthValue]:
@@ -171,46 +150,33 @@ def equiv(x: TruthValue, y: TruthValue) -> TruthValue:
 
 
 def _lower(f: Formula) -> tuple[list[str], list[tuple[int, int]], int]:
-    """Straight-line program of a modality-free formula.
+    """Straight-line program of a modality-free formula, in the order of
+    `syntax.plan`.
 
     Returns (names, steps, root) over a row of slots: slot i < len(names)
     holds the value of variable names[i] (names sorted), the next slot
     holds 0, and step k computes slot len(names) + 1 + k as the
     implication of the two slots it names; ~g is lowered as g -> 0.
-    Shared subformulas are lowered once, with an explicit stack, so depth
-    is not limited by the recursion limit.
     """
-    names = sorted(variables_of(f))
-    zero = len(names)
-    slot: dict[Formula, int] = {}
-    var_slot = {name: i for i, name in enumerate(names)}
-    steps: list[tuple[int, int]] = []
-    stack = [f]
-    while stack:
-        g = stack[-1]
-        if g in slot:
-            stack.pop()
-            continue
-        t = type(g)
-        if t is Var:
-            slot[g] = var_slot[g.name]
-        elif t is Zero:
-            slot[g] = zero
-        elif t is Not or t is Implies:
-            lhs, rhs = (g.sub, None) if t is Not else (g.lhs, g.rhs)
-            a = slot.get(lhs)
-            b = zero if rhs is None else slot.get(rhs)
-            if a is None or b is None:
-                stack.append(lhs if a is None else rhs)
-                continue
-            steps.append((a, b))
-            slot[g] = zero + len(steps)
-        elif t is Box:
-            raise ValueError("modal formula passed to propositional evaluation")
-        else:
+    names: list[Formula] = []
+    pending = []
+    for g, op, reads, _ in plan((f,)):
+        if op is VAR:
+            names.append(g)
+        elif op is NOT or op is IMP:
+            pending.append((g, reads[0], reads[1] if op is IMP else ZERO))
+        elif op is None:
             raise TypeError(f"not a formula: {g!r}")
-        stack.pop()
-    return names, steps, slot[f]
+        elif op is not FALSUM:
+            raise ValueError("modal formula passed to propositional evaluation")
+    names.sort(key=attrgetter("name"))
+    slot = {g: i for i, g in enumerate(names)}
+    slot[ZERO] = zero = len(names)
+    steps: list[tuple[int, int]] = []
+    for g, a, b in pending:
+        steps.append((slot[a], slot[b]))
+        slot[g] = zero + len(steps)
+    return [g.name for g in names], steps, slot[f]
 
 
 def _run(steps: list[tuple[int, int]], root: int, nums, n: int) -> int:

@@ -57,7 +57,9 @@ from .syntax import (
 )
 from .tautologies import schema_formulas
 
-_SCHEMA_OF_AXIOM = {"K": 14, "union": 1, "seq": 2, "test": 5, "fix": 10, "trans": 13, "ind": 12}
+# each axiom by its schema index in `tautologies`, or, for oplus and odot,
+# by the connective a box distributes over; in the order axiom_ids gives
+_AXIOMS = {"K": 14, "oplus": oplus, "odot": odot, "union": 1, "seq": 2, "test": 5, "fix": 10, "trans": 13, "ind": 12}
 
 
 class IncompleteSubstitution(ValueError):
@@ -65,20 +67,18 @@ class IncompleteSubstitution(ValueError):
 
 
 def axiom_ids() -> tuple[str, ...]:
-    return ("K", "oplus", "odot", "union", "seq", "test", "fix", "trans", "ind")
+    return tuple(_AXIOMS)
 
 
 def axiom_template(axiom_id: str, n: int) -> Formula:
     """The axiom over p, q, a, b."""
-    index = _SCHEMA_OF_AXIOM.get(axiom_id)
-    if index is not None:
-        return schema_formulas(index, n)[0]
+    source = _AXIOMS.get(axiom_id)
+    if source is None:
+        raise ValueError(f"unknown axiom {axiom_id!r}")
+    if type(source) is int:
+        return schema_formulas(source, n)[0]
     p, a = Var("p"), Atomic("a")
-    if axiom_id == "oplus":
-        return iff(Box(a, oplus(p, p)), oplus(Box(a, p), Box(a, p)))
-    if axiom_id == "odot":
-        return iff(Box(a, odot(p, p)), odot(Box(a, p), Box(a, p)))
-    raise ValueError(f"unknown axiom {axiom_id!r}")
+    return iff(Box(a, source(p, p)), source(Box(a, p), Box(a, p)))
 
 
 def instantiate_axiom(

@@ -6,13 +6,14 @@ respecting the connective arithmetic and the program laws of
 `syntax.laws`: MIN and TEST fix a box from other members, and a star box
 must meet its unfolding law (`_Rows.generate`, which also drops rows by
 two refinement rules).  Variables, atomic boxes and star boxes are its
-free positions.  Row v is an allowed a-successor of row w when v[ψ] >=
-w[[a]ψ] for every [a]ψ in the closure.  β-steps between rows run through
-the automaton of [β*]φ (`syntax.star_states`): from row w in state s an
-edge takes one allowed step of its atomic program into its target
-state, or a test that stays at w when w values its formula at n, or
-accepts at w itself.  Elimination repeats two rules until neither drops
-a row:
+free positions; the other members are computed in the order of
+`syntax.plan`, whose steps also carry the star boxes' automata.  Row v
+is an allowed a-successor of row w when v[ψ] >= w[[a]ψ] for every [a]ψ
+in the closure.  β-steps between rows run through the automaton of
+[β*]φ (`syntax.star_states`): from row w in state s an edge takes one
+allowed step of its atomic program into its target state, or a test
+that stays at w when w values its formula at n, or accepts at w itself.
+Elimination repeats two rules until neither drops a row:
 
 * Box rule: drop w when some [a]ψ = c < n in w has no surviving allowed
   successor v with v[ψ] = c.
@@ -80,18 +81,19 @@ from operator import and_, or_
 from .kripke import KripkeModel
 from .syntax import (
     ATOM,
+    IMP,
     MIN,
+    NOT,
     STAR,
+    TEST,
+    VAR,
     Box,
     Formula,
-    Implies,
-    Not,
     Program,
-    Var,
     atomic_programs_of,
     fl_closure,
     laws,
-    star_states,
+    plan,
     variables_of,
 )
 
@@ -173,9 +175,6 @@ def is_validity_verdict(result: SatResult) -> bool:
 # --- row abstraction --------------------------------------------------------
 
 
-_NOT, _IMP = "not", "imp"  # the connectives' ops in the row plan, beside MIN and TEST
-
-
 class _Rows:
     """Consistent closure rows for one formula at one resolution."""
 
@@ -183,10 +182,12 @@ class _Rows:
         self.n = n
         self.closure = fl_closure(f)
         self.index = {g: i for i, g in enumerate(self.closure)}
-        self.box_laws = {g: laws(g) for g in self.closure if type(g) is Box}
-        self.var_slots = [g for g in self.closure if type(g) is Var]
-        self.abox_slots = [g for g, (op, _) in self.box_laws.items() if op is ATOM]
-        self.star_slots = [g for g, (op, _) in self.box_laws.items() if op is STAR]
+        self.steps = list(plan(self.closure))
+        op = {g: op for g, op, _, _ in self.steps}
+        self.var_slots = [g for g in self.closure if op[g] is VAR]
+        self.abox_slots = [g for g in self.closure if op[g] is ATOM]
+        self.star_slots = [g for g in self.closure if op[g] is STAR]
+        self.autos = {g: auto for g, _, _, auto in self.steps if auto is not None}  # of the star boxes
         self.free = self.var_slots + self.abox_slots + self.star_slots
 
     def free_assignments(self) -> int:
@@ -196,20 +197,20 @@ class _Rows:
         """All locally consistent rows, in ascending tuple order, refined."""
         n = self.n
         free = [self.index[g] for g in self.free]
-        plan, unfold = self._plan()
+        derived, unfold = self._plan()
         vals = [0] * len(self.closure)  # falsum slots are never written
         rows = []
         for choice in itertools.product(range(n + 1), repeat=len(free)):
             for i, v in zip(free, choice):
                 vals[i] = v
-            for i, op, a, b in plan:
+            for i, op, a, b in derived:
                 x = vals[a]
                 y = vals[b]
-                if op is _IMP:
+                if op is IMP:
                     vals[i] = n if x <= y else n - x + y
                 elif op is MIN:
                     vals[i] = x if x < y else y
-                elif op is _NOT:
+                elif op is NOT:
                     vals[i] = n - x
                 else:  # TEST: a is the test formula, b the body
                     vals[i] = y if x == n else n
@@ -220,45 +221,18 @@ class _Rows:
         return self._refine(rows)
 
     def _plan(self) -> tuple[list[tuple[int, str, int, int]], list[tuple[int, int, int]]]:
-        """The derived members as (slot, op, a, b) steps over slots, each
-        after the slots it reads, and the unfolding law of each star box
-        [b*]f as (slot, slot of f, slot of [b][b*]f).
-
-        Derived members follow the connectives and the MIN and TEST laws
-        (`syntax.laws`); a dependency cycle would have to pass through a
-        free member, so the order exists.
-        """
+        """The derived members as (slot, op, a, b) steps over slots, in the
+        order of `syntax.plan`, and the unfolding law of each star box
+        [b*]f as (slot, slot of f, slot of [b][b*]f)."""
         index = self.index
-        steps: dict[int, tuple[int, str, int, int]] = {}
-        unfold = []
-        for i, g in enumerate(self.closure):
-            t = type(g)
-            if t is Not:
-                steps[i] = (i, _NOT, index[g.sub], index[g.sub])
-            elif t is Implies:
-                steps[i] = (i, _IMP, index[g.lhs], index[g.rhs])
-            elif t is Box:
-                op, members = self.box_laws[g]
-                a, b = index[members[0]], index[members[-1]]
-                if op is STAR:
-                    unfold.append((i, a, b))
-                elif op is not ATOM:
-                    steps[i] = (i, op, a, b)
-        plan = []
-        placed = set(range(len(self.closure))) - steps.keys()
-        for root in steps:
-            stack = [root]
-            while stack:
-                i = stack[-1]
-                todo = [j for j in steps[i][2:] if j not in placed]
-                if todo:
-                    stack += todo
-                    continue
-                stack.pop()
-                if i not in placed:
-                    placed.add(i)
-                    plan.append(steps[i])
-        return plan, unfold
+        derived, unfold = [], []
+        for g, op, reads, _ in self.steps:
+            if op is STAR:
+                body, chain = laws(g)[1]
+                unfold.append((index[g], index[body], index[chain]))
+            elif op in (NOT, IMP, MIN, TEST):
+                derived.append((index[g], op, index[reads[0]], index[reads[-1]]))
+        return derived, unfold
 
     def _refine(self, rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """Fixpoint of two rules that drop rows no model can produce.
@@ -385,10 +359,7 @@ class _Elimination:
         got = self._autos.get(g)
         if got is not None:
             return got
-        if self.info.box_laws[g][0] is STAR:
-            auto = star_states(g)
-        else:
-            auto = {g: [(g.prog.name, None, g.body)], g.body: [(None, None, None)]}
+        auto = self.info.autos.get(g) or {g: [(g.prog.name, None, g.body)], g.body: [(None, None, None)]}
         index = {state: i for i, state in enumerate(auto)}
         index[None] = len(auto)
         into: list[list[tuple[int, str | None, int]]] = [[] for _ in index]

@@ -10,7 +10,10 @@ nondeterministic choice and iteration (star).  This module states the
 regular-program laws, once: `laws` gives the law of a box and the
 closure members it reads, `star_states` derives from it the ε-free
 automaton of a star box, and the Fischer-Ladner closure, the decider and
-the model checker all read them.
+the model checker all read them.  `plan` states, once, what each
+formula's value is computed from and orders the formulas a value
+depends on, each after what it reads; the model checker, the decider's
+row generator and the propositional truth table all run that order.
 
 Trees are immutable and interned (hash-consed): constructing a node whose
 class and fields equal those of a live node returns that node.  So `==`
@@ -23,7 +26,7 @@ from __future__ import annotations
 import weakref
 from _weakref import _remove_dead_weakref  # as weakref.WeakValueDictionary uses
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Iterator, Mapping
 
 
 class _Ref(weakref.ref):
@@ -423,6 +426,71 @@ def star_states(g: Box) -> dict[Formula, list[Edge]]:
             else:  # MIN, or a star inside β
                 work.extend(members)
     return auto
+
+
+# --- dependency order ------------------------------------------------------
+#
+# A formula's value is computed from the values of a few others, one step
+# per formula, (formula, op, reads, automaton):
+#
+#   p       VAR     ()
+#   0       FALSUM  ()
+#   ~g      NOT     (g,)
+#   g -> h  IMP     (g, h)
+#   [π]φ    its law and the members it reads (`laws`), except that a
+#           star box [β*]φ reads φ and the test gates of its automaton,
+#           carried as the fourth field, and not its chain [β][β*]φ,
+#           which reads the star box back
+#
+# Anything else is a step with op None that reads nothing, for the caller
+# to reject in its own words.
+
+VAR, FALSUM, NOT, IMP = "var", "falsum", "not", "imp"
+
+_DONE = object()  # on the plan's stack above a step whose reads are entered
+
+Step = tuple[Formula, str | None, tuple[Formula, ...], dict[Formula, list[Edge]] | None]
+
+
+def plan(roots: Iterable[Formula], known: Container[Formula] = ()) -> Iterator[Step]:
+    """The steps of every formula the roots' values depend on, each after
+    the steps of the formulas it reads, every formula once; formulas in
+    `known`, and what only they lead to, are left out.
+
+    The walk keeps an explicit stack, so depth is bounded by memory.  It
+    is lazy and enters a formula's reads last first (h before g in
+    g -> h), so a caller that stops at its first bad step stops where a
+    depth-first walk would.  The TypeError of `laws` for a box over
+    something that is not a program is raised on entering the box, and a
+    formula put into `known` before the walk enters it is skipped.
+    """
+    seen = set()
+    stack: list = list(roots)  # formulas to enter, and each entered step above _DONE
+    push = stack.append
+    while stack:
+        g = stack.pop()
+        if g is _DONE:  # the reads of the step below it are done
+            yield stack.pop()
+            continue
+        if g in seen or g in known:
+            continue
+        seen.add(g)
+        t, auto = type(g), None
+        if t is Not:
+            op, reads = NOT, (g.sub,)
+        elif t is Implies:
+            op, reads = IMP, (g.lhs, g.rhs)
+        elif t is Box:
+            op, reads = laws(g)
+            if op is STAR:
+                auto = star_states(g)
+                reads = (g.body, *(gate for edges in auto.values() for _, gate, _ in edges if gate is not None))
+        else:
+            yield (g, VAR if t is Var else FALSUM if t is Zero else None, (), None)
+            continue
+        push((g, op, reads, auto))
+        push(_DONE)
+        stack += reads
 
 
 # --- decomposition closure -------------------------------------------------

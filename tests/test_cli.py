@@ -1,5 +1,6 @@
 """Exit codes, output shapes, and golden files of the command line."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -224,6 +225,10 @@ def test_error_exits_are_two(tmp_path, capsys, monkeypatch):
     bad.write_text("n = 2\nworlds: u\nval p: u=1/3\n")
     assert main(["eval", "--model", str(bad), "--world", "u", "p"]) == 2
     assert "denominator" in capsys.readouterr().err
+    # a valuation typo is an error, not a verdict
+    bad.write_text("n = 2\nworlds: u v\nval p: u=1/2 v=2/2 z=0/2\nval p: u=0/2\n")
+    assert main(["check", "--model", str(bad), "p"]) == 2
+    assert capsys.readouterr() == ("", "error: line 4: world 'u' given twice for 'p'\n")
     # an internal failure exits 2, never 1, which reads as "not valid"
     def fail(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
@@ -266,3 +271,41 @@ def test_calls_in_one_process_match_fresh_interpreters(model_file, capsys, monke
         out, err = proc.communicate(timeout=60)
         assert (code, captured.out, captured.err) == (proc.returncode, out, err), argv
     assert [proc.returncode for proc in fresh] == [1, 1, 1, 1, 2, 0]
+
+
+def test_undeclared_variables_are_named_as_before(model_file, capsys):
+    # sha256 of stdout, stderr and exit code before the model checker and
+    # the truth table took their order from `syntax.plan`: with several
+    # undeclared variables, the error names the one the walk meets first
+    formulas = [
+        "x -> y", "y -> x", "~x -> (y -> z)", "(x -> y) -> z", "x -> (y -> z)",
+        "[a](x -> y) -> z", "<a>x & y", "[x?]y", "[(a;x?)*]p -> y", "[a*]x -> y",
+        "[(a+b)*](x | y)", "p -> q", "[b]x", "x^3 -> y", "q (+) [a;a]r", "[(x?;a)*]p",
+        "[y?](x -> p)", "z & (x (.) y)", "[a][a*]y -> <a;b>x",
+    ]
+    digest = hashlib.sha256()
+    for f in formulas:
+        for argv in (
+            ["check", "--model", model_file, f],
+            ["check", "--model", model_file, "--json", f],
+            ["eval", "--model", model_file, "--world", "v", f],
+            ["taut", "--n", "3", f],
+        ):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            digest.update(f"{argv[0]} {f}\n{code}\n{out}\n{err}\n".encode())
+    assert main(["check", "--model", model_file, "x -> y"]) == 2
+    assert capsys.readouterr().err == "error: undeclared variable 'y'\n"
+    assert digest.hexdigest() == "3678046d68609fae5a39de1035b0de3d1f0b847505ffdf4c55889ca2cd235e6e"
+
+
+def test_python_dash_m_runs_the_command_line():
+    env = dict(os.environ, PYTHONPATH=str(Path(mvpdl.__file__).parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "mvpdl", *argv], capture_output=True, text=True, env=env, timeout=60)
+
+    done = run("taut", "p -> p", "--n", "2")
+    assert (done.returncode, done.stdout) == (0, "tautology\n")
+    done = run("--version")
+    assert (done.returncode, done.stdout) == (0, f"mvpdl {mvpdl.__version__}\n")

@@ -19,7 +19,7 @@ from mvpdl.kripke import (
 )
 from mvpdl.luk import tv
 from mvpdl.parser import format_formula, parse_formula, parse_program
-from mvpdl.syntax import Atomic, Box, Implies, Seq, Star, Union, Var, power
+from mvpdl.syntax import Atomic, Box, Implies, Not, Seq, Star, Test, Union, Var, power
 from mvpdl.tautologies import random_formula, random_program
 from relational import Relational
 
@@ -148,6 +148,8 @@ def test_model_validation_errors():
         KripkeModel(2, ["u", "v"], {}, {"p": {"u": 1}})
     with pytest.raises(ModelError):
         KripkeModel(2, ["u"], {}, {"p": {"u": 3}})
+    with pytest.raises(ModelError, match="valuation of 'p' uses undeclared world 'z'"):
+        KripkeModel(2, ["u", "v"], {}, {"p": {"u": 1, "z": 0, "v": 2}})
     m = counterexample_model()
     with pytest.raises(ModelError):
         m.value("zz", parse_formula("p"))
@@ -206,6 +208,12 @@ def test_model_file_errors():
         parse_model("worlds: u\nval p: u=1/2\n")
     with pytest.raises(ModelError, match="edge"):
         parse_model("n = 2\nworlds: u\nrel a: u=v\n")
+    with pytest.raises(ModelError, match="undeclared world 'z'"):
+        parse_model("n = 2\nworlds: u v\nval p: u=1/2 v=2/2 z=0/2\n")
+    with pytest.raises(ModelError, match="line 4: world 'u' given twice for 'p'"):
+        parse_model("n = 2\nworlds: u v\nval p: u=1/2 v=2/2\nval p: u=0/2\n")
+    with pytest.raises(ModelError, match="line 3: world 'v' given twice"):
+        parse_model("n = 2\nworlds: u v\nval p: v=1/2 u=2/2 v=0/2\n")
 
 
 def _shaped(pairs, kind):
@@ -400,6 +408,13 @@ def test_even_steps_star_on_a_long_path():
 def test_deep_program_evaluates_like_a_box_chain():
     cycle = [("w0", "w1"), ("w1", "w2"), ("w2", "w0")]
     m = KripkeModel(2, ["w0", "w1", "w2"], {"a": cycle}, {"p": {"w0": 2, "w1": 1, "w2": 0}})
+    # 100,000-deep ~ and -> chains: the plan's stack, not the recursion limit
+    negations = implications = Var("p")
+    for _ in range(100_000):
+        negations = Not(negations)
+        implications = Implies(Var("p"), implications)
+    assert m.value("w2", negations) == tv(0, 2)  # p is 0 at w2, under an even number of ~
+    assert m.value("w2", implications) == tv(2, 2)
     depth = 1500
     left = right = Atomic("a")
     chain = Box(Atomic("a"), Var("p"))
@@ -412,3 +427,35 @@ def test_deep_program_evaluates_like_a_box_chain():
     assert m.value("w0", Box(left, Var("p"))) == want
     assert m.value("w0", Box(right, Var("p"))) == want
     assert m.value("w1", Box(Star(right), Var("p"))) == tv(0, 2)
+
+
+def test_value_profiles_are_pinned():
+    # sha256 of the value columns the model checker gave before one
+    # dependency order (`syntax.plan`) replaced its own stack walk; seven
+    # formulas per model, so later ones meet columns cached by earlier ones
+    rng = random.Random(20261019)
+    names = {"var_names": ("p", "q", "r"), "atom_names": ("a", "b", "c")}
+    digest = hashlib.sha256()
+    count = 0
+    for _ in range(300):
+        m = random_model(
+            seed=rng.randrange(2**31),
+            n=rng.randint(1, 4),
+            world_count=rng.randint(1, 9),
+            atom_names=("a", "b"),
+            var_names=("p", "q", "r"),
+            edge_density=rng.choice((0.0, 0.15, 0.35, 0.6)),
+        )
+        for k in range(7):
+            f = random_formula(rng, rng.randint(1, 4), **names)
+            if k % 3 == 1:  # a star over a program with tests, or a nested star
+                inner = Star(random_program(rng, 2, **names))
+                prog = Seq(Test(random_formula(rng, 2, **names)), rng.choice((inner, Union(inner, Atomic("a")))))
+                f = Implies(Box(Star(prog), random_formula(rng, 2, **names)), f)
+            elif k % 3 == 2:
+                f = Box(Star(random_program(rng, 3, **names)), f)
+            prof = m.value_profile(f)
+            digest.update(repr([prof[w].num for w in m.worlds]).encode())
+            count += 1
+    assert count >= 2000
+    assert digest.hexdigest() == "fd536c22c833e643236256cc96bea4c9ab1852966d19e9fc295028ada9667922"

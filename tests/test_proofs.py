@@ -118,6 +118,15 @@ def test_modal_abstraction():
 def test_deep_luk_line_checks():
     d = parse_derivation("1. [a]p^300 -> [a]p^300 ; luk\n", 2)
     assert check_derivation(d) is None
+    # 100,000-deep ~ and -> chains
+    negations = implications = P
+    for _ in range(100_000):
+        negations = Not(negations)
+        implications = Implies(P, implications)
+    d = Derivation(n=2)
+    d.add(Implies(P, negations), Luk())
+    d.add(implications, Luk())
+    assert check_derivation(d) is None
 
 
 def test_check_line_modus_ponens():

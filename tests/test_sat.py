@@ -1,5 +1,6 @@
 """Decision procedures and their brute-force arbiter."""
 
+import hashlib
 import random
 
 import pytest
@@ -293,3 +294,30 @@ def test_real_rows_survive_elimination():
             for g in info.closure
         )
     assert checked > 250 and compound > 50
+
+
+def test_generated_rows_are_pinned():
+    # sha256 of the rows `_Rows.generate` gave before its row plan came
+    # from `syntax.plan`: every schema formula at n = 1..3 and 300 seeded
+    # random formulas (those past 20,000 free assignments are left out,
+    # for time)
+    from mvpdl.tautologies import SCHEMA_COUNT, schema_formulas
+
+    digest = hashlib.sha256()
+    formulas = [(f, n) for i in range(1, SCHEMA_COUNT + 1) for n in (1, 2, 3) for f in schema_formulas(i, n)]
+    rng = random.Random(77)
+    names = {"var_names": ("p", "q"), "atom_names": ("a", "b")}
+    for trial in range(300):
+        f = random_formula(rng, rng.randint(1, 3), **names)
+        if trial % 2:
+            f = Implies(Box(Star(random_program(rng, 2, **names)), random_formula(rng, 1, **names)), f)
+        formulas.append((f, rng.randint(1, 3)))
+    generated = 0
+    for f, n in formulas:
+        info = _Rows(f, n)
+        if info.free_assignments() > 20_000:
+            continue
+        digest.update(repr(info.generate()).encode())
+        generated += 1
+    assert generated >= 300
+    assert digest.hexdigest() == "04c8b63a2b223283d68fdbf5ef0db1d4fc9e5912c8153f6f5fcf2f69d41d86b7"

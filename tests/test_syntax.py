@@ -8,10 +8,17 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mvpdl import syntax
 from mvpdl.luk import all_values, eval_prop
 from mvpdl.parser import parse_formula
 from mvpdl.syntax import (
+    IMP,
+    NOT,
+    STAR,
+    VAR,
     Atomic,
     Box,
     Implies,
@@ -26,10 +33,12 @@ from mvpdl.syntax import (
     diamond,
     fl_closure,
     iff,
+    laws,
     land,
     lor,
     odot,
     oplus,
+    plan,
     power,
     star_states,
     substitute,
@@ -37,7 +46,7 @@ from mvpdl.syntax import (
     variables_of,
     atomic_programs_of,
 )
-from mvpdl.tautologies import random_formula
+from mvpdl.tautologies import random_formula, random_program
 
 P, Q, R = Var("p"), Var("q"), Var("r")
 A, B = Atomic("a"), Atomic("b")
@@ -242,3 +251,47 @@ def test_variable_and_atom_collection():
     f = parse_formula("[(q?); a]p -> [b*]r")
     assert variables_of(f) == {"p", "q", "r"}
     assert atomic_programs_of(f) == {"a", "b"}
+
+
+def test_plan_enters_reads_last_first():
+    f = Implies(P, Q)
+    assert list(plan([f])) == [(Q, VAR, (), None), (P, VAR, (), None), (f, IMP, (P, Q), None)]
+    g = Not(Box(A, P))
+    assert [step[0] for step in plan([g])] == [P, Box(A, P), g]
+    assert list(plan([g], known={Box(A, P)})) == [(g, NOT, (Box(A, P),), None)]
+    h = parse_formula("[(p?;a)*]q")
+    assert list(plan([h])) == [(P, VAR, (), None), (Q, VAR, (), None), (h, STAR, (Q, P), star_states(h))]
+    assert list(plan([A])) == [(A, None, (), None)]  # not a formula: the caller rejects it
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.floats(0, 0.5))
+def test_plan_orders_each_step_after_what_it_reads(seed, count, share):
+    rng = random.Random(seed)
+    roots = [random_formula(rng, rng.randint(0, 4)) for _ in range(count)]
+    roots.append(Box(Star(random_program(rng, 3)), random_formula(rng, 2)))
+    members = fl_closure(roots)
+    known = set(rng.sample(members, int(share * len(members))))
+    steps = list(plan(roots, known))
+    placed = set()
+    for g, op, reads, auto in steps:
+        assert g not in known and g not in placed
+        assert all(r in placed or r in known for r in reads)
+        placed.add(g)
+        if type(g) is Box:
+            law, law_reads = laws(g)
+            assert op is law
+            if op is STAR:
+                gates = {gate for edges in auto.values() for _, gate, _ in edges} - {None}
+                assert auto == star_states(g) and reads[0] is g.body and set(reads[1:]) == gates
+            else:
+                assert reads == law_reads and auto is None
+    # exactly what the roots reach without passing through known
+    reach, todo = set(), [r for r in roots if r not in known]
+    reads_of = {g: reads for g, _, reads, _ in steps}
+    while todo:
+        g = todo.pop()
+        if g not in reach:
+            reach.add(g)
+            todo += [r for r in reads_of[g] if r not in known]
+    assert placed == reach
