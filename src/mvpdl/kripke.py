@@ -120,6 +120,8 @@ class KripkeModel:
                     if v.n != n:
                         raise ModelError(f"value {v} of {var!r} at {w!r} is not at /{n}")
                     v = v.num
+                elif type(v) is not int:  # a bool or a float would print as True/2 or 0.5/2
+                    raise ModelError(f"numerator {v!r} of {var!r} at {w!r} is not an integer")
                 if not 0 <= v <= n:
                     raise ModelError(f"numerator {v} of {var!r} at {w!r} out of range 0..{n}")
                 col.append(v)

@@ -51,6 +51,8 @@ class TruthValue:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"resolution must be >= 1, got {self.n}")
+        if type(self.num) is not int:  # a bool or a float would print as True/2 or 0.5/2
+            raise ValueError(f"numerator {self.num!r} is not an integer")
         if not 0 <= self.num <= self.n:
             raise ValueError(f"numerator {self.num} out of range 0..{self.n}")
 

@@ -14,17 +14,33 @@ game layer resolves them against a concrete search space.
 binding level, constructor, associativity and printed text.  The parser
 and the printer both read it, and the prefix levels beside it.
 
-The tokenizer is one regular expression that yields (kind, text, offset)
-tuples; a line and column are worked out from the offset only for an
-error.  The parser is one operator-precedence loop over one explicit
-stack (Dijkstra's shunting-yard) that reads formulas and programs
-together.  An identifier or a bracketed group in program position may be
+The tokenizer is one `findall` of one regular expression, which yields the
+bare words of the text.  Punctuation is its own kind; each distinct other
+word is classified once, in the order of first occurrence, as an
+identifier, an integer or a question atom, into a dict the parser looks
+kinds up in, so a bad character raises before any syntax error, at the
+leftmost place.  No per-token tuple is built: an error's line and column
+are worked out by scanning the text again up to the word at fault.
+
+The parser is one operator-precedence loop over one explicit stack
+(Dijkstra's shunting-yard) that reads formulas and programs together.
+An identifier or a bracketed group in program position may be
 either sort, so it is read once as a sort-neutral operand, and the token
 after it fixes its sort: a formula operator, `?` or `^` makes it a test's
 formula, while `;`, `+`, `*` or a program's closing bracket makes it a
 program.  So no token is read twice, nothing recurses, and parentheses nest
 to any depth.  A syntax error is reported at the first token that no
 reading of the text can take.
+
+Texts that restate each other, such as the lines of a derivation, can
+share one `Groups` table.  A parenthesized group in formula position
+reads as the same node wherever it stands, so the table keeps that node
+under the group's id, and a later occurrence of the group, in that text or
+a later one, is read as the node by jumping past its `)`.  Ids are
+hash-consed from a group's words and its inner groups' ids in one pass
+over the parentheses, so computing them is linear however deep groups
+nest.  A group in program position is not kept, since its sort is open.
+Without a table the loop is the same and nothing is kept.
 
 The printer is one table walked by one loop.  `_shape` states the sugar
 rules once: it gives a node's binding level and its text as literal
@@ -41,6 +57,7 @@ Since trees are interned, parsing the printed text returns the very node
 from __future__ import annotations
 
 import re
+from itertools import compress, count, islice
 
 from .syntax import (
     Atomic,
@@ -109,40 +126,80 @@ _MAX_K = 10_000  # largest k in ^k and k.
 # Whitespace, then a token: a question atom (or one with no closing
 # brace), an identifier, an integer, a punctuation mark of several
 # characters, or any one other character.
-_TOKEN = re.compile(r"(\s*)(~?[^\W\d_]\w*\{[^}]*\}?|[^\W\d_]\w*|[0-9]+|\(\+\)|\(\.\)|<->|->|\S)")
-_PUNCT = {p: p for p in ("(+)", "(.)", "<->", "->", *"()[]<>|&^;+*?.~")}
+_TOKEN = re.compile(r"\s*(~?[^\W\d_]\w*\{[^}]*\}?|[^\W\d_]\w*|[0-9]+|\(\+\)|\(\.\)|<->|->|\S)")
+_PUNCT = frozenset(("(+)", "(.)", "<->", "->", *"()[]<>|&^;+*?.~"))
+_END = "end of input"  # the word after the last, and its kind
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, offset) tuples, ending in an end-of-input token; kind is
-    "ident", "int", "qatom" or the punctuation itself."""
-    tokens = []
-    offset = 0
-    for space, word in _TOKEN.findall(text):
-        offset += len(space)
-        kind = _PUNCT.get(word)
-        if kind is None:
-            head = word[word[0] == "~"]  # the letter a question atom starts with
-            if "0" <= head <= "9":
-                kind = "int"
-            elif not head.isalpha():  # such as $, ² or ١
-                line, col = _position(text, offset + (word[0] == "~"))
-                raise ParseError(f"unexpected character {head!r} at line {line}, column {col}", line, col)
-            elif "{" not in word:
-                kind = "ident"
-            elif word[-1] != "}":
-                line, col = _position(text, offset)
-                raise ParseError(f"unterminated '{{' in question atom at line {line}, column {col}", line, col)
-            else:
-                kind = "qatom"
-        tokens.append((kind, "".join(word.split()) if kind == "qatom" else word, offset))
-        offset += len(word)
-    tokens.append(("end of input", "", len(text)))
-    return tokens
+def _offset(text: str, i: int) -> int:
+    """Where the i-th word of text starts (its length for _END)."""
+    m = next(islice(_TOKEN.finditer(text), i, None), None)
+    return len(text) if m is None else m.start(1)
+
+
+def _tokenize(text: str) -> tuple[list[str], dict[str, str]]:
+    """The words of text, ending in _END, and the kind of each word that is
+    no punctuation mark: "ident", "int" or "qatom" (a punctuation mark is
+    its own kind).  Each distinct word is classified once, in the order of
+    first occurrence, so the leftmost bad word raises."""
+    words = _TOKEN.findall(text)
+    kinds = {}
+    for word in dict.fromkeys(words):
+        if word in _PUNCT:
+            continue
+        head = word[word[0] == "~"]  # the letter a question atom starts with
+        if "0" <= head <= "9":
+            kinds[word] = "int"
+        elif not head.isalpha():  # such as $, ² or ١
+            line, col = _position(text, _offset(text, words.index(word)) + (word[0] == "~"))
+            raise ParseError(f"unexpected character {head!r} at line {line}, column {col}", line, col)
+        elif "{" not in word:
+            kinds[word] = "ident"
+        elif word[-1] != "}":
+            line, col = _position(text, _offset(text, words.index(word)))
+            raise ParseError(f"unterminated '{{' in question atom at line {line}, column {col}", line, col)
+        else:
+            kinds[word] = "qatom"
+    words.append(_END)
+    return words, kinds
+
+
+class Groups:
+    """The group table that related texts share: `ids` maps a group's key,
+    its words with each inner group replaced by that group's id, to its id,
+    and `nodes` maps the id of a group read in formula position to its
+    node."""
+
+    def __init__(self):
+        self.ids: dict[tuple, int] = {}
+        self.nodes: dict[int, Formula] = {}
+
+    def spans(self, words: list[str]) -> list:
+        """A list beside `words` that holds, at each ( that has its ), the
+        index of that ), and there the group's id.  Only the parentheses
+        are visited one by one: the words of the open groups are kept in one
+        list, each group's from the offset that its ( pushed on `opened`."""
+        ids, spans, opened, items, last = self.ids, [None] * len(words), [], [], 0
+        for i in compress(count(), map("()".__contains__, words)):
+            if last < i:
+                items += words[last:i]
+            last = i + 1
+            if words[i] == "(":
+                opened.append(i)
+                opened.append(len(items))
+            elif opened:
+                off = opened.pop()
+                if off != len(items) - 1 or type(items[-1]) is not int:  # ((x)) has the id of (x)
+                    key = tuple(items[off:])
+                    del items[off:]
+                    items.append(ids.setdefault(key, len(ids)))
+                spans[i] = items[-1]
+                spans[opened.pop()] = i
+        return spans
 
 
 # Markers on the operator stack, as (level, closing token, constructor).
@@ -153,64 +210,72 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # may stand (_GROUP) holds either sort.
 _TEST = (1, "?", None)
 _FORMULA_GROUP = (1, ")", None)
-_FORMULA_END = (1, "end of input", None)
+_FORMULA_END = (1, _END, None)
 _GROUP = (0, ")", None)
-_PROGRAM_END = (0, "end of input", None)
+_PROGRAM_END = (0, _END, None)
 # What a prefix pushes: `~` itself, or the marker that `]` or `>` turns into
 # the box or diamond of the program read up to it.
 _PREFIXES = {"~": (_PRE, Not, None), "[": (0, "]", Box), "<": (0, ">", diamond)}
 
 
-def parse_formula(text: str) -> Formula:
-    return _parse(text, _FORMULA_END)
+def parse_formula(text: str, groups: Groups | None = None) -> Formula:
+    """The formula text reads; with `groups`, its groups are looked up in
+    and added to that table."""
+    return _parse(text, _FORMULA_END, groups)
 
 
-def parse_program(text: str) -> Program:
-    return _parse(text, _PROGRAM_END)
+def parse_program(text: str, groups: Groups | None = None) -> Program:
+    return _parse(text, _PROGRAM_END, groups)
 
 
-def _parse(text: str, end: tuple):
+def _parse(text: str, end: tuple, groups: Groups | None):
     """Shunting-yard over `ops` (operators and markers) and `vals`
     (operands); a str operand is an identifier whose sort is not fixed."""
-    tokens = _tokenize(text)
+    words, kinds = _tokenize(text)
+    spans, nodes = ([None] * len(words), {}) if groups is None else (groups.spans(words), groups.nodes)
     ops, vals, i = [end], [], 0
     while True:  # at an operand
-        kind, word, _ = tokens[i]
+        word = words[i]
+        kind = kinds.get(word, word)
         i += 1
         formula = 1 <= ops[-1][0] < _PROG
         if kind == "ident":
             vals.append(Var(word) if formula else word)
         elif kind == "(":
-            ops.append(_FORMULA_GROUP if formula else _GROUP)
-            continue
+            close = spans[i - 1] if formula else None
+            if close is None or (node := nodes.get(spans[close])) is None:
+                ops.append(_FORMULA_GROUP if formula else _GROUP)
+                continue
+            vals.append(node)  # a group read before: skip to its )
+            i = close + 1
         elif kind == "qatom" and not formula:
-            vals.append(Atomic(word))
+            vals.append(Atomic("".join(word.split())))
         else:
             if not formula:  # a formula starts here, as a test's
                 ops.append(_TEST)
             if kind in _PREFIXES:
                 ops.append(_PREFIXES[kind])
                 continue
-            if kind == "int" and tokens[i][0] == ".":
-                ops.append((_PRE, times, _count(text, tokens[i - 1])))
+            if kind == "int" and words[i] == ".":
+                ops.append((_PRE, times, _count(text, words, i - 1)))
                 i += 1
                 continue
             if word not in ("0", "1"):
                 either = ("0 or 1" if kind == "int" else "formula",) + (() if formula else ("program",))
-                raise _error(text, tokens[i - 1], either)
+                raise _error(text, words, kinds, i - 1, either)
             vals.append(ONE if word == "1" else ZERO)
-        while True:  # after an operand
-            kind, word, _ = tokens[i]
+        while True:  # after an operand; a word that is no punctuation here is an error
+            word = words[i]
             i += 1
             top = vals[-1]
             neutral = type(top) is str
-            row = _OPERATORS.get(kind)
+            row = _OPERATORS.get(word)
             if row is not None:
                 level, make, right, _ = row
                 if (level < _PROG) != (1 <= ops[-1][0] < _PROG):
                     # of the other sort: only a neutral operand takes it, as a test's formula
                     if not neutral:
-                        raise _error(text, tokens[i - 1], _closers(ops, False))
+                        raise _error(text, words, kinds, i - 1, _closers(ops, False))
                     vals[-1] = Var(top)
                     ops.append(_TEST)
                 elif neutral:
@@ -222,25 +287,25 @@ def _parse(text: str, end: tuple):
                 elif make is not power:
                     ops.append(row)
                     break
-                elif tokens[i][0] != "int":
-                    raise _error(text, tokens[i], ("int",))
+                elif kinds.get(words[i]) != "int":
+                    raise _error(text, words, kinds, i, ("int",))
                 else:
-                    vals[-1] = power(vals[-1], _count(text, tokens[i]))
+                    vals[-1] = power(vals[-1], _count(text, words, i))
                     i += 1
                 continue
             if neutral:
-                if kind == "?":
+                if word == "?":
                     vals[-1] = Test(Var(top))
                     continue
-                if kind == ")" and ops[-1] is _GROUP:  # (a) keeps its sort open
+                if word == ")" and ops[-1] is _GROUP:  # (a) keeps its sort open
                     ops.pop()
                     continue
                 vals[-1] = Atomic(top)
             _reduce(ops, vals, 2)
             mark = ops[-1]
-            if mark[1] != kind:
-                if not (kind == ")" and mark is _TEST and ops[-2] is _GROUP):
-                    raise _error(text, tokens[i - 1], _closers(ops, neutral))
+            if mark[1] != word:
+                if not (word == ")" and mark is _TEST and ops[-2] is _GROUP):
+                    raise _error(text, words, kinds, i - 1, _closers(ops, neutral))
                 ops[-2:] = [_TEST]  # a formula in parentheses
                 continue
             ops.pop()
@@ -251,6 +316,8 @@ def _parse(text: str, end: tuple):
             elif mark[2] is not None:  # ] or > ends a box or diamond's program
                 ops.append((_PRE, mark[2], vals.pop()))
                 break
+            elif mark is _FORMULA_GROUP and (gid := spans[i - 1]) is not None:
+                nodes[gid] = vals[-1]  # kept for the group's next occurrence
 
 
 def _reduce(ops: list, vals: list, floor: int) -> None:
@@ -264,11 +331,12 @@ def _reduce(ops: list, vals: list, floor: int) -> None:
             vals.append(op[1](last) if op[2] is None else op[1](op[2], last))
 
 
-def _count(text: str, token: tuple) -> int:
-    """The k of ^k or k., which builds a k-long chain: at most _MAX_K."""
-    k = int(token[1]) if len(token[1].lstrip("0")) <= 5 else _MAX_K + 1
+def _count(text: str, words: list[str], i: int) -> int:
+    """The k of ^k or k. at word i, which builds a k-long chain: at most _MAX_K."""
+    word = words[i]
+    k = int(word) if len(word.lstrip("0")) <= 5 else _MAX_K + 1
     if k > _MAX_K:
-        line, col = _position(text, token[2])
+        line, col = _position(text, _offset(text, i))
         raise ParseError(f"power or multiple above {_MAX_K} at line {line}, column {col}", line, col, ("int",))
     return k
 
@@ -286,11 +354,11 @@ def _closers(ops: list, neutral: bool) -> tuple[str, ...]:
     return tuple(sorted(out))
 
 
-def _error(text: str, token: tuple, expected: tuple[str, ...]) -> ParseError:
-    kind, _, offset = token
-    line, col = _position(text, offset)
+def _error(text: str, words: list[str], kinds: dict[str, str], i: int, expected: tuple[str, ...]) -> ParseError:
+    """The syntax error at word i."""
+    line, col = _position(text, _offset(text, i))
     return ParseError(
-        f"syntax error at line {line}, column {col}: expected {' or '.join(expected)}, found {kind}",
+        f"syntax error at line {line}, column {col}: expected {' or '.join(expected)}, found {kinds.get(words[i], words[i])}",
         line,
         col,
         expected,

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .luk import is_tautology_prop
-from .parser import ParseError, format_formula, format_program, parse_formula, parse_program
+from .parser import Groups, ParseError, format_formula, format_program, parse_formula, parse_program
 from .syntax import (
     Atomic,
     Box,
@@ -336,10 +336,8 @@ def derive_loop_invariance_plain(phi: Formula, alpha: Program, n: int) -> Deriva
 #   7. ... ; axiom(ind; p := p; a := a)
 #   9. ... ; sub(1; p := q (+) q)
 
-_LINE_RE = re.compile(
-    r"^\s*(\d+)\s*\.\s*(.*\S)\s*;\s*"
-    r"(premise|luk|mp\s*\(.*\)|nec\s*\(.*\)|axiom\s*\(.*\)|sub\s*\(.*\))\s*$"
-)
+_STEP_RE = re.compile(r"(\d+)\s*\.\s*")
+_JUST_RE = re.compile(r"\s*((?:mp|nec|axiom|sub)\s*\(|premise$|luk$)")
 _MP_RE = re.compile(r"^mp\s*\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
 _NEC_RE = re.compile(r"^nec\s*\(\s*(\d+)\s*,\s*\[(.*)\]\s*\)$")
 _AX_RE = re.compile(r"^axiom\s*\((.*)\)$")
@@ -351,7 +349,29 @@ class DerivationFormatError(ValueError):
     pass
 
 
-def _parse_bindings(text: str, progs: tuple[str, ...] = ("a", "b")):
+def _split_line(line: str) -> tuple[int, str, str] | None:
+    """(step number, formula text, justification text) of a stripped line
+    `N. formula ; justification`, or None.  The formula ends at the
+    rightmost `;` whose remainder is a justification: `premise`, `luk`, or
+    mp, nec, axiom or sub with its arguments in parentheses that end the
+    line.  Each `;` is tried once, from the right, and each try reads only
+    the spaces and the name after it, so a line splits in linear time."""
+    m = _STEP_RE.match(line)
+    if m is None:
+        return None
+    start = m.end()
+    closed = line[-1] == ")"
+    semi = len(line)
+    while (semi := line.rfind(";", start + 1, semi)) >= 0:
+        j = _JUST_RE.match(line, semi + 1)
+        if j is not None and (closed or j.group(1)[-1] != "("):
+            return int(m.group(1)), line[start:semi].rstrip(), line[j.start(1) :]
+        if not closed:  # premise or luk, which end the line, follow its last ;
+            return None
+    return None
+
+
+def _parse_bindings(text: str, lineno: int, groups: Groups, progs: tuple[str, ...] = ("a", "b")):
     fsub: dict[str, Formula] = {}
     psub: dict[str, Program] = {}
     if not text or not text.strip():
@@ -359,41 +379,48 @@ def _parse_bindings(text: str, progs: tuple[str, ...] = ("a", "b")):
     for chunk in _BIND_SPLIT.split(text):
         name, sep, value = chunk.partition(":=")
         if not sep:
-            raise DerivationFormatError(f"bad binding {chunk.strip()!r}")
+            raise DerivationFormatError(f"line {lineno}: bad binding {chunk.strip()!r}")
         name = name.strip()
         value = value.strip()
-        if name in progs:
-            psub[name] = parse_program(value)
-        else:
-            fsub[name] = parse_formula(value)
+        try:
+            if name in progs:
+                psub[name] = parse_program(value, groups)
+            else:
+                fsub[name] = parse_formula(value, groups)
+        except ParseError as exc:
+            raise DerivationFormatError(f"line {lineno}: {exc}") from None
     return fsub, psub
 
 
 def parse_derivation(text: str, n: int) -> Derivation:
+    """The derivation a text states, one step a line.  Its formulas,
+    nec programs and bindings are parsed with one group table, so a group
+    that an earlier line stated is not read again."""
     d = Derivation(n=n)
+    groups = Groups()
     expected = 1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
-        m = _LINE_RE.match(stripped)
-        if not m:
+        parts = _split_line(stripped)
+        if parts is None:
             raise DerivationFormatError(f"line {lineno}: cannot parse {stripped!r}")
-        index, formula_text, just_text = int(m.group(1)), m.group(2), m.group(3)
+        index, formula_text, just_text = parts
         if index != expected:
             raise DerivationFormatError(
                 f"line {lineno}: step numbered {index}, expected {expected}"
             )
         expected += 1
         try:
-            formula = parse_formula(formula_text)
+            formula = parse_formula(formula_text, groups)
         except ParseError as exc:
             raise DerivationFormatError(f"line {lineno}: {exc}") from None
-        d.add(formula, _parse_justification(just_text, lineno))
+        d.add(formula, _parse_justification(just_text, lineno, groups))
     return d
 
 
-def _parse_justification(text: str, lineno: int) -> Justification:
+def _parse_justification(text: str, lineno: int, groups: Groups) -> Justification:
     text = text.strip()
     if text == "premise":
         return Premise()
@@ -405,7 +432,7 @@ def _parse_justification(text: str, lineno: int) -> Justification:
     m = _NEC_RE.match(text)
     if m:
         try:
-            prog = parse_program(m.group(2))
+            prog = parse_program(m.group(2), groups)
         except ParseError as exc:
             raise DerivationFormatError(f"line {lineno}: {exc}") from None
         return Necessitation(int(m.group(1)), prog)
@@ -413,11 +440,11 @@ def _parse_justification(text: str, lineno: int) -> Justification:
     if m:
         inner = m.group(1)
         head, _, rest = inner.partition(";")
-        fsub, psub = _parse_bindings(rest)
+        fsub, psub = _parse_bindings(rest, lineno, groups)
         return AxiomRef(head.strip(), fsub, psub)
     m = _SUB_RE.match(text)
     if m:
-        fsub, psub = _parse_bindings(m.group(2) or "")
+        fsub, psub = _parse_bindings(m.group(2) or "", lineno, groups)
         if psub:
             raise DerivationFormatError(f"line {lineno}: sub only substitutes formulas")
         return Substitution(int(m.group(1)), fsub)

@@ -229,6 +229,11 @@ def test_error_exits_are_two(tmp_path, capsys, monkeypatch):
     bad.write_text("n = 2\nworlds: u v\nval p: u=1/2 v=2/2 z=0/2\nval p: u=0/2\n")
     assert main(["check", "--model", str(bad), "p"]) == 2
     assert capsys.readouterr() == ("", "error: line 4: world 'u' given twice for 'p'\n")
+    # a syntax error in a binding names its derivation line
+    prf = tmp_path / "bad.prf"
+    prf.write_text("1. p ; premise\n2. [a]p ; nec(1, [a])\n3. [a]p -> [a]p ; axiom(K; p := p ->; a := a)\n")
+    assert main(["prove", str(prf), "--n", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: line 3: syntax error at line 1, column 5: expected formula, found end of input\n")
     # an internal failure exits 2, never 1, which reads as "not valid"
     def fail(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")

@@ -150,6 +150,11 @@ def test_model_validation_errors():
         KripkeModel(2, ["u"], {}, {"p": {"u": 3}})
     with pytest.raises(ModelError, match="valuation of 'p' uses undeclared world 'z'"):
         KripkeModel(2, ["u", "v"], {}, {"p": {"u": 1, "z": 0, "v": 2}})
+    # numerators are ints: 0.5 and True would print as 0.5/2 and True/2
+    for v in (0.5, 2.0, True, False, "1"):
+        with pytest.raises(ModelError, match=f"numerator {v!r} of 'q' at 'v' is not an integer"):
+            KripkeModel(2, ["u", "v"], {}, {"p": {"u": 1, "v": 2}, "q": {"u": 0, "v": v}})
+    assert KripkeModel(2, ["u"], {}, {"p": {"u": tv(1, 2)}}).value("u", Var("p")) == tv(1, 2)
     m = counterexample_model()
     with pytest.raises(ModelError):
         m.value("zz", parse_formula("p"))

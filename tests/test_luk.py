@@ -92,6 +92,10 @@ def test_truth_value_validation():
         tv(-1, 4)
     with pytest.raises(ValueError):
         tv(0, 0)
+    # a numerator is an int: a float or a bool would print as 1.5/2 or True/2
+    for num in (1.5, 1.0, True, False, "1"):
+        with pytest.raises(ValueError, match="not an integer"):
+            luk.TruthValue(num, 2)
     assert str(tv(3, 4)) == "3/4"
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvpdl.parser import (
+    Groups,
     ParseError,
     format_formula,
     format_program,
@@ -469,3 +470,36 @@ def test_parse_of_print_is_the_same_node(node):
         assert parse_program(format_program(node)) is node
     else:
         assert parse_formula(format_formula(node)) is node
+
+
+def _read(parse, text, groups=None):
+    """The node text reads, or its error as (message, line, column, expected)."""
+    try:
+        return parse(text, groups)
+    except ParseError as err:
+        return str(err), err.line, err.col, err.expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.lists(_TREES, min_size=1, max_size=5), st.randoms(use_true_random=False))
+def test_a_shared_group_table_never_changes_a_node(nodes, rng):
+    # texts that restate each other's groups in formula and program
+    # position, as the lines of a derivation do, then copies with one
+    # character replaced, read with one table and each without one
+    texts, prev = [], "q"
+    for node in nodes:
+        if isinstance(node, Program):
+            text = format_program(node)
+            texts += [(parse_program, f"({text})*"), (parse_formula, f"[{text}]({prev})"), (parse_formula, f"({text}) -> q")]
+        else:
+            text = format_formula(node)
+            texts += [(parse_formula, text), (parse_formula, f"({text}) -> ~({prev})"), (parse_program, f"(({prev})?; a)*")]
+            prev = text
+    edited = []
+    for parse, text in texts:
+        j = rng.randrange(len(text))
+        edited.append((parse, text[:j] + rng.choice("()~p;?") + text[j + 1 :]))
+    groups = Groups()
+    for parse, text in texts + edited + texts:
+        alone, shared = _read(parse, text), _read(parse, text, groups)
+        assert shared is alone if isinstance(alone, (Formula, Program)) else shared == alone

@@ -1,9 +1,15 @@
 """Axiom instantiation, line checking, the loop-invariance derivation."""
 
+import gc
+import hashlib
 import random
+import statistics
+import time
+from pathlib import Path
 
 import pytest
 
+import mvpdl
 from mvpdl.kripke import random_model
 from mvpdl.parser import parse_formula, parse_program
 from mvpdl.proofs import (
@@ -254,6 +260,81 @@ def test_derivation_file_errors():
         parse_derivation("1. p ; sub(1; a := b)\n", 1)
 
 
+def test_binding_errors_name_the_line():
+    head = "1. p ; premise\n# a comment\n2. [a]p ; nec(1, [a])\n"
+    for just, message in (
+        ("axiom(K; p := p ->; a := a)", "line 4: syntax error at line 1, column 5: expected formula, found end of input"),
+        ("axiom(K; p := p; q := q; a := a +)", "line 4: syntax error at line 1, column 4: expected formula or program, found end of input"),
+        ("axiom(K; p q)", "line 4: bad binding 'p q'"),
+        ("sub(1; p := (q)", "line 4: syntax error at line 1, column 3: expected ), found end of input"),
+        ("sub(2; p := q; r)", "line 4: syntax error at line 1, column 2: expected end of input, found ;"),
+        ("sub(2; p)", "line 4: bad binding 'p'"),
+    ):
+        with pytest.raises(DerivationFormatError) as err:
+            parse_derivation(f"{head}3. [a]p -> [a]p ; {just}\n", 2)
+        assert str(err.value) == message
+
+
+def _time_ratio(slow, fast, repeats):
+    """The median over interleaved runs of slow's time over fast's, with
+    the collector paused so that no collection of the test process's heap
+    is charged to one of them."""
+    ratios = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fast()
+            middle = time.perf_counter()
+            slow()
+            ratios.append((time.perf_counter() - middle) / (middle - start))
+    finally:
+        gc.enable()
+    return statistics.median(ratios)
+
+
+def test_derivations_parse_in_linear_time():
+    # one group table per derivation: keys are hash-consed from inner
+    # groups' ids, never from text sliced once per nesting level, so a
+    # deep line costs about what parsing it alone costs
+    for deep in ("(" * 100_000 + "p" + ")" * 100_000, "(q -> " * 10_000 + "p" + ")" * 10_000):
+        text = f"1. {deep} ; premise\n"
+        assert parse_derivation(text, 1).lines[0].formula is parse_formula(deep)
+        assert _time_ratio(lambda: parse_derivation(text, 1), lambda: parse_formula(deep), 3) < 2
+    # each line restates the one before it inside parentheses
+    formulas = ["p"]
+    for _ in range(199):
+        formulas.append(f"({formulas[-1]}) -> q")
+    text = "".join(f"{i}. {f} ; premise\n" for i, f in enumerate(formulas, start=1))
+    assert [ln.formula for ln in parse_derivation(text, 1).lines] == [parse_formula(f) for f in formulas]
+    assert _time_ratio(lambda: parse_derivation(text, 1), lambda: [parse_formula(f) for f in formulas], 3) < 2
+
+
+def test_lines_split_in_linear_time():
+    # the formula ends at the rightmost ; whose remainder is a
+    # justification; a backtracking pattern took 1.2 s to reject the first
+    # line at 88 KB and four times that at twice the size
+    cases = (
+        (" ; mp(1, 2)", " ; x", "cannot parse"),
+        (" ; x(1, 2)", " ; y)", "cannot parse"),
+        (" ; mp(1, 2)", "", "unexpected character ',' at line 1, column 9"),
+    )
+    lines = {k: ["1. p" + part * k + tail for part, tail, _ in cases] for k in (8_000, 16_000)}  # 88, 176 KB
+    for line, (_, _, message) in zip(lines[8_000], cases):
+        with pytest.raises(DerivationFormatError, match=message):
+            parse_derivation(line, 1)
+
+    def reject(k):  # the lines that no ; splits
+        for line in lines[k][:2]:
+            with pytest.raises(DerivationFormatError):
+                parse_derivation(line, 1)
+
+    assert _time_ratio(lambda: reject(16_000), lambda: reject(8_000), 9) < 2.5
+    # a ; inside the formula stays there when a later one ends it
+    assert parse_derivation("1. [a;b]p ; premise\n", 1).lines[0].formula is parse_formula("[a;b]p")
+
+
 def test_threshold_box_interchange_semantically():
     # [a]tau_i(p) <-> tau_i([a]p): the alternative reading of the
     # doubling axioms, confirmed on random models per resolution
@@ -294,3 +375,68 @@ def test_checked_theorems_are_valid_in_random_models():
         for line in d.lines:
             for m in models:
                 assert m.globally_true(line.formula)
+
+
+def _derivation_corpus():
+    """(text, n, line) triples: loop invariance by both derivers at
+    n = 1..6 (every third with a sub line), one instance of each axiom at
+    n = 1..4 and the bundled file, unchanged (line 0) and, for each of
+    their lines, three copies with one character of that line deleted,
+    inserted or swapped with its neighbour and, if it binds, one with its
+    first `:=` made `=` (line: that line's number)."""
+    rng = random.Random(14)
+    texts = []
+    for k in range(24):
+        derive = (derive_loop_invariance, derive_loop_invariance_plain)[k % 2]
+        n = 1 + k % 6
+        d = derive(random_formula(rng, rng.randrange(1, 4)), random_program(rng, rng.randrange(1, 3)), n)
+        if k % 3 == 0:
+            fsub = {"p": random_formula(rng, 2), "q": random_formula(rng, 1)}
+            d.add(substitute(d.lines[0].formula, fsub), Substitution(1, fsub))
+        texts.append((format_derivation(d), n))
+    ids = axiom_ids()
+    for k in range(4 * len(ids)):
+        axiom_id, n = ids[k % len(ids)], 1 + k // len(ids)
+        fsub = {v: random_formula(rng, 2) for v in ("p", "q")}
+        psub = {a: random_program(rng, 2) for a in ("a", "b")}
+        d = Derivation(n=n)
+        d.add(instantiate_axiom(axiom_id, n, fsub, psub), AxiomRef(axiom_id, fsub, psub))
+        texts.append((format_derivation(d), n))
+    bundled = Path(mvpdl.__file__).parent / "data" / "loop_invariance_n2.prf"
+    texts.append((bundled.read_text(encoding="utf-8"), 2))
+    alphabet = "pq ab()[]<>~&|;*?^+-.0123{}:=,#"
+    corpus = [(text, n, 0) for text, n in texts]
+    for text, n in texts:
+        lines = text.splitlines()
+        for i, line in enumerate(lines):
+            for edit in range(3):
+                j = rng.randrange(len(line))
+                if edit == 0:
+                    s = line[:j] + line[j + 1 :]
+                elif edit == 1:
+                    s = line[:j] + rng.choice(alphabet) + line[j:]
+                else:
+                    s = line[:j] + line[j + 1 : j + 2] + line[j] + line[j + 2 :]
+                corpus.append(("\n".join(lines[:i] + [s] + lines[i + 1 :]) + "\n", n, i + 1))
+            if ":=" in line:  # a binding without its :=
+                s = line.replace(":=", "=", 1)
+                corpus.append(("\n".join(lines[:i] + [s] + lines[i + 1 :]) + "\n", n, i + 1))
+    return corpus
+
+
+def _derivation_result(text, n):
+    try:
+        return format_derivation(parse_derivation(text, n))
+    except DerivationFormatError as exc:
+        return f"error: {exc}"
+
+
+def test_derivation_parses_are_pinned():
+    # sha256 of what parse_derivation returned for each text before one
+    # group table per derivation: the printed derivation or the error.  A
+    # syntax error in an axiom or sub binding is pinned as the line-numbered
+    # DerivationFormatError that the parser of that time did not yet raise
+    # (it let the ParseError or an unnumbered "bad binding" through).
+    results = [_derivation_result(text, n) for text, n, _ in _derivation_corpus()]
+    digest = hashlib.sha256("\n".join(results).encode())
+    assert digest.hexdigest() == "b60972330b3c67de68a99147c9c1a4a01652c5b0a530feb73bffb1f4a51c73fe"
