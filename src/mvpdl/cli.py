@@ -4,41 +4,38 @@ Subcommands: eval, check, taut, flclosure, filter, sat, valid, prove,
 randmodel, and the game group ulam {build,check,run}.  Exit status 0 on
 affirmative verdicts, 1 on negative ones, 2 on any error, internal
 failures included, and on a sat/valid answer without a verdict (a witness
-exists, but none within --max-worlds).  `--json` switches the sat/valid
-reports (and most other outputs) to a stable JSON shape.
+exists, but none within --max-worlds).
+
+Each handler returns its exit code, a JSON payload (None for randmodel,
+ulam build and ulam run) and its text; `main` alone writes them: the
+text to the --out file if one is given, else the payload as sorted JSON
+under --json, else the text to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 
 from . import __version__
 from .filtration import filter_model
-from .kripke import ModelError, format_model, load_model, random_model
+from .kripke import format_model, load_model, random_model
 from .luk import prop_counterexample
-from .parser import ParseError, format_formula, parse_formula
-from .proofs import (
-    DerivationFormatError,
-    check_derivation,
-    parse_derivation,
-)
-from .sat import BudgetExceeded, Satisfiable, decide_sat, decide_valid
+from .parser import format_formula, parse_formula
+from .proofs import check_derivation, parse_derivation
+from .sat import BudgetExceeded, decide_sat, decide_valid
 from .syntax import fl_closure
-from .ulam import (
-    GameConfig,
-    GameError,
-    build_game_model,
-    check_spec,
-    parse_question,
-    run_game,
-)
+from .ulam import GameConfig, build_game_model, check_spec, parse_question, run_game
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
+
+
+Report = tuple[int, dict | None, str]  # exit code, JSON payload, text
 
 
 def main(argv=None) -> int:
@@ -49,10 +46,16 @@ def main(argv=None) -> int:
         return 2
     _merge_global_flags(args)
     try:
-        return args.handler(args)
-    except (
-        ParseError, ModelError, GameError, DerivationFormatError, CliError, ValueError, BudgetExceeded, OSError
-    ) as exc:
+        code, payload, text = args.handler(args)
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        elif getattr(args, "json", False) and payload is not None:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            print(text, end="")
+        return code
+    except (ValueError, BudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a failure must never read as a negative verdict
@@ -79,10 +82,12 @@ def _require_n(args) -> int:
     return n
 
 
-def _check_model_resolution(model, args) -> None:
-    n = getattr(args, "n", None)
-    if n is not None and model.n != n:
-        raise CliError(f"model resolution is {model.n}, but --n {n} was given")
+def _model_and_formula(args):
+    """The --model file, checked against any --n, and the formula."""
+    model = load_model(args.model)
+    if args.n is not None and model.n != args.n:
+        raise CliError(f"model resolution is {model.n}, but --n {args.n} was given")
+    return model, parse_formula(args.formula)
 
 
 @functools.cache  # parse_args never changes the parser: one serves every call
@@ -151,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="candidate row sets to try (past the row cap: candidate models)",
         )
         common(p, n=True)
-        p.set_defaults(handler=_cmd_sat if name == "sat" else _cmd_valid)
+        p.set_defaults(handler=_cmd_decide)
 
     p = sub.add_parser("prove", help="check a derivation file")
     p.add_argument("derivation", help="derivation file")
@@ -201,197 +206,114 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+def _cmd_eval(args) -> Report:
+    model, f = _model_and_formula(args)
+    value = str(model.value(args.world, f))
+    return 0, {"world": args.world, "value": value}, f"{value}\n"
 
 
-def _cmd_eval(args) -> int:
-    model = load_model(args.model)
-    _check_model_resolution(model, args)
-    f = parse_formula(args.formula)
-    value = model.value(args.world, f)
-    _emit(args, {"world": args.world, "value": str(value)}, str(value))
-    return 0
-
-
-def _cmd_check(args) -> int:
-    model = load_model(args.model)
-    _check_model_resolution(model, args)
-    f = parse_formula(args.formula)
+def _cmd_check(args) -> Report:
+    model, f = _model_and_formula(args)
     bad = model.falsifying_world(f)
     if bad is None:
-        _emit(args, {"verdict": "true", "counterexample": None}, "true in every world")
-        return 0
+        return 0, {"verdict": "true", "counterexample": None}, "true in every world\n"
     world, value = bad
-    _emit(
-        args,
-        {"verdict": "false", "counterexample": {"world": world, "value": str(value)}},
-        f"false at {world} (value {value})",
-    )
-    return 1
+    payload = {"verdict": "false", "counterexample": {"world": world, "value": str(value)}}
+    return 1, payload, f"false at {world} (value {value})\n"
 
 
-def _cmd_taut(args) -> int:
+def _cmd_taut(args) -> Report:
     n = _require_n(args)
-    f = parse_formula(args.formula)
-    bad = prop_counterexample(f, n)
+    bad = prop_counterexample(parse_formula(args.formula), n)
     if bad is None:
-        _emit(args, {"verdict": "tautology"}, "tautology")
-        return 0
+        return 0, {"verdict": "tautology"}, "tautology\n"
+    payload = {"verdict": "not a tautology", "counterexample": {k: str(v) for k, v in bad.items()}}
     assign = ", ".join(f"{k}={v}" for k, v in sorted(bad.items()))
-    _emit(
-        args,
-        {"verdict": "not a tautology", "counterexample": {k: str(v) for k, v in bad.items()}},
-        f"not a tautology: {assign}" if assign else "not a tautology",
-    )
-    return 1
+    return 1, payload, f"not a tautology: {assign}\n" if assign else "not a tautology\n"
 
 
-def _cmd_flclosure(args) -> int:
-    f = parse_formula(args.formula)
-    members = fl_closure(f)
-    if getattr(args, "json", False):
-        print(json.dumps({"closure": [format_formula(g) for g in members]}, indent=2))
-    else:
-        for g in members:
-            print(format_formula(g))
-    return 0
+def _cmd_flclosure(args) -> Report:
+    members = [format_formula(g) for g in fl_closure(parse_formula(args.formula))]
+    return 0, {"closure": members}, "".join(f"{g}\n" for g in members)
 
 
-def _cmd_filter(args) -> int:
-    model = load_model(args.model)
-    _check_model_resolution(model, args)
-    f = parse_formula(args.formula)
+def _cmd_filter(args) -> Report:
+    model, f = _model_and_formula(args)
     res = filter_model(model, f)
     comments = [f"filtration through {format_formula(f)}"]
     comments += [f"class {w} ↦ {c}" for w, c in res.class_of.items()]
     text = format_model(res.quotient, comments=comments)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    elif getattr(args, "json", False):
-        print(json.dumps({"model": text, "classes": res.class_of}, indent=2, sort_keys=True))
-    else:
-        print(text, end="")
-    return 0
+    return 0, {"model": text, "classes": res.class_of}, text
 
 
-def _sat_payload(result) -> dict:
+# Exit code, verdict and text of each answer: a witness, a complete
+# answer and an incomplete one (a witness exists, but none that small).
+_ANSWERS = {
+    "sat": (
+        (0, "satisfiable", "satisfiable at world {world} of:\n{witness}"),
+        (1, "unsatisfiable", "unsatisfiable (complete: no goal row survives elimination)"),
+        (2, "no witness within bound", "satisfiable, but no witness within {worlds} (incomplete)"),
+    ),
+    "valid": (
+        (1, "refuted", "not valid: value {value} at world {world} of:\n{witness}"),
+        (0, "valid", "valid"),
+        (2, "no witness within bound", "not valid, but no refutation within {worlds} (incomplete)"),
+    ),
+}
+
+
+def _cmd_decide(args) -> Report:
+    n = _require_n(args)
+    f = parse_formula(args.formula)
+    decide = decide_sat if args.command == "sat" else decide_valid
+    result = decide(f, n, max_worlds=args.max_worlds, budget=args.budget)
+    code, verdict, template = _ANSWERS[args.command][0 if result.is_sat else 1 if result.complete else 2]
+    world = result.world if result.is_sat else None
+    witness = format_model(result.model) if result.is_sat else None
+    value = result.model.value(world, f) if result.is_sat and args.command == "valid" else None
+    k = result.bound_used
     payload = {
-        "bound_used": result.bound_used,
-        "complete": getattr(result, "complete", True),
-        "witness": None,
-        "witness_world": None,
-        "statistics": {
-            "atoms_generated": result.stats.atoms_generated,
-            "nodes_explored": result.stats.nodes_explored,
-            "wall_time": result.stats.wall_time,
-        },
+        "verdict": verdict,
+        "bound_used": k,
+        "complete": result.is_sat or result.complete,
+        "witness": witness,
+        "witness_world": world,
+        "statistics": dataclasses.asdict(result.stats),
     }
-    if isinstance(result, Satisfiable):
-        payload["witness"] = format_model(result.model)
-        payload["witness_world"] = result.world
-    return payload
+    worlds = "1 world" if k == 1 else f"{k} worlds"
+    return code, payload, template.format(world=world, witness=witness, value=value, worlds=worlds) + "\n"
 
 
-def _worlds(k: int) -> str:
-    return "1 world" if k == 1 else f"{k} worlds"
-
-
-def _cmd_sat(args) -> int:
-    n = _require_n(args)
-    f = parse_formula(args.formula)
-    result = decide_sat(f, n, max_worlds=args.max_worlds, budget=args.budget)
-    payload = _sat_payload(result)
-    if result.is_sat:
-        payload["verdict"] = "satisfiable"
-        _emit(
-            args,
-            payload,
-            f"satisfiable at world {result.world} of:\n{format_model(result.model)}",
-        )
-        return 0
-    if result.complete:
-        payload["verdict"] = "unsatisfiable"
-        _emit(args, payload, "unsatisfiable (complete: no goal row survives elimination)")
-        return 1
-    payload["verdict"] = "no witness within bound"
-    _emit(args, payload, f"satisfiable, but no witness within {_worlds(result.bound_used)} (incomplete)")
-    return 2
-
-
-def _cmd_valid(args) -> int:
-    n = _require_n(args)
-    f = parse_formula(args.formula)
-    result = decide_valid(f, n, max_worlds=args.max_worlds, budget=args.budget)
-    payload = _sat_payload(result)
-    if result.is_sat:
-        payload["verdict"] = "refuted"
-        value = result.model.value(result.world, f)
-        _emit(
-            args,
-            payload,
-            f"not valid: value {value} at world {result.world} of:\n{format_model(result.model)}",
-        )
-        return 1
-    if result.complete:
-        payload["verdict"] = "valid"
-        _emit(args, payload, "valid")
-        return 0
-    payload["verdict"] = "no witness within bound"
-    _emit(args, payload, f"not valid, but no refutation within {_worlds(result.bound_used)} (incomplete)")
-    return 2
-
-
-def _cmd_prove(args) -> int:
+def _cmd_prove(args) -> Report:
     n = _require_n(args)
     with open(args.derivation, "r", encoding="utf-8") as fh:
         text = fh.read()
     d = parse_derivation(text, n)
     bad = check_derivation(d)
-    if bad is None:
-        premises = len(d.premises)
-        note = f" ({premises} premise{'s' if premises != 1 else ''})" if premises else ""
-        _emit(
-            args,
-            {"verdict": "ok", "lines": len(d.lines), "premises": premises},
-            f"ok: {len(d.lines)} lines check{note}",
-        )
-        return 0
-    lineno, reason = bad
-    _emit(
-        args,
-        {"verdict": "violation", "line": lineno, "reason": reason},
-        f"line {lineno}: {reason}",
-    )
-    return 1
+    if bad is not None:
+        lineno, reason = bad
+        return 1, {"verdict": "violation", "line": lineno, "reason": reason}, f"line {lineno}: {reason}\n"
+    premises = len(d.premises)
+    note = f" ({premises} premise{'s' if premises != 1 else ''})" if premises else ""
+    payload = {"verdict": "ok", "lines": len(d.lines), "premises": premises}
+    return 0, payload, f"ok: {len(d.lines)} lines check{note}\n"
 
 
-def _cmd_randmodel(args) -> int:
+def _cmd_randmodel(args) -> Report:
     n = _require_n(args)
-    atoms = [x for x in args.atoms.split(",") if x]
-    vars_ = [x for x in args.vars.split(",") if x]
+    seed = 0 if args.seed is None else args.seed
     model = random_model(
-        seed=args.seed if args.seed is not None else 0,
+        seed=seed,
         n=n,
         world_count=args.worlds,
-        atom_names=atoms,
-        var_names=vars_,
+        atom_names=[x for x in args.atoms.split(",") if x],
+        var_names=[x for x in args.vars.split(",") if x],
         edge_density=args.density,
     )
-    text = format_model(model, comments=[f"seed {args.seed}"])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-    return 0
+    return 0, None, format_model(model, comments=[f"seed {seed}"])
 
 
-def _cmd_ulam(args) -> int:
+def _cmd_ulam(args) -> Report:
     raise CliError("choose a ulam subcommand")
 
 
@@ -407,51 +329,30 @@ def _game_config(args) -> GameConfig:
     )
 
 
-def _cmd_ulam_build(args) -> int:
-    cfg = _game_config(args)
-    model = build_game_model(cfg)
-    text = format_model(
-        model,
-        comments=[f"searching game: |M|={args.m}, n={args.n}, depth={args.depth}"],
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
-    return 0
+def _cmd_ulam_build(args) -> Report:
+    model = build_game_model(_game_config(args))
+    comment = f"searching game: |M|={args.m}, n={args.n}, depth={args.depth}"
+    return 0, None, format_model(model, comments=[comment])
 
 
-def _cmd_ulam_check(args) -> int:
-    cfg = _game_config(args)
-    ok, state = check_spec(cfg, args.spec)
+def _cmd_ulam_check(args) -> Report:
+    ok, state = check_spec(_game_config(args), args.spec)
     if ok:
-        _emit(args, {"verdict": "holds", "counterexample": None}, "holds at every reachable state")
-        return 0
-    _emit(
-        args,
-        {"verdict": "fails", "counterexample": str(state)},
-        f"fails at state {state}",
-    )
-    return 1
+        return 0, {"verdict": "holds", "counterexample": None}, "holds at every reachable state\n"
+    return 1, {"verdict": "fails", "counterexample": str(state)}, f"fails at state {state}\n"
 
 
-def _cmd_ulam_run(args) -> int:
+def _cmd_ulam_run(args) -> Report:
     cfg = _game_config(args)
     questions = [parse_question(cfg, chunk) for chunk in args.questions.split(";") if chunk.strip()]
     answer_text = args.answers.strip().lower()
     if any(c not in "+-yn" for c in answer_text):
         raise CliError("answers must be a string of +/- (or y/n)")
-    answers = [c in "+y" for c in answer_text]
-    trajectory = run_game(cfg, questions, answers)
-    for i, state in enumerate(trajectory):
-        print(f"{i}: {state}")
+    trajectory = run_game(cfg, questions, [c in "+y" for c in answer_text])
+    lines = [f"{i}: {state}" for i, state in enumerate(trajectory)]
     final = trajectory[-1].final_candidate()
     if final is not None:
-        print(f"solved: the number is {final}")
-        return 0
+        return 0, None, "\n".join([*lines, f"solved: the number is {final}\n"])
     if all(v == 0 for v in trajectory[-1].values):
-        print("contradictory: every candidate refuted")
-    else:
-        print("undetermined: several candidates remain")
-    return 1
+        return 1, None, "\n".join([*lines, "contradictory: every candidate refuted\n"])
+    return 1, None, "\n".join([*lines, "undetermined: several candidates remain\n"])

@@ -35,9 +35,14 @@ class FiltrationResult:
     class_values: dict[str, tuple[int, ...]]
 
 
-def _signatures(m: KripkeModel, closure: list[Formula]) -> dict[str, tuple[int, ...]]:
-    cols = [m._profile(g) for g in closure]  # one value column per member
-    return dict(zip(m.worlds, zip(*cols)))
+def _classes(m: KripkeModel, seed: Formula):
+    """The closure of the seed, the value tuples over it (closure members
+    in construction order) that worlds of m take, in ascending order, and
+    the index in that order of each world's tuple: its class."""
+    closure = fl_closure(seed)
+    sigs = list(zip(*[m._profile(g) for g in closure]))  # per world index
+    index = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+    return closure, list(index), [index[sig] for sig in sigs]
 
 
 def equivalence_classes(m: KripkeModel, seed: Formula) -> list[list[str]]:
@@ -46,23 +51,18 @@ def equivalence_classes(m: KripkeModel, seed: Formula) -> list[list[str]]:
     Classes come in ascending order of their value tuple over the closure
     (closure members in construction order); members keep world order.
     """
-    closure = fl_closure(seed)
-    sigs = _signatures(m, closure)
-    groups: dict[tuple[int, ...], list[str]] = {}
-    for w in m.worlds:
-        groups.setdefault(sigs[w], []).append(w)
-    return [groups[sig] for sig in sorted(groups)]
+    _, sigs, cls = _classes(m, seed)
+    groups: list[list[str]] = [[] for _ in sigs]
+    for w, i in zip(m.worlds, cls):
+        groups[i].append(w)
+    return groups
 
 
 def filter_model(m: KripkeModel, seed: Formula) -> FiltrationResult:
     """Quotient of m through the closure of the seed formula."""
-    closure = fl_closure(seed)
-    sigs = _signatures(m, closure)
-    ordered = sorted(set(sigs.values()))
-    name_of_sig = {sig: f"c{i}" for i, sig in enumerate(ordered)}
-    classes = [name_of_sig[sigs[w]] for w in m.worlds]  # per world index
-    class_of = dict(zip(m.worlds, classes))
-    quotient_worlds = [f"c{i}" for i in range(len(ordered))]
+    closure, sigs, cls = _classes(m, seed)
+    names = [f"c{i}" for i in range(len(sigs))]
+    classes = [names[i] for i in cls]  # per world index
     relations = {
         atom: {(classes[u], classes[v]) for u, vs in enumerate(lists) for v in vs}
         for atom, lists in m._succ.items()
@@ -74,9 +74,9 @@ def filter_model(m: KripkeModel, seed: Formula) -> FiltrationResult:
             if v > per_class.get(c, -1):
                 per_class[c] = v
         valuation[var] = per_class
-    quotient = KripkeModel(m.n, quotient_worlds, relations, valuation)
-    class_values = {name_of_sig[sig]: sig for sig in ordered}
-    return FiltrationResult(quotient, class_of, seed, tuple(closure), class_values)
+    quotient = KripkeModel(m.n, names, relations, valuation)
+    class_of = dict(zip(m.worlds, classes))
+    return FiltrationResult(quotient, class_of, seed, tuple(closure), dict(zip(names, sigs)))
 
 
 def characteristic_formula(m: KripkeModel, seed: Formula, world_set: Iterable[str]) -> Formula:
@@ -91,22 +91,18 @@ def characteristic_formula(m: KripkeModel, seed: Formula, world_set: Iterable[st
     unknown = target - set(m.worlds)
     if unknown:
         raise NotSaturated(f"unknown worlds: {sorted(unknown)}")
-    closure = fl_closure(seed)
-    sigs = _signatures(m, closure)
-    groups: dict[tuple[int, ...], list[str]] = {}
-    for w in m.worlds:
-        groups.setdefault(sigs[w], []).append(w)
-    parts: list[Formula] = []
-    for sig in sorted(groups):
-        members = set(groups[sig])
-        if members <= target:
-            conj = [
-                substitute(synth_indicator(v, m.n), {"p": g}) for g, v in zip(closure, sig)
-            ]
-            parts.append(big_meet(conj))
-        elif members & target:
-            raise NotSaturated(
-                f"set splits a class: contains {sorted(members & target)} "
-                f"but not {sorted(members - target)}"
-            )
-    return big_join(parts)
+    closure, sigs, cls = _classes(m, seed)
+    inside = {i for w, i in zip(m.worlds, cls) if w in target}
+    split = inside & {i for w, i in zip(m.worlds, cls) if w not in target}
+    if split:
+        members = {w for w, i in zip(m.worlds, cls) if i == min(split)}
+        raise NotSaturated(
+            f"set splits a class: contains {sorted(members & target)} "
+            f"but not {sorted(members - target)}"
+        )
+    return big_join(
+        [
+            big_meet([substitute(synth_indicator(v, m.n), {"p": g}) for g, v in zip(closure, sigs[i])])
+            for i in sorted(inside)
+        ]
+    )

@@ -272,18 +272,38 @@ def proves(d: Derivation, f: Formula) -> bool:
 
 
 def derive_loop_invariance(phi: Formula, alpha: Program, n: int) -> Derivation:
-    """Checked derivation of phi -> [alpha*]phi from (phi -> [alpha]phi)^n.
+    """Checked derivation of phi -> [alpha*]phi from (phi -> [alpha]phi)^n."""
+    d = Derivation(n=n)
+    _derive_from_power(d, phi, alpha)
+    return d
+
+
+def derive_loop_invariance_plain(phi: Formula, alpha: Program, n: int) -> Derivation:
+    """Variant starting from the unpowered premise phi -> [alpha]phi.
+
+    The jump from the premise to its n-th power is admissible for the
+    system (powering preserves theoremhood) but not derivable from the
+    rules alone, so the power enters as a second premise line here.
+    """
+    d = Derivation(n=n)
+    d.add(Implies(phi, Box(alpha, phi)), Premise())
+    _derive_from_power(d, phi, alpha)
+    return d
+
+
+def _derive_from_power(d: Derivation, phi: Formula, alpha: Program) -> None:
+    """Append to d the premise (phi -> [alpha]phi)^n and the steps from it
+    to phi -> [alpha*]phi.
 
     The steps: necessitate the premise under the star; a propositional
     step packs phi with the boxed premise; the induction axiom plus a
     transitivity step then reach the boxed conclusion.
     """
     star = Star(alpha)
-    premise = power(Implies(phi, Box(alpha, phi)), n)
+    premise = power(Implies(phi, Box(alpha, phi)), d.n)
     boxed = Box(star, premise)
     packed = land(phi, boxed)
     goal = Box(star, phi)
-    d = Derivation(n=n)
     l1 = d.add(premise, Premise())
     l2 = d.add(boxed, Necessitation(l1, star))
     l3 = d.add(Implies(boxed, Implies(phi, packed)), Luk())
@@ -301,31 +321,6 @@ def derive_loop_invariance(phi: Formula, alpha: Program, n: int) -> Derivation:
         AxiomRef("ind", fsub={"p": phi}, psub={"a": alpha}),
     )
     d.add(Implies(phi, goal), ModusPonens(l7, l6))
-    return d
-
-
-def derive_loop_invariance_plain(phi: Formula, alpha: Program, n: int) -> Derivation:
-    """Variant starting from the unpowered premise phi -> [alpha]phi.
-
-    The jump from the premise to its n-th power is admissible for the
-    system (powering preserves theoremhood) but not derivable from the
-    rules alone, so the power enters as a second premise line here.
-    """
-    d = Derivation(n=n)
-    d.add(Implies(phi, Box(alpha, phi)), Premise())
-    d.add(power(Implies(phi, Box(alpha, phi)), n), Premise())
-    rest = derive_loop_invariance(phi, alpha, n)
-    offset = 2
-    for line in rest.lines[1:]:  # skip the powered premise, already line 2
-        j = line.justification
-        if isinstance(j, ModusPonens):
-            j = ModusPonens(j.minor + offset - 1, j.major + offset - 1)
-        elif isinstance(j, Necessitation):
-            j = Necessitation(j.source + offset - 1, j.prog)
-        elif isinstance(j, Substitution):
-            j = Substitution(j.source + offset - 1, j.fsub)
-        d.add(line.formula, j)
-    return d
 
 
 # --- derivation files -------------------------------------------------------
@@ -405,7 +400,8 @@ def parse_derivation(text: str, n: int) -> Derivation:
             continue
         parts = _split_line(stripped)
         if parts is None:
-            raise DerivationFormatError(f"line {lineno}: cannot parse {stripped!r}")
+            shown = stripped if len(stripped) <= 60 else stripped[:60] + "…"  # a line may run to megabytes
+            raise DerivationFormatError(f"line {lineno}: cannot parse {shown!r}")
         index, formula_text, just_text = parts
         if index != expected:
             raise DerivationFormatError(

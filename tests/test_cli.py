@@ -178,6 +178,14 @@ def test_randmodel_is_deterministic(capsys):
     parse_model(first)
 
 
+def test_randmodel_names_the_seed_it_used(capsys):
+    assert main(["randmodel", "--n", "2", "--worlds", "3"]) == 0
+    seedless = capsys.readouterr().out
+    assert main(["randmodel", "--n", "2", "--worlds", "3", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == seedless
+    assert seedless.startswith("# seed 0\n")
+
+
 def test_ulam_subcommands(tmp_path, capsys):
     assert main(["ulam", "build", "--m", "2", "--n", "1", "--depth", "1"]) == 0
     model = parse_model(capsys.readouterr().out)
