@@ -251,34 +251,34 @@ class KripkeModel:
         body = prof[g.body]
         index = {state: i for i, state in enumerate(auto)}
         cols = [[n] * len(body) for _ in auto]  # n until reached below n
-        seeds = [[[] for _ in auto] for _ in range(n)]  # value -> state -> worlds
+        accepting = []
         into: list[list[tuple[int, list[list[int]]]]] = [[] for _ in auto]  # per target state
         for i, edges in enumerate(auto.values()):
             for name, gate, target in edges:
-                if target is None:  # accepting
-                    for w, x in enumerate(body):
-                        if x < n:
-                            seeds[x][i].append(w)
+                if target is None:
+                    accepting.append(i)
                 elif name is None:  # a test: the worlds where the gate is 1, staying
                     into[index[target]].append((i, [[w] if x == n else [] for w, x in enumerate(prof[gate])]))
                 else:
                     into[index[target]].append((i, self._adjacency(name, True)))
-        for x, by_state in enumerate(seeds):
-            for i, worlds in enumerate(by_state):
+        # accepting pairs in ascending value; ties in any order, as a pair's
+        # value is the lowest one it reaches whichever is taken first
+        for w in sorted((w for w, x in enumerate(body) if x < n), key=body.__getitem__):
+            x = body[w]
+            for i in accepting:
                 col = cols[i]
-                for w in worlds:
-                    if col[w] < n:
-                        continue
-                    col[w] = x
-                    todo = [(w, i)]
-                    while todo:
-                        v, t = todo.pop()
-                        for s, preds in into[t]:
-                            c = cols[s]
-                            for u in preds[v]:
-                                if c[u] == n:
-                                    c[u] = x
-                                    todo.append((u, s))
+                if col[w] < n:
+                    continue
+                col[w] = x
+                todo = [(w, i)]
+                while todo:
+                    v, t = todo.pop()
+                    for s, preds in into[t]:
+                        c = cols[s]
+                        for u in preds[v]:
+                            if c[u] == n:
+                                c[u] = x
+                                todo.append((u, s))
         prof.update(zip(auto, cols))
         return prof[g]
 

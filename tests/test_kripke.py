@@ -464,3 +464,73 @@ def test_value_profiles_are_pinned():
             count += 1
     assert count >= 2000
     assert digest.hexdigest() == "fd536c22c833e643236256cc96bea4c9ab1852966d19e9fc295028ada9667922"
+
+
+# Resolutions on both sides of each lane width a packed value column can
+# take (1, 2, 4 and 8 bytes, then wider), and world counts around a byte.
+LANE_EDGES = (1, 127, 128, 255, 256, 2**15, 2**31, 2**63 - 1, 2**63, 2**70)
+WORLD_COUNTS = (1, 7, 8, 9, 300)
+
+
+def edge_model(rng, n, count, density):
+    """Random model whose values are mostly 0, 1, n//2, n - 1 or n, so
+    that the lowest and the top lane values occur at every resolution."""
+    worlds = [f"w{i}" for i in range(count)]
+    relations = {a: [(u, v) for u in worlds for v in worlds if rng.random() < density] for a in ("a", "b")}
+    picks = (0, 1, n // 2, n - 1, n)
+    valuation = {
+        var: {w: rng.choice(picks) if rng.random() < 0.8 else rng.randint(0, n) for w in worlds}
+        for var in ("p", "q", "r")
+    }
+    return KripkeModel(n, worlds, relations, valuation)
+
+
+def edge_formulas(rng, count):
+    """count random formulas: plain ones, stars over tests, and f -> f,
+    which is true everywhere."""
+    names = {"var_names": ("p", "q", "r"), "atom_names": ("a", "b")}
+    out = []
+    for k in range(count):
+        f = random_formula(rng, rng.randint(1, 4), **names)
+        if k % 3 == 1:
+            prog = Seq(Test(random_formula(rng, 2, **names)), rng.choice((Star(random_program(rng, 2, **names)), Atomic("b"))))
+            f = Implies(Box(Star(prog), random_formula(rng, 2, **names)), f)
+        elif k % 3 == 2:
+            f = Implies(f, f)
+        out.append(f)
+    return out
+
+
+def test_lane_boundary_profiles_are_pinned():
+    # sha256 of value_profile, falsifying_world and globally_true taken
+    # with list value columns, before the columns were packed into lanes
+    rng = random.Random(20261020)
+    digest = hashlib.sha256()
+    for n in LANE_EDGES:
+        for count in WORLD_COUNTS:
+            density = 0.01 if count == 300 else rng.choice((0.0, 0.2, 0.5))
+            m = edge_model(rng, n, count, density)
+            for f in edge_formulas(rng, 9):
+                prof = m.value_profile(f)
+                row = ([prof[w].num for w in m.worlds], m.falsifying_world(f), m.globally_true(f))
+                digest.update(repr(row).encode())
+    assert digest.hexdigest() == "ba286a56637ae6ee00736747240840d16c79a2fb1807553b791a453fc2df57ad"
+
+
+def test_lane_boundary_columns_match_relational_oracle():
+    rng = random.Random(20261021)
+    for n in LANE_EDGES:
+        models = [edge_model(rng, n, count, rng.choice((0.1, 0.3))) for count in WORLD_COUNTS[:-1]]
+        if n in (1, 255, 2**15, 2**63, 2**70):
+            models.append(edge_model(rng, n, 300, 0.004))
+        for m in models:
+            oracle = Relational(m)
+            for f in edge_formulas(rng, 6):
+                want = oracle.profile(f)
+                prof = m.value_profile(f)
+                assert [prof[w].num for w in m.worlds] == want, (n, len(m.worlds), format_formula(f))
+                bad = next((i for i, x in enumerate(want) if x != n), None)
+                assert m.globally_true(f) is (bad is None)
+                assert m.falsifying_world(f) == (None if bad is None else (m.worlds[bad], tv(want[bad], n)))
+                w = rng.randrange(len(m.worlds))
+                assert m.value(m.worlds[w], f) == tv(want[w], n)
