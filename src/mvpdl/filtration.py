@@ -40,7 +40,7 @@ def _classes(m: KripkeModel, seed: Formula):
     in construction order) that worlds of m take, in ascending order, and
     the index in that order of each world's tuple: its class."""
     closure = fl_closure(seed)
-    sigs = list(zip(*[m._profile(g) for g in closure]))  # per world index
+    sigs = list(zip(*[m._column(g) for g in closure]))  # per world index
     index = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
     return closure, list(index), [index[sig] for sig in sigs]
 

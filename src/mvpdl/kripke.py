@@ -10,9 +10,12 @@ atomic program, built while the world names are checked; predecessor
 lists are built from them on first use, and the world-name pairs of
 `relations` only when something reads that attribute.
 
-Evaluation computes whole value columns (one numerator per world), one
-per step of `syntax.plan` and each from the columns the step reads, and
-caches them per model; the plan leaves out what the cache holds.  A box
+Evaluation computes whole value columns, one per step of `syntax.plan`
+and each from the columns the step reads, and caches them per model; the
+plan leaves out what the cache holds.  A column is one int of
+`luk.Lanes`: the numerator at world i sits in lane i, of the fewest whole
+bytes that hold n below a guard bit, so the connectives and the MIN and
+TEST steps are a few integer operations on every world at once.  A box
 takes its column from the columns of the closure members its law reads
 (`syntax.laws`), so only the atomic index lists are ever read:
 
@@ -22,6 +25,10 @@ takes its column from the columns of the closure members its law reads
     [g?]f     TEST  f where g has value 1, and 1 elsewhere (tests are
                     partial identities over fully true worlds)
     [b*]f     STAR  one flood over the states of its automaton
+
+A minimum over successor lists is no lane operation, so atomic boxes and
+star floods unpack the columns they read into lists of numerators and
+pack the columns they compute.
 
 A star box g = [b*]f is read through its automaton,
 `syntax.star_states`, which its plan step carries (the step reads f and
@@ -36,9 +43,9 @@ value to every unreached pair that reaches it through unreached pairs.
 The reached set stays closed under predecessors, so a pair is first
 reached from the lowest-valued accepting pair it can reach, which is its
 value; each pair and each edge between pairs is handled once, in
-O((W + E) * states) for W worlds and E atomic edges.  The columns of the
-other states are cached too, and a later step for one of them is
-skipped.
+O((W + E) * states) after sorting the W worlds by f value, for E atomic
+edges and any n.  The columns of the other states are cached too, and a
+later step for one of them is skipped.
 
 The plan keeps an explicit stack, so depth is bounded by memory rather
 than by the interpreter's recursion limit.  Models are immutable after
@@ -50,7 +57,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping, Sequence
 
-from .luk import TruthValue
+from .luk import Lanes, TruthValue
 from .syntax import ATOM, FALSUM, IMP, MIN, NOT, STAR, TEST, VAR, Formula, plan
 
 
@@ -77,7 +84,7 @@ class KripkeModel:
         "_pred",
         "_view",
         "_vcols",
-        "_zeros",
+        "_lanes",
         "_tvs",
         "_prof",
     )
@@ -130,9 +137,9 @@ class KripkeModel:
                 raise ModelError(f"valuation of {var!r} uses undeclared world {extra!r}")
             self._vcols[var] = col
         self.variables = tuple(sorted(self._vcols))
-        self._zeros = [0] * len(self.worlds)
+        self._lanes = Lanes(n, len(self.worlds))
         self._tvs: dict[int, TruthValue] = {}
-        self._prof: dict[Formula, list[int]] = {}
+        self._prof: dict[Formula, int] = {}
 
     @property
     def relations(self) -> dict[str, frozenset[tuple[str, str]]]:
@@ -154,11 +161,11 @@ class KripkeModel:
         idx = self._widx.get(world)
         if idx is None:
             raise ModelError(f"undeclared world {world!r}")
-        return TruthValue(self._profile(f)[idx], self.n)
+        return TruthValue(self._lanes.lane(self._profile(f), idx), self.n)
 
     def value_profile(self, f: Formula) -> dict[str, TruthValue]:
         """Truth value of f at every world."""
-        col = self._profile(f)
+        col = self._column(f)
         tvs = self._tvs  # one shared TruthValue per numerator
         for x in set(col).difference(tvs):
             tvs[x] = TruthValue(x, self.n)
@@ -170,16 +177,15 @@ class KripkeModel:
 
     def globally_true(self, f: Formula) -> bool:
         """Whether f is true at every world."""
-        n = self.n
-        return all(x == n for x in self._profile(f))
+        return self._profile(f) == self._lanes.top
 
     def falsifying_world(self, f: Formula) -> tuple[str, TruthValue] | None:
         """First world where f is not true, with its value there."""
         col = self._profile(f)
-        for i, x in enumerate(col):
-            if x != self.n:
-                return self.worlds[i], TruthValue(x, self.n)
-        return None
+        i = self._lanes.first_below_top(col)
+        if i is None:
+            return None
+        return self.worlds[i], TruthValue(self._lanes.lane(col, i), self.n)
 
     def atomic_value(self, world: str, var: str) -> TruthValue:
         col = self._vcols.get(var)
@@ -192,22 +198,27 @@ class KripkeModel:
 
     # -- internals --
 
-    def _profile(self, f: Formula) -> list[int]:
+    def _column(self, f: Formula) -> list[int]:
+        """Numerator of f at every world, in world order."""
+        return self._lanes.unpack(self._profile(f))
+
+    def _profile(self, f: Formula) -> int:
         prof = self._prof
         got = prof.get(f)
         if got is not None:
             return got
-        n = self.n
+        lanes = self._lanes
         try:
             for g, op, reads, auto in plan((f,), prof):
                 if op is IMP:
-                    col = [n if x <= y else n - x + y for x, y in zip(prof[reads[0]], prof[reads[1]])]
+                    col = lanes.imp(prof[reads[0]], prof[reads[1]])
                 elif op is NOT:
-                    col = [n - x for x in prof[reads[0]]]
+                    col = lanes.top - prof[reads[0]]
                 elif op is VAR:
                     col = self._vcols.get(g.name)
                     if col is None:
                         raise ModelError(f"undeclared variable {g.name!r}")
+                    col = lanes.pack(col)
                 elif g in prof:  # a box a star flood cached after the plan entered it
                     continue
                 elif op is ATOM:
@@ -215,13 +226,13 @@ class KripkeModel:
                 elif op is MIN:
                     col = prof[reads[0]]
                     if len(reads) == 2:
-                        col = [x if x < y else y for x, y in zip(col, prof[reads[1]])]
+                        col = lanes.meet(col, prof[reads[1]])
                 elif op is TEST:
-                    col = [x if c == n else n for c, x in zip(prof[reads[0]], prof[reads[1]])]
+                    col = lanes.test(prof[reads[0]], prof[reads[1]])
                 elif op is STAR:
                     col = self._star(g, auto)
                 elif op is FALSUM:
-                    col = self._zeros
+                    col = 0
                 else:
                     raise ModelError(f"cannot evaluate {g!r}")
                 prof[g] = col
@@ -229,8 +240,9 @@ class KripkeModel:
             raise ModelError(str(e)) from None
         return prof[f]
 
-    def _atomic_box(self, name: str, body: list[int]) -> list[int]:
+    def _atomic_box(self, name: str, packed: int) -> int:
         n = self.n
+        body = self._lanes.unpack(packed)
         col = []
         for vs in self._adjacency(name, False):
             m = n
@@ -241,14 +253,14 @@ class KripkeModel:
                     if m == 0:
                         break
             col.append(m)
-        return col
+        return self._lanes.pack(col)
 
-    def _star(self, g: Formula, auto: dict) -> list[int]:
+    def _star(self, g: Formula, auto: dict) -> int:
         """Column of star box g from one backward flood over worlds x the
         states of its automaton `auto` (`star_states`); the columns of the
         other states are cached too."""
-        n, prof = self.n, self._prof
-        body = prof[g.body]
+        n, prof, lanes = self.n, self._prof, self._lanes
+        body = lanes.unpack(prof[g.body])
         index = {state: i for i, state in enumerate(auto)}
         cols = [[n] * len(body) for _ in auto]  # n until reached below n
         accepting = []
@@ -258,7 +270,8 @@ class KripkeModel:
                 if target is None:
                     accepting.append(i)
                 elif name is None:  # a test: the worlds where the gate is 1, staying
-                    into[index[target]].append((i, [[w] if x == n else [] for w, x in enumerate(prof[gate])]))
+                    gated = [[w] if x == n else [] for w, x in enumerate(lanes.unpack(prof[gate]))]
+                    into[index[target]].append((i, gated))
                 else:
                     into[index[target]].append((i, self._adjacency(name, True)))
         # accepting pairs in ascending value; ties in any order, as a pair's
@@ -279,7 +292,7 @@ class KripkeModel:
                             if c[u] == n:
                                 c[u] = x
                                 todo.append((u, s))
-        prof.update(zip(auto, cols))
+        prof.update(zip(auto, map(lanes.pack, cols)))
         return prof[g]
 
     def _adjacency(self, name: str, backward: bool) -> Sequence[Sequence[int]]:
@@ -311,6 +324,8 @@ def random_model(
     """Deterministic pseudo-random model: independent edges, uniform values."""
     if world_count < 1:
         raise ModelError("world_count must be >= 1")
+    if not 0 <= edge_density <= 1:  # NaN too
+        raise ModelError(f"edge density must be in [0, 1], got {edge_density}")
     rng = random.Random(seed)
     worlds = [f"w{i}" for i in range(world_count)]
     relations = {}

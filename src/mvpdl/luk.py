@@ -11,21 +11,27 @@ synthesis of one-variable threshold formulas (value 1 from i/n upward,
 0 below) and point indicators, built only from the doubling maps
 x (+) x and x (.) x.
 
+The connectives on packed columns, `Lanes`, are stated here once: a
+column of values is one int with one lane of bits per value, and each
+connective is a few integer operations on every lane at once (broadword
+arithmetic, Knuth TAOCP 4A 7.1.3).  The model checker keeps its value
+columns in them, one lane per world.
+
 A formula is lowered to a straight-line program of implications in the
 order of `syntax.plan`.  The tautology check reads the whole (n+1)**k
-table of k variables as packed columns: a subformula's values over a
-block of rows are one int with a lane of n.bit_length()+1 bits per row,
-so each implication is a few integer operations on every row of the
-block at once (broadword arithmetic, Knuth TAOCP 4A 7.1.3).  A column of a block is at most 4 KiB
-and a block's columns at most 1 MiB together: the last variables run
-through all their values in a block (3,125 rows at n = 4), and the
-leading ones that do not fit are constant per block.
+table of k variables as such columns, a lane of n.bit_length()+1 bits
+per row.  A column of a block of rows is at most 4 KiB and a block's
+columns at most 1 MiB together: the last variables run through all
+their values in a block (3,125 rows at n = 4), and the leading ones that
+do not fit are constant per block.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
+from array import array
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Mapping
@@ -242,44 +248,105 @@ def prop_counterexample(f: Formula, n: int) -> dict[str, TruthValue] | None:
 _COLUMN_BITS = 1 << 15
 _BLOCK_BITS = 1 << 23
 
+# memoryview.cast and array formats of the native unsigned ints, by size;
+# lanes read through them only where the native order is little-endian
+_FORMATS = {array(c).itemsize: c for c in "QLIHB"} if sys.byteorder == "little" else {}
+
+
+class Lanes:
+    """Columns of count values 0..n, each column one int with value i in
+    lane i of `width` bits (lane 0 lowest); width > n.bit_length().
+
+    Every value lies below its lane's top bit, the guard, so each
+    connective is a few integer operations on every lane at once without
+    a borrow crossing lanes (broadword arithmetic, Knuth TAOCP 4A 7.1.3):
+    (x | H) - y keeps the guard exactly where x >= y, which masks the low
+    bits' x - y.  Without a width the lanes are whole bytes, the fewest of
+    1, 2, 4 or 8 that fit, else just enough; `pack` and `unpack` convert
+    such columns to and from value lists.
+    """
+
+    __slots__ = ("count", "width", "shift", "ones", "high", "top")
+
+    def __init__(self, n: int, count: int, width: int | None = None):
+        if width is None:
+            size = n.bit_length() // 8 + 1  # the fewest bytes above n's top bit
+            width = 8 * (1 << (size - 1).bit_length() if size <= 8 else size)
+        self.count, self.width = count, width
+        self.shift = width - 1
+        self.ones = _repunit(count, width)
+        self.high = self.ones << self.shift
+        self.top = n * self.ones
+
+    def imp(self, x: int, y: int) -> int:
+        """x -> y, that is n - max(x - y, 0), in every lane."""
+        d = (x | self.high) - y
+        g = d & self.high
+        return self.top - (d & (g - (g >> self.shift)))
+
+    def meet(self, x: int, y: int) -> int:
+        """min(x, y) in every lane: x (.) (x -> y)."""
+        return x + self.imp(x, y) - self.top
+
+    def test(self, c: int, x: int) -> int:
+        """x in the lanes where c is n, and n in the others."""
+        g = (((self.top - c) | self.high) - self.ones) & self.high  # guards where c < n
+        return x + ((self.top - x) & (g - (g >> self.shift)))
+
+    def lane(self, col: int, i: int) -> int:
+        return (col >> (i * self.width)) & ((1 << self.width) - 1)
+
+    def first_below_top(self, col: int) -> int | None:
+        """Index of the lowest lane of col below n, or None."""
+        diff = col ^ self.top
+        return ((diff & -diff).bit_length() - 1) // self.width if diff else None
+
+    def unpack(self, col: int) -> list[int]:
+        """The values of a column of byte lanes, lane 0 first."""
+        size = self.width // 8
+        raw = col.to_bytes(size * self.count, "little")
+        fmt = _FORMATS.get(size)
+        if fmt is not None:
+            return memoryview(raw).cast(fmt).tolist()
+        return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+
+    def pack(self, values: list[int]) -> int:
+        """The column of byte lanes that holds the values, lane 0 first."""
+        size = self.width // 8
+        fmt = _FORMATS.get(size)
+        if fmt is not None:
+            return int.from_bytes(array(fmt, values), "little")
+        return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in values), "little")
+
 
 def _first_failing_row(k: int, steps: list[tuple[int, int]], root: int, n: int) -> tuple[int, ...] | None:
     """The numerators of the first row of k variables, in
     `itertools.product` order, on which the lowered formula is below n.
 
     The table is evaluated a block of rows at a time, each slot's column
-    packed into one int with one lane of w = n.bit_length() + 1 bits per
-    row, row 0 of the block in the lowest lane.  The last t variables run
-    through all their values in a block and the leading ones are constant
-    in it, so the blocks follow the rows' order.  A lane holds a value
-    0..n below its high bit, so x -> y = n - max(x - y, 0) is computed in
-    every lane at once without a borrow crossing lanes: (x | H) - y keeps
-    the high bit exactly where x >= y, which masks the low bits' x - y.
+    `Lanes` with one lane of n.bit_length() + 1 bits per row, row 0 of
+    the block in the lowest lane.  The last t variables run through all
+    their values in a block and the leading ones are constant in it, so
+    the blocks follow the rows' order.
     """
     w = n.bit_length() + 1
-    s = w - 1
     base = n + 1
     lanes_cap = max(1, min(_COLUMN_BITS, _BLOCK_BITS // (k + 1 + len(steps))) // w)
     t = 0
     while t < k and base ** (t + 1) <= lanes_cap:
         t += 1
-    lanes = base**t
-    ones = _repunit(lanes, w)
-    high = ones << s
-    top_col = n * ones
-    trailing = [_ramp(base, base ** (t - 1 - i), lanes, w) for i in range(t)]
+    lanes = Lanes(n, base**t, w)
+    imp = lanes.imp
+    trailing = [_ramp(base, base ** (t - 1 - i), lanes.count, w) for i in range(t)]
     for lead in itertools.product(range(base), repeat=k - t):
-        vals = [v * ones for v in lead]
+        vals = [v * lanes.ones for v in lead]
         vals += trailing
         vals.append(0)
         push = vals.append
         for i, j in steps:
-            d = (vals[i] | high) - vals[j]
-            m = (d & high) >> s
-            push(top_col - (d & ((m << s) - m)))
-        diff = vals[root] ^ top_col
-        if diff:
-            row = ((diff & -diff).bit_length() - 1) // w
+            push(imp(vals[i], vals[j]))
+        row = lanes.first_below_top(vals[root])
+        if row is not None:
             digits = []
             for _ in range(t):
                 row, v = divmod(row, base)

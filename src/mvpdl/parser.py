@@ -123,10 +123,11 @@ _OPERATORS = {
 
 _MAX_K = 10_000  # largest k in ^k and k.
 
-# Whitespace, then a token: a question atom (or one with no closing
-# brace), an identifier, an integer, a punctuation mark of several
-# characters, or any one other character.
-_TOKEN = re.compile(r"\s*(~?[^\W\d_]\w*\{[^}]*\}?|[^\W\d_]\w*|[0-9]+|\(\+\)|\(\.\)|<->|->|\S)")
+# Whitespace, then a token: an identifier or a question atom (one may
+# lack its closing brace), a negated question atom, an integer, a
+# punctuation mark of several characters, or any one other character.
+# Identifiers come first, as they are the most common word.
+_TOKEN = re.compile(r"\s*([^\W\d_]\w*(?:\{[^}]*\}?)?|~[^\W\d_]\w*\{[^}]*\}?|[0-9]+|\(\+\)|\(\.\)|<->|->|\S)")
 _PUNCT = frozenset(("(+)", "(.)", "<->", "->", *"()[]<>|&^;+*?.~"))
 _END = "end of input"  # the word after the last, and its kind
 

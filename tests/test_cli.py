@@ -178,6 +178,13 @@ def test_randmodel_is_deterministic(capsys):
     parse_model(first)
 
 
+def test_randmodel_refuses_a_density_outside_the_unit_interval(capsys):
+    for density in ("2", "-0.1", "nan"):
+        assert main(["randmodel", "--n", "1", "--worlds", "2", "--density", density]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: edge density must be in [0, 1], got {float(density)}\n"
+
+
 def test_randmodel_names_the_seed_it_used(capsys):
     assert main(["randmodel", "--n", "2", "--worlds", "3"]) == 0
     seedless = capsys.readouterr().out

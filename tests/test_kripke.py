@@ -135,6 +135,9 @@ def test_random_model_contract():
     assert all(not pairs for pairs in empty.relations.values())
     full = random_model(seed=1, n=2, world_count=3, edge_density=1.0)
     assert all(len(pairs) == 9 for pairs in full.relations.values())
+    for density in (2, -0.1, float("nan")):
+        with pytest.raises(ModelError, match=r"edge density must be in \[0, 1\]"):
+            random_model(seed=1, n=2, world_count=3, edge_density=density)
 
 
 def test_model_validation_errors():
@@ -525,7 +528,7 @@ def test_lane_boundary_columns_match_relational_oracle():
             models.append(edge_model(rng, n, 300, 0.004))
         for m in models:
             oracle = Relational(m)
-            for f in edge_formulas(rng, 6):
+            for f in edge_formulas(rng, 12):
                 want = oracle.profile(f)
                 prof = m.value_profile(f)
                 assert [prof[w].num for w in m.worlds] == want, (n, len(m.worlds), format_formula(f))

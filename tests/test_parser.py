@@ -2,12 +2,14 @@
 
 import hashlib
 import random
+import re
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvpdl import parser
 from mvpdl.parser import (
     Groups,
     ParseError,
@@ -406,6 +408,49 @@ def test_pathological_nesting_is_a_parse_error():
             parse(unbalanced)
         assert err.value.col == len(unbalanced) + 1
         assert ")" in err.value.expected
+
+
+# the tokenizer's pattern while it tried question atoms before identifiers
+_QATOM_FIRST_TOKEN = r"\s*(~?[^\W\d_]\w*\{[^}]*\}?|[^\W\d_]\w*|[0-9]+|\(\+\)|\(\.\)|<->|->|\S)"
+
+
+def test_identifier_first_tokenizer_splits_and_fails_as_before(monkeypatch):
+    old, new = re.compile(_QATOM_FIRST_TOKEN), parser._TOKEN
+    texts = _parse_corpus() + [
+        "[Q{1,3}]p_1 -> [~Q{1, 3}]p_1",
+        "[Q{1};~Q{1}]p_2",
+        "~Q{1}",
+        "~~Q{1} & ~ Q{2}",
+        "[Q{1]p",
+        "[Q{1",
+        "p{",
+        "~p{ -> q",
+        "~{1}",
+        "Q{}} -> p",
+        "Q{a\nb}",
+        "ä -> öß | Ωmega{1}",
+        "[~Ж{2}]é",
+        "2p -> p2",
+        "x_1 & _x",
+        "p -> $q",
+        "p²",
+        "p -> ١",
+        "p^12 (+) 3.q",
+    ]
+    results = []
+    for pattern in (old, new):
+        monkeypatch.setattr(parser, "_TOKEN", pattern)
+        out = []
+        for text in texts:
+            for parse in (parse_formula, parse_program):
+                try:
+                    out.append(repr(parse(text)))
+                except ParseError as err:
+                    out.append(str(err))
+        results.append(out)
+    assert [old.findall(t) for t in texts] == [new.findall(t) for t in texts]
+    assert results[0] == results[1]
+    assert sum(r.startswith("unterminated '{'") for r in results[1]) >= 8
 
 
 def test_garbage_inputs_raise_parse_errors_only():
