@@ -248,9 +248,10 @@ def prop_counterexample(f: Formula, n: int) -> dict[str, TruthValue] | None:
 _COLUMN_BITS = 1 << 15
 _BLOCK_BITS = 1 << 23
 
-# memoryview.cast and array formats of the native unsigned ints, by size;
-# lanes read through them only where the native order is little-endian
-_FORMATS = {array(c).itemsize: c for c in "QLIHB"} if sys.byteorder == "little" else {}
+# memoryview.cast and array formats of the native unsigned ints of 2 to 8
+# bytes, by size; lanes read through them only where the native order is
+# little-endian (one-byte lanes are bytes)
+_FORMATS = {array(c).itemsize: c for c in "QLIH"} if sys.byteorder == "little" else {}
 
 
 class Lanes:
@@ -305,6 +306,8 @@ class Lanes:
         """The values of a column of byte lanes, lane 0 first."""
         size = self.width // 8
         raw = col.to_bytes(size * self.count, "little")
+        if size == 1:
+            return list(raw)
         fmt = _FORMATS.get(size)
         if fmt is not None:
             return memoryview(raw).cast(fmt).tolist()
@@ -313,6 +316,8 @@ class Lanes:
     def pack(self, values: list[int]) -> int:
         """The column of byte lanes that holds the values, lane 0 first."""
         size = self.width // 8
+        if size == 1:
+            return int.from_bytes(bytes(values), "little")
         fmt = _FORMATS.get(size)
         if fmt is not None:
             return int.from_bytes(array(fmt, values), "little")

@@ -496,8 +496,9 @@ def edge_formulas(rng, count):
     for k in range(count):
         f = random_formula(rng, rng.randint(1, 4), **names)
         if k % 3 == 1:
-            prog = Seq(Test(random_formula(rng, 2, **names)), rng.choice((Star(random_program(rng, 2, **names)), Atomic("b"))))
-            f = Implies(Box(Star(prog), random_formula(rng, 2, **names)), f)
+            test = Test(random_formula(rng, 2, **names))
+            then = rng.choice((Star(random_program(rng, 2, **names)), Atomic("b")))
+            f = Implies(Box(Star(Seq(test, then)), random_formula(rng, 2, **names)), f)
         elif k % 3 == 2:
             f = Implies(f, f)
         out.append(f)
