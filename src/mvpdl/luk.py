@@ -29,9 +29,7 @@ do not fit are constant per block.
 from __future__ import annotations
 
 import itertools
-import sys
 import threading
-from array import array
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterator, Mapping
@@ -248,11 +246,6 @@ def prop_counterexample(f: Formula, n: int) -> dict[str, TruthValue] | None:
 _COLUMN_BITS = 1 << 15
 _BLOCK_BITS = 1 << 23
 
-# memoryview.cast and array formats of the native unsigned ints of 2 to 8
-# bytes, by size; lanes read through them only where the native order is
-# little-endian (one-byte lanes are bytes)
-_FORMATS = {array(c).itemsize: c for c in "QLIH"} if sys.byteorder == "little" else {}
-
 
 class Lanes:
     """Columns of count values 0..n, each column one int with value i in
@@ -262,17 +255,16 @@ class Lanes:
     connective is a few integer operations on every lane at once without
     a borrow crossing lanes (broadword arithmetic, Knuth TAOCP 4A 7.1.3):
     (x | H) - y keeps the guard exactly where x >= y, which masks the low
-    bits' x - y.  Without a width the lanes are whole bytes, the fewest of
-    1, 2, 4 or 8 that fit, else just enough; `pack` and `unpack` convert
-    such columns to and from value lists.
+    bits' x - y.  Without a width the lanes are the fewest whole bytes
+    that hold n below the guard; `pack` and `unpack` convert such columns
+    to and from value lists.
     """
 
     __slots__ = ("count", "width", "shift", "ones", "high", "top")
 
     def __init__(self, n: int, count: int, width: int | None = None):
         if width is None:
-            size = n.bit_length() // 8 + 1  # the fewest bytes above n's top bit
-            width = 8 * (1 << (size - 1).bit_length() if size <= 8 else size)
+            width = 8 * (n.bit_length() // 8 + 1)  # the fewest bytes above n's top bit
         self.count, self.width = count, width
         self.shift = width - 1
         self.ones = _repunit(count, width)
@@ -308,9 +300,6 @@ class Lanes:
         raw = col.to_bytes(size * self.count, "little")
         if size == 1:
             return list(raw)
-        fmt = _FORMATS.get(size)
-        if fmt is not None:
-            return memoryview(raw).cast(fmt).tolist()
         return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
 
     def pack(self, values: list[int]) -> int:
@@ -318,9 +307,6 @@ class Lanes:
         size = self.width // 8
         if size == 1:
             return int.from_bytes(bytes(values), "little")
-        fmt = _FORMATS.get(size)
-        if fmt is not None:
-            return int.from_bytes(array(fmt, values), "little")
         return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in values), "little")
 
 

@@ -469,8 +469,9 @@ def test_value_profiles_are_pinned():
     assert digest.hexdigest() == "fd536c22c833e643236256cc96bea4c9ab1852966d19e9fc295028ada9667922"
 
 
-# Resolutions on both sides of each lane width a packed value column can
-# take (1, 2, 4 and 8 bytes, then wider), and world counts around a byte.
+# Resolutions on both sides of lane widths a packed value column can take
+# (127 | 128 and 2**63 - 1 | 2**63 cross a byte), and world counts around
+# a byte.
 LANE_EDGES = (1, 127, 128, 255, 256, 2**15, 2**31, 2**63 - 1, 2**63, 2**70)
 WORLD_COUNTS = (1, 7, 8, 9, 300)
 

@@ -363,3 +363,18 @@ def test_mv_identities_catch_the_misprinted_first_equation():
     from mvpdl.luk import imp_i
 
     assert imp_i(0, 1, 1) != 0
+
+
+def test_byte_lanes_are_the_fewest_bytes_and_round_trip():
+    # every byte count from 1 to 10, at the last n that fits it and the
+    # first that does not
+    rng = random.Random(7)
+    for k in range(1, 11):
+        for n in (2 ** (8 * k - 1) - 1, 2 ** (8 * k - 1)):
+            lanes = luk.Lanes(n, 5)
+            assert lanes.width % 8 == 0 and lanes.width - 8 <= n.bit_length() < lanes.width
+            values = [0, n, 1, n - 1, rng.randint(0, n)]
+            col = lanes.pack(values)
+            assert lanes.unpack(col) == values
+            assert [lanes.lane(col, i) for i in range(5)] == values
+            assert lanes.first_below_top(col) == 0 and lanes.first_below_top(lanes.top) is None
