@@ -75,3 +75,23 @@ def test_instantiate_orders_programs_before_formulas():
     assert out == Box(Seq(Atomic("a"), Atomic("a")), Box(Atomic("a"), Var("q")))
     out = instantiate(template, fsub={"p": Var("q")}, psub={"a": Test(Var("p"))})
     assert out == Box(Test(Var("p")), Var("q"))
+
+
+def test_schema_and_axiom_formulas_are_pinned():
+    # one digest over the printed schemas and axioms at n = 1..8 and the
+    # schema names; equal text means the same interned node, since parsing
+    # printed text returns that node
+    import hashlib
+
+    from mvpdl.parser import format_formula
+    from mvpdl.proofs import axiom_ids, axiom_template
+
+    h = hashlib.sha256()
+    for n in range(1, 9):
+        for index in range(1, 19):
+            for f in schema_formulas(index, n):
+                h.update(format_formula(f).encode() + b"\n")
+        for axiom_id in axiom_ids():
+            h.update(format_formula(axiom_template(axiom_id, n)).encode() + b"\n")
+    h.update(repr(sorted(SCHEMA_NAMES.items())).encode())
+    assert h.hexdigest() == "3e4987f4287110aa1f99d120d07be47378c561134e7ce55bf612238ec045a415"
