@@ -58,7 +58,8 @@ import random
 from typing import Iterable, Mapping, Sequence
 
 from .luk import Lanes, TruthValue
-from .syntax import ATOM, FALSUM, IMP, MIN, NOT, STAR, TEST, VAR, Formula, plan
+from .parser import ParseError, parse_formula, parse_program
+from .syntax import ATOM, FALSUM, IMP, MIN, NOT, STAR, TEST, VAR, Atomic, Formula, Var, plan
 
 
 class ModelError(ValueError):
@@ -326,6 +327,15 @@ def random_model(
         raise ModelError("world_count must be >= 1")
     if not 0 <= edge_density <= 1:  # NaN too
         raise ModelError(f"edge density must be in [0, 1], got {edge_density}")
+    named = ((atom_names, parse_program, Atomic, "program"), (var_names, parse_formula, Var, "variable"))
+    for names, parse, node, kind in named:
+        for name in names:  # a model file states each name, so it must parse back as itself
+            try:
+                same = parse(name) == node(name)
+            except ParseError:
+                same = False
+            if not same:
+                raise ModelError(f"{kind} name {name!r} does not parse back as itself")
     rng = random.Random(seed)
     worlds = [f"w{i}" for i in range(world_count)]
     relations = {}

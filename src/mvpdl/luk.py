@@ -185,17 +185,6 @@ def _lower(f: Formula) -> tuple[list[str], list[tuple[int, int]], int]:
     return [g.name for g in names], steps, slot[f]
 
 
-def _run(steps: list[tuple[int, int]], root: int, nums, n: int) -> int:
-    """Value of a lowered formula; nums lists the variables' numerators."""
-    vals = list(nums)
-    vals.append(0)
-    for i, j in steps:
-        x = vals[i]
-        y = vals[j]
-        vals.append(n if x <= y else n - x + y)
-    return vals[root]
-
-
 def eval_prop_num(f: Formula, env: Mapping[str, int], n: int) -> int:
     """Evaluate a modality-free formula; env maps names to numerators."""
     names, steps, root = _lower(f)
@@ -203,7 +192,7 @@ def eval_prop_num(f: Formula, env: Mapping[str, int], n: int) -> int:
         nums = [env[name] for name in names]
     except KeyError as exc:
         raise UnboundVariable(exc.args[0]) from None
-    return _run(steps, root, nums, n)
+    return _evaluate(steps, root, nums, Lanes(n, 1))
 
 
 def eval_prop(f: Formula, assignment: Mapping[str, TruthValue], n: int | None = None) -> TruthValue:
@@ -327,16 +316,11 @@ def _first_failing_row(k: int, steps: list[tuple[int, int]], root: int, n: int) 
     while t < k and base ** (t + 1) <= lanes_cap:
         t += 1
     lanes = Lanes(n, base**t, w)
-    imp = lanes.imp
     trailing = [_ramp(base, base ** (t - 1 - i), lanes.count, w) for i in range(t)]
     for lead in itertools.product(range(base), repeat=k - t):
         vals = [v * lanes.ones for v in lead]
         vals += trailing
-        vals.append(0)
-        push = vals.append
-        for i, j in steps:
-            push(imp(vals[i], vals[j]))
-        row = lanes.first_below_top(vals[root])
+        row = lanes.first_below_top(_evaluate(steps, root, vals, lanes))
         if row is not None:
             digits = []
             for _ in range(t):
@@ -344,6 +328,17 @@ def _first_failing_row(k: int, steps: list[tuple[int, int]], root: int, n: int) 
                 digits.append(v)
             return lead + tuple(reversed(digits))
     return None
+
+
+def _evaluate(steps: list[tuple[int, int]], root: int, vals: list[int], lanes: Lanes) -> int:
+    """The root column of a lowered formula on lanes; vals holds its
+    variables' columns, and each step's column is appended to it."""
+    vals.append(0)
+    push = vals.append
+    imp = lanes.imp
+    for i, j in steps:
+        push(imp(vals[i], vals[j]))
+    return vals[root]
 
 
 def _ramp(count: int, run: int, lanes: int, w: int) -> int:
@@ -373,7 +368,13 @@ def is_tautology_prop(f: Formula, n: int) -> bool:
 
 def unary_table(f: Formula, n: int, var: str = "p") -> tuple[int, ...]:
     """Value profile of a one-variable formula over all points, as numerators."""
-    return tuple(eval_prop_num(f, {var: i}, n) for i in range(n + 1))
+    names, steps, root = _lower(f)
+    for name in names:
+        if name != var:
+            raise UnboundVariable(name)
+    lanes = Lanes(n, n + 1)
+    ramp = lanes.pack(list(range(n + 1)))  # point x in lane x
+    return tuple(lanes.unpack(_evaluate(steps, root, [ramp] * len(names), lanes)))
 
 
 # --- threshold and indicator synthesis -----------------------------------

@@ -1,22 +1,12 @@
 """Hilbert-style derivation checking for the (n+1)-valued dynamic system.
 
-Axiom schemas (over formula metavariables p, q and program metavariables
-a, b):
-
-    K       [a](p -> q) -> ([a]p -> [a]q)
-    oplus   [a](p (+) p) <-> [a]p (+) [a]p
-    odot    [a](p (.) p) <-> [a]p (.) [a]p
-    union   [a + b]p <-> [a]p & [b]p
-    seq     [a;b]p <-> [a][b]p
-    test    [q?]p <-> ~(q^n) | p
-    fix     [a*]p <-> p & [a][a*]p
-    trans   [a*]p -> [a*][a*]p
-    ind     (p & [a*]((p -> [a]p)^n)) -> [a*]p
-
-All but oplus and odot are read from the `tautologies` schema registry.
-An axiom line is checked against one simultaneous substitution of
-formulas for p, q and programs for a, b; a test inside a substituted
-program keeps its own variables.
+The axioms are the table `_AXIOMS`: oplus and odot are stated there, in
+the package's own notation, and every other axiom is a schema of the
+`tautologies` registry, named there by its index.  All are over formula
+metavariables p, q and program metavariables a, b.  An axiom line is
+checked against one simultaneous substitution of formulas for p, q and
+programs for a, b; a test inside a substituted program keeps its own
+variables.
 
 Deduction rules are modus ponens, necessitation, and uniform substitution
 of formulas for variables (also inside tests).  The propositional base is
@@ -37,7 +27,6 @@ from typing import Mapping
 from .luk import is_tautology_prop
 from .parser import Groups, ParseError, format_formula, format_program, parse_formula, parse_program
 from .syntax import (
-    Atomic,
     Box,
     Formula,
     Implies,
@@ -46,20 +35,23 @@ from .syntax import (
     Star,
     Var,
     atomic_programs_of,
-    iff,
     land,
-    oplus,
-    odot,
     power,
     rewrite,
     substitute,
     variables_of,
 )
-from .tautologies import schema_formulas
+from .tautologies import schema_formulas, template
 
-# each axiom by its schema index in `tautologies`, or, for oplus and odot,
-# by the connective a box distributes over; in the order axiom_ids gives
-_AXIOMS = {"K": 14, "oplus": oplus, "odot": odot, "union": 1, "seq": 2, "test": 5, "fix": 10, "trans": 13, "ind": 12}
+# each axiom by its text, or by its schema index in `tautologies`; in the
+# order axiom_ids gives
+_AXIOMS = {
+    "K": 14, "oplus": "[a](p (+) p) <-> [a]p (+) [a]p", "odot": "[a](p (.) p) <-> [a]p (.) [a]p",
+    "union": 1, "seq": 2, "test": 5, "fix": 10, "trans": 13, "ind": 12,
+}
+
+# the program metavariables a binding may name
+_PROGRAMS = ("a", "b")
 
 
 class IncompleteSubstitution(ValueError):
@@ -75,10 +67,7 @@ def axiom_template(axiom_id: str, n: int) -> Formula:
     source = _AXIOMS.get(axiom_id)
     if source is None:
         raise ValueError(f"unknown axiom {axiom_id!r}")
-    if type(source) is int:
-        return schema_formulas(source, n)[0]
-    p, a = Var("p"), Atomic("a")
-    return iff(Box(a, source(p, p)), source(Box(a, p), Box(a, p)))
+    return template(source) if type(source) is str else schema_formulas(source, n)[0]
 
 
 def instantiate_axiom(
@@ -200,26 +189,21 @@ def check_line(d: Derivation, lineno: int) -> str | None:
     j = line.justification
     if isinstance(j, Premise):
         return None
-    if isinstance(j, AxiomRef):
-        try:
-            expected = instantiate_axiom(j.axiom_id, d.n, j.fsub, j.psub)
-        except (ValueError, IncompleteSubstitution) as exc:
-            return str(exc)
-        if line.formula != expected:
-            return (
-                f"axiom instance mismatch: expected {format_formula(expected)}"
-            )
-        return None
     if isinstance(j, Luk):
         if not is_modal_luk_tautology(line.formula, d.n):
             return "not an instance of an (n+1)-valued propositional tautology"
         return None
+    if not isinstance(j, (AxiomRef, ModusPonens, Necessitation, Substitution)):
+        return f"unknown justification {j!r}"
+    refs = (j.minor, j.major) if isinstance(j, ModusPonens) else () if isinstance(j, AxiomRef) else (j.source,)
+    for ref in refs:  # minor before major
+        if not 1 <= ref <= len(d.lines):
+            return f"reference to missing line {ref}"
+        if ref >= lineno:
+            return f"forward reference to line {ref}"
+    cited = [d.lines[ref - 1].formula for ref in refs]
     if isinstance(j, ModusPonens):
-        bad = _ref_error(d, lineno, j.minor) or _ref_error(d, lineno, j.major)
-        if bad:
-            return bad
-        major = d.lines[j.major - 1].formula
-        minor = d.lines[j.minor - 1].formula
+        minor, major = cited
         if type(major) is not Implies:
             return "major premise shape: cited line is not an implication"
         if major.lhs != minor:
@@ -227,31 +211,17 @@ def check_line(d: Derivation, lineno: int) -> str | None:
         if major.rhs != line.formula:
             return "modus ponens: consequent does not match this line"
         return None
-    if isinstance(j, Necessitation):
-        bad = _ref_error(d, lineno, j.source)
-        if bad:
-            return bad
-        expected = Box(j.prog, d.lines[j.source - 1].formula)
-        if line.formula != expected:
-            return f"necessitation: expected {format_formula(expected)}"
-        return None
-    if isinstance(j, Substitution):
-        bad = _ref_error(d, lineno, j.source)
-        if bad:
-            return bad
-        expected = substitute(d.lines[j.source - 1].formula, j.fsub)
-        if line.formula != expected:
-            return f"substitution: expected {format_formula(expected)}"
-        return None
-    return f"unknown justification {j!r}"
-
-
-def _ref_error(d: Derivation, lineno: int, ref: int) -> str | None:
-    if not 1 <= ref <= len(d.lines):
-        return f"reference to missing line {ref}"
-    if ref >= lineno:
-        return f"forward reference to line {ref}"
-    return None
+    if isinstance(j, AxiomRef):
+        try:
+            expected = instantiate_axiom(j.axiom_id, d.n, j.fsub, j.psub)
+        except ValueError as exc:
+            return str(exc)
+        rule = "axiom instance mismatch"
+    elif isinstance(j, Necessitation):
+        expected, rule = Box(j.prog, cited[0]), "necessitation"
+    else:
+        expected, rule = substitute(cited[0], j.fsub), "substitution"
+    return None if line.formula == expected else f"{rule}: expected {format_formula(expected)}"
 
 
 def check_derivation(d: Derivation) -> tuple[int, str] | None:
@@ -366,7 +336,7 @@ def _split_line(line: str) -> tuple[int, str, str] | None:
     return None
 
 
-def _parse_bindings(text: str, lineno: int, groups: Groups, progs: tuple[str, ...] = ("a", "b")):
+def _parse_bindings(text: str, lineno: int, groups: Groups):
     fsub: dict[str, Formula] = {}
     psub: dict[str, Program] = {}
     if not text or not text.strip():
@@ -378,7 +348,7 @@ def _parse_bindings(text: str, lineno: int, groups: Groups, progs: tuple[str, ..
         name = name.strip()
         value = value.strip()
         try:
-            if name in progs:
+            if name in _PROGRAMS:
                 psub[name] = parse_program(value, groups)
             else:
                 fsub[name] = parse_formula(value, groups)

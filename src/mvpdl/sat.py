@@ -99,6 +99,7 @@ from .syntax import (
 
 DEFAULT_BUDGET = 10**6
 _ROW_ENUM_CAP = 400_000  # free-member assignments the row enumeration may visit
+_ORACLE_GUARD = 3  # most worlds the oracle enumerates models of
 
 
 @dataclass
@@ -436,6 +437,8 @@ def _search(
         raise ValueError("resolution must be >= 1")
     if max_worlds is not None and max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     stats = SearchStats()
     start = time.perf_counter()
     try:
@@ -514,9 +517,7 @@ def _decide(
 # --- independent oracle -----------------------------------------------------
 
 
-def enumerate_oracle(
-    f: Formula, n: int, exact_worlds: int, guard: int = 3
-) -> SatResult:
+def enumerate_oracle(f: Formula, n: int, exact_worlds: int) -> SatResult:
     """Exhaustive enumeration of every model with exactly exact_worlds
     worlds over the formula's own variables and atomic programs.
 
@@ -526,8 +527,8 @@ def enumerate_oracle(
     """
     if exact_worlds < 1:
         raise ValueError("exact_worlds must be >= 1")
-    if exact_worlds > guard:
-        raise OracleGuard(f"oracle guard is {guard} worlds, asked for {exact_worlds}")
+    if exact_worlds > _ORACLE_GUARD:
+        raise OracleGuard(f"oracle guard is {_ORACLE_GUARD} worlds, asked for {exact_worlds}")
     start = time.perf_counter()
     stats = SearchStats()
     hit = _first_witness(f, n, True, _models(f, n, exact_worlds), stats)

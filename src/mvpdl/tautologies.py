@@ -1,22 +1,27 @@
 """Registry of the eighteen validity schemas over programs and the box.
 
-The schemas are templates over formula metavariables p, q and program
-metaprograms a, b.  Items 1-13 are the regular-program laws (union,
-composition, test, star unfolding, transitivity, and the n-fold
-induction law); 14-17 are box/diamond transfer laws; 18 commutes the box
-and diamond with any one-variable threshold map whose interpretation is
-monotone increasing, sampled here from the synthesized thresholds.
+`_SCHEMAS` is the registry: each index maps to the schema's name and its
+formulas, written in the package's own notation (`mvpdl.parser`) over
+formula metavariables p, q and program metavariables a, b.  Items 1-13
+are the regular-program laws (union, composition, test, star unfolding,
+transitivity, and the n-fold induction law); 14-17 are box/diamond
+transfer laws; 18 commutes the box and diamond with any one-variable
+threshold map whose interpretation is monotone increasing, sampled here
+from the synthesized thresholds.  Items 5, 12 and 18 depend on n, so
+they are given as builders of their formulas at n rather than as text.
 
-Schemas 15 and 17 bundle a matching pair of formulas; `schema_formulas`
-therefore returns a list.
+Schemas 15 and 17 bundle a matching pair of formulas, and 18 gives two
+per threshold; `schema_formulas` therefore returns a list.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Mapping
 
 from .luk import synth_tau
+from .parser import parse_formula
 from .syntax import (
     Atomic,
     Box,
@@ -43,85 +48,60 @@ from .syntax import (
 _P = Var("p")
 _Q = Var("q")
 _A = Atomic("a")
-_B = Atomic("b")
 
-SCHEMA_COUNT = 18
 
-SCHEMA_NAMES = {
-    1: "box-union",
-    2: "box-composition",
-    3: "diamond-union",
-    4: "diamond-composition",
-    5: "test",
-    6: "star-reflexive",
-    7: "diamond-star-reflexive",
-    8: "star-step",
-    9: "diamond-star-step",
-    10: "star-unfold",
-    11: "diamond-star-unfold",
-    12: "induction",
-    13: "star-transitive",
-    14: "normality",
-    15: "meet-join-transfer",
-    16: "join-under-box",
-    17: "strong-conjunction-transfer",
-    18: "threshold-commutation",
+def _threshold_maps(n: int) -> list[Formula]:
+    return [
+        iff(substitute(tau, {"p": modal(_A, _P)}), modal(_A, tau))
+        for tau in (synth_tau(i, n) for i in range(1, n + 1))
+        for modal in (Box, diamond)
+    ]
+
+
+# each schema by index: its name, then its formula texts or the builder
+# of its formulas at n
+_SCHEMAS = {
+    1: ("box-union", "[a + b]p <-> [a]p & [b]p"),
+    2: ("box-composition", "[a;b]p <-> [a][b]p"),
+    3: ("diamond-union", "<a + b>p <-> <a>p | <b>p"),
+    4: ("diamond-composition", "<a;b>p <-> <a><b>p"),
+    5: ("test", lambda n: [iff(Box(Test(_Q), _P), lor(Not(power(_Q, n)), _P))]),  # [q?]p <-> ~(q^n) | p
+    6: ("star-reflexive", "[a*]p -> p"),
+    7: ("diamond-star-reflexive", "p -> <a*>p"),
+    8: ("star-step", "[a*]p -> [a]p"),
+    9: ("diamond-star-step", "<a>p -> <a*>p"),
+    10: ("star-unfold", "[a*]p <-> p & [a][a*]p"),
+    11: ("diamond-star-unfold", "<a*>p <-> p | <a><a*>p"),
+    12: (  # p & [a*]((p -> [a]p)^n) -> [a*]p
+        "induction",
+        lambda n: [Implies(land(_P, Box(Star(_A), power(Implies(_P, Box(_A, _P)), n))), Box(Star(_A), _P))],
+    ),
+    13: ("star-transitive", "[a*]p -> [a*][a*]p"),
+    14: ("normality", "[a](p -> q) -> [a]p -> [a]q"),
+    15: ("meet-join-transfer", "[a](p & q) <-> [a]p & [a]q", "<a>(p | q) <-> <a>p | <a>q"),
+    16: ("join-under-box", "[a]p | [a]q -> [a](p | q)"),
+    17: ("strong-conjunction-transfer", "[a]p (.) <a>q -> <a>(p (.) q)", "<a>(p (.) q) -> <a>p (.) <a>q"),
+    18: ("threshold-commutation", _threshold_maps),  # tau(M p) <-> M tau(p), M = [a] or <a>
 }
+
+SCHEMA_COUNT = len(_SCHEMAS)
+SCHEMA_NAMES = {index: row[0] for index, row in _SCHEMAS.items()}
+
+
+@cache
+def template(text: str) -> Formula:
+    """The formula a schema or axiom text states, parsed once per process."""
+    return parse_formula(text)
 
 
 def schema_formulas(index: int, n: int) -> list[Formula]:
     """Template formulas of one schema at the given resolution."""
-    p, q, a, b = _P, _Q, _A, _B
-    if index == 1:
-        return [iff(Box(Union(a, b), p), land(Box(a, p), Box(b, p)))]
-    if index == 2:
-        return [iff(Box(Seq(a, b), p), Box(a, Box(b, p)))]
-    if index == 3:
-        return [iff(diamond(Union(a, b), p), lor(diamond(a, p), diamond(b, p)))]
-    if index == 4:
-        return [iff(diamond(Seq(a, b), p), diamond(a, diamond(b, p)))]
-    if index == 5:
-        return [iff(Box(Test(q), p), lor(Not(power(q, n)), p))]
-    if index == 6:
-        return [Implies(Box(Star(a), p), p)]
-    if index == 7:
-        return [Implies(p, diamond(Star(a), p))]
-    if index == 8:
-        return [Implies(Box(Star(a), p), Box(a, p))]
-    if index == 9:
-        return [Implies(diamond(a, p), diamond(Star(a), p))]
-    if index == 10:
-        return [iff(Box(Star(a), p), land(p, Box(a, Box(Star(a), p))))]
-    if index == 11:
-        return [iff(diamond(Star(a), p), lor(p, diamond(a, diamond(Star(a), p))))]
-    if index == 12:
-        return [Implies(land(p, Box(Star(a), power(Implies(p, Box(a, p)), n))), Box(Star(a), p))]
-    if index == 13:
-        return [Implies(Box(Star(a), p), Box(Star(a), Box(Star(a), p)))]
-    if index == 14:
-        return [Implies(Box(a, Implies(p, q)), Implies(Box(a, p), Box(a, q)))]
-    if index == 15:
-        return [
-            iff(Box(a, land(p, q)), land(Box(a, p), Box(a, q))),
-            iff(diamond(a, lor(p, q)), lor(diamond(a, p), diamond(a, q))),
-        ]
-    if index == 16:
-        return [Implies(lor(Box(a, p), Box(a, q)), Box(a, lor(p, q)))]
-    if index == 17:
-        return [
-            Implies(odot(Box(a, p), diamond(a, q)), diamond(a, odot(p, q))),
-            Implies(diamond(a, odot(p, q)), odot(diamond(a, p), diamond(a, q))),
-        ]
-    if index == 18:
-        out = []
-        for i in range(1, n + 1):
-            tau = synth_tau(i, n)
-            out.append(iff(substitute(tau, {"p": Box(a, p)}), Box(a, substitute(tau, {"p": p}))))
-            out.append(
-                iff(substitute(tau, {"p": diamond(a, p)}), diamond(a, substitute(tau, {"p": p})))
-            )
-        return out
-    raise ValueError(f"schema index {index} out of range 1..{SCHEMA_COUNT}")
+    row = _SCHEMAS.get(index)
+    if row is None:
+        raise ValueError(f"schema index {index} out of range 1..{SCHEMA_COUNT}")
+    if callable(row[1]):
+        return row[1](n)
+    return [template(text) for text in row[1:]]
 
 
 def instantiate(

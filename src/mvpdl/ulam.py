@@ -28,6 +28,9 @@ from .parser import parse_formula
 from .syntax import Atomic, Formula, atomic_programs_of, substitute_atomics
 
 
+_STATE_CAP = 200_000  # most states a game model may have
+
+
 class GameError(ValueError):
     pass
 
@@ -64,9 +67,7 @@ class GameConfig:
     elements: tuple[str, ...]
     n: int
     depth: int
-    initial: KnowledgeState | None = None
     full_space: bool = False
-    state_cap: int = 200_000
 
     def __post_init__(self):
         self.elements = tuple(self.elements)
@@ -80,10 +81,6 @@ class GameConfig:
             raise GameError("depth must be >= 0")
 
     def start(self) -> KnowledgeState:
-        if self.initial is not None:
-            if self.initial.elements != self.elements or self.initial.n != self.n:
-                raise GameError("initial state does not match the configuration")
-            return self.initial
         return KnowledgeState(self.elements, (self.n,) * len(self.elements), self.n)
 
 
@@ -174,8 +171,8 @@ def reachable_states(cfg: GameConfig) -> list[KnowledgeState]:
                         seen.add(succ)
                         order.append(succ)
                         nxt.append(succ)
-                        if len(seen) > cfg.state_cap:
-                            raise GameError(f"state budget of {cfg.state_cap} exceeded")
+                        if len(seen) > _STATE_CAP:
+                            raise GameError(f"state budget of {_STATE_CAP} exceeded")
         frontier = nxt
         if not frontier:
             break
@@ -187,8 +184,8 @@ def _all_states(cfg: GameConfig) -> list[KnowledgeState]:
         KnowledgeState(cfg.elements, vals, cfg.n)
         for vals in itertools.product(range(cfg.n, -1, -1), repeat=len(cfg.elements))
     ]
-    if len(states) > cfg.state_cap:
-        raise GameError(f"state budget of {cfg.state_cap} exceeded")
+    if len(states) > _STATE_CAP:
+        raise GameError(f"state budget of {_STATE_CAP} exceeded")
     return states
 
 

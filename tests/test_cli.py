@@ -185,6 +185,33 @@ def test_randmodel_refuses_a_density_outside_the_unit_interval(capsys):
         assert out == "" and err == f"error: edge density must be in [0, 1], got {float(density)}\n"
 
 
+def test_negative_budget_exits_2(capsys):
+    for argv in (
+        ["sat", "<a>p & <a>~p", "--n", "1", "--budget", "-5", "--max-worlds", "2"],
+        ["valid", "[a]p -> p", "--n", "2", "--budget", "-1"],
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: budget must be >= 0\n"
+
+
+def test_randmodel_refuses_names_that_do_not_parse_back(tmp_path, capsys):
+    for option, names, kind, name in (
+        ("--vars", "p#q", "variable", "p#q"),
+        ("--vars", "p,0", "variable", "0"),
+        ("--atoms", "a:b", "program", "a:b"),
+        ("--atoms", "a b", "program", "a b"),
+    ):
+        assert main(["randmodel", "--n", "1", "--worlds", "2", option, names]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {kind} name {name!r} does not parse back as itself\n"
+    # question atoms are program names too
+    assert main(["randmodel", "--n", "1", "--worlds", "2", "--atoms", "Q{1},~Q{2}", "--vars", "p_1"]) == 0
+    path = tmp_path / "q.kml"
+    path.write_text(capsys.readouterr().out)
+    assert main(["check", "--model", str(path), "--n", "1", "[Q{1}]p_1 | [~Q{2}]p_1"]) in (0, 1)
+
+
 def test_randmodel_names_the_seed_it_used(capsys):
     assert main(["randmodel", "--n", "2", "--worlds", "3"]) == 0
     seedless = capsys.readouterr().out

@@ -14,6 +14,7 @@ from mvpdl.sat import (
     Satisfiable,
     Unsatisfiable,
     _Elimination,
+    _ROW_ENUM_CAP,
     _Rows,
     decide_sat,
     decide_valid,
@@ -160,6 +161,20 @@ def test_budget_is_an_error_not_a_verdict():
     # the no-goal-row shortcut answers without exploring any candidate
     r = decide_sat(parse_formula("0"), 2, budget=0)
     assert not r.is_sat and r.complete
+
+
+def test_negative_budget_is_refused_up_front():
+    # past the row cap too, where the budget would slice the model scan
+    past_cap = parse_formula("[a]p & [a]q & [a]r & [a]s & t -> t")
+    assert _Rows(past_cap, 4).free_assignments() > _ROW_ENUM_CAP
+    for decide, f, n in (
+        (decide_sat, parse_formula("<a>p & <a>~p"), 1),
+        (decide_valid, parse_formula("[a]p -> p"), 2),
+        (decide_valid, past_cap, 4),
+    ):
+        for max_worlds in (None, 2):
+            with pytest.raises(ValueError, match=r"^budget must be >= 0$"):
+                decide(f, n, max_worlds=max_worlds, budget=-1)
 
 
 def test_unbounded_search_outlasts_its_budget():
