@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 
 from . import __version__
@@ -299,6 +300,12 @@ def _cmd_prove(args) -> Report:
     return 0, payload, f"ok: {len(d.lines)} lines check{note}\n"
 
 
+def _names(text: str) -> list[str]:
+    """The names in a --atoms or --vars value, separated by commas outside
+    braces: a question atom such as Q{1,2} is one name."""
+    return [x for x in re.split(r",(?![^{]*})", text) if x]
+
+
 def _cmd_randmodel(args) -> Report:
     n = _require_n(args)
     seed = 0 if args.seed is None else args.seed
@@ -306,8 +313,8 @@ def _cmd_randmodel(args) -> Report:
         seed=seed,
         n=n,
         world_count=args.worlds,
-        atom_names=[x for x in args.atoms.split(",") if x],
-        var_names=[x for x in args.vars.split(",") if x],
+        atom_names=_names(args.atoms),
+        var_names=_names(args.vars),
         edge_density=args.density,
     )
     return 0, None, format_model(model, comments=[f"seed {seed}"])

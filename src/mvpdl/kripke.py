@@ -66,6 +66,27 @@ class ModelError(ValueError):
     """Malformed model or evaluation against undeclared vocabulary."""
 
 
+def _world_index(worlds: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The world names as a tuple and each name's index in it."""
+    worlds = tuple(worlds)
+    if not worlds:
+        raise ModelError("a model needs at least one world")
+    widx = {w: i for i, w in enumerate(worlds)}
+    if len(widx) != len(worlds):
+        raise ModelError("duplicate world names")
+    return worlds, widx
+
+
+def _parses_back(name: str, kind: str) -> bool:
+    """Whether a program ("program") or variable ("variable") name parses
+    back as that atomic program or variable, so a file can state it."""
+    parse, node = (parse_program, Atomic) if kind == "program" else (parse_formula, Var)
+    try:
+        return parse(name) == node(name)
+    except ParseError:
+        return False
+
+
 class KripkeModel:
     """Finite world set, atomic relations, and an exact atomic valuation.
 
@@ -99,28 +120,20 @@ class KripkeModel:
     ):
         if n < 1:
             raise ModelError("resolution must be >= 1")
-        self.n = n
-        self.worlds = tuple(worlds)
-        if not self.worlds:
-            raise ModelError("a model needs at least one world")
-        if len(set(self.worlds)) != len(self.worlds):
-            raise ModelError("duplicate world names")
-        widx = self._widx = {w: i for i, w in enumerate(self.worlds)}
-        self._succ: dict[str, list[list[int]]] = {}
+        worlds, widx = _world_index(worlds)
+        succ: dict[str, list[list[int]]] = {}
         for atom, pairs in relations.items():
-            lists: list[list[int]] = [[] for _ in self.worlds]
+            lists: list[list[int]] = [[] for _ in worlds]
             for u, v in pairs:
                 try:
                     lists[widx[u]].append(widx[v])
                 except KeyError:
                     raise ModelError(f"relation {atom!r} uses undeclared world in ({u!r}, {v!r})") from None
-            self._succ[atom] = lists
-        self._pred: dict[str, list[list[int]]] = {}
-        self._view: dict[str, frozenset[tuple[str, str]]] | None = None
-        self._vcols: dict[str, list[int]] = {}
+            succ[atom] = lists
+        vcols: dict[str, list[int]] = {}
         for var, per_world in valuation.items():
             col = []
-            for w in self.worlds:
+            for w in worlds:
                 if w not in per_world:
                     raise ModelError(f"valuation of {var!r} is missing world {w!r}")
                 v = per_world[w]
@@ -136,9 +149,29 @@ class KripkeModel:
             if len(per_world) != len(col):
                 extra = next(w for w in per_world if w not in widx)
                 raise ModelError(f"valuation of {var!r} uses undeclared world {extra!r}")
-            self._vcols[var] = col
-        self.variables = tuple(sorted(self._vcols))
-        self._lanes = Lanes(n, len(self.worlds))
+            vcols[var] = col
+        self._setup(n, worlds, widx, succ, vcols)
+
+    def _setup(
+        self,
+        n: int,
+        worlds: tuple[str, ...],
+        widx: dict[str, int],
+        succ: dict[str, list[list[int]]],
+        vcols: dict[str, list[int]],
+    ) -> None:
+        """Set every field from checked index-level parts: successor index
+        lists per atomic program and a numerator column per variable.  The
+        constructor and `parse_model` both end here."""
+        self.n = n
+        self.worlds = worlds
+        self._widx = widx
+        self._succ = succ
+        self._pred: dict[str, list[list[int]]] = {}
+        self._view: dict[str, frozenset[tuple[str, str]]] | None = None
+        self._vcols = vcols
+        self.variables = tuple(sorted(vcols))
+        self._lanes = Lanes(n, len(worlds))
         self._tvs: dict[int, TruthValue] = {}
         self._prof: dict[Formula, int] = {}
 
@@ -327,14 +360,9 @@ def random_model(
         raise ModelError("world_count must be >= 1")
     if not 0 <= edge_density <= 1:  # NaN too
         raise ModelError(f"edge density must be in [0, 1], got {edge_density}")
-    named = ((atom_names, parse_program, Atomic, "program"), (var_names, parse_formula, Var, "variable"))
-    for names, parse, node, kind in named:
+    for names, kind in ((atom_names, "program"), (var_names, "variable")):
         for name in names:  # a model file states each name, so it must parse back as itself
-            try:
-                same = parse(name) == node(name)
-            except ParseError:
-                same = False
-            if not same:
+            if not _parses_back(name, kind):
                 raise ModelError(f"{kind} name {name!r} does not parse back as itself")
     rng = random.Random(seed)
     worlds = [f"w{i}" for i in range(world_count)]
@@ -380,24 +408,26 @@ def disjoint_union(models: Sequence[KripkeModel]) -> KripkeModel:
 #
 #   # comment
 #   n = 4
-#   worlds: u v
-#   rel a: u->v, u->u
-#   val p: u=3/4 v=1/4
+#   worlds: u v w
+#   rel a: u->v w, w->w
+#   val p: u=3/4 v=1/4 w=0/4
 #
+# A rel chunk names one source world and one or more targets; the
+# one-target chunk u->v is the same grammar.  rel lines come after the
+# worlds line, so each chunk goes straight into successor index lists.
 # Every declared variable must list every world, with denominators equal
 # to the declared n.
 
 
 def parse_model(text: str) -> KripkeModel:
     n = None
-    worlds: list[str] = []
-    # sources and targets in two lists: no tuple per edge is kept, so a
-    # large file does not set off the cycle collector again and again
-    relations: dict[str, tuple[list[str], list[str]]] = {}
-    valuation: dict[str, dict[str, int]] = {}
+    names: list[str] = []
+    widx: dict[str, int] | None = None  # fixed by the first rel line
+    succ: dict[str, list[list[int]]] = {}
+    vals: list[tuple[int, str, str]] = []  # val lines, read once n is known
 
     def err(lineno, msg):
-        raise ModelError(f"line {lineno}: {msg}")
+        raise ModelError(f"line {lineno}: {msg}") from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -411,68 +441,110 @@ def parse_model(text: str) -> KripkeModel:
                 n = int(tail.strip())
             except ValueError:
                 err(lineno, f"bad resolution {tail.strip()!r}")
+            if n < 1:
+                err(lineno, "resolution must be >= 1")
             continue
         if line.startswith("worlds:"):
-            worlds.extend(line[len("worlds:") :].split())
+            if widx is not None:
+                err(lineno, "worlds line after a rel line")
+            names.extend(line[len("worlds:") :].split())
             continue
         if line.startswith("rel "):
             head, sep, tail = line[4:].partition(":")
             if not sep:
                 err(lineno, "missing ':' in rel line")
             atom = head.strip()
-            us, vs = relations.setdefault(atom, ([], []))
+            if not _parses_back(atom, "program"):
+                err(lineno, f"program name {atom!r} does not parse back as itself")
+            if widx is None:
+                worlds, widx = _world_index(names)
+                get = widx.__getitem__
+            lists = succ.get(atom)
+            if lists is None:
+                lists = succ[atom] = [[] for _ in worlds]
             tail = tail.strip()
             if tail:
                 for chunk in tail.split(","):
-                    u, sep2, v = chunk.partition("->")
-                    if not sep2:
+                    u, _, vs = chunk.partition("->")
+                    vs = vs.split()  # empty without the arrow
+                    try:
+                        if len(vs) == 1:  # one target: each chunk of a file written one edge per chunk
+                            lists[get(u.strip())].append(get(vs[0]))
+                            continue
+                        lists[get(u.strip())] += map(get, vs)
+                    except KeyError as e:
+                        if u.strip() and vs:
+                            err(lineno, f"relation {atom!r} uses undeclared world {e.args[0]!r}")
+                    if not (u.strip() and vs):
                         err(lineno, f"bad edge {chunk.strip()!r}, expected u->v")
-                    us.append(u.strip())
-                    vs.append(v.strip())
+                    if len(set(vs)) != len(vs):
+                        err(lineno, f"repeated target in {chunk.strip()!r}")
             continue
         if line.startswith("val "):
             head, sep, tail = line[4:].partition(":")
             if not sep:
                 err(lineno, "missing ':' in val line")
             var = head.strip()
-            entries = valuation.setdefault(var, {})
-            for chunk in tail.split():
-                w, sep2, frac = chunk.partition("=")
-                if not sep2:
-                    err(lineno, f"bad entry {chunk!r}, expected world=i/n")
-                num, sep3, den = frac.partition("/")
-                if not sep3:
-                    err(lineno, f"bad fraction {frac!r}")
-                try:
-                    num_i, den_i = int(num), int(den)
-                except ValueError:
-                    err(lineno, f"bad fraction {frac!r}")
-                if n is not None and den_i != n:
-                    err(lineno, f"denominator {den_i} does not match n = {n}")
-                if w in entries:
-                    err(lineno, f"world {w!r} given twice for {var!r}")
-                entries[w] = (num_i, den_i, lineno)
+            if not _parses_back(var, "variable"):
+                err(lineno, f"variable name {var!r} does not parse back as itself")
+            vals.append((lineno, var, tail))
             continue
         err(lineno, f"unrecognized line {line!r}")
     if n is None:
         raise ModelError("missing 'n = <int>' line")
-    cleaned: dict[str, dict[str, int]] = {}
-    for var, entries in valuation.items():
-        cleaned[var] = {}
-        for w, (num_i, den_i, lineno) in entries.items():
-            if den_i != n:
-                err(lineno, f"denominator {den_i} does not match n = {n}")
-            cleaned[var][w] = num_i
-    return KripkeModel(n, worlds, {atom: zip(us, vs) for atom, (us, vs) in relations.items()}, cleaned)
+    if widx is None:
+        worlds, widx = _world_index(names)
+    fractions = {f"{x}/{n}": x for x in range(n + 1)}  # each value as format_model writes it
+    vcols: dict[str, list[int]] = {}
+    strays: dict[tuple[str, str], int] = {}  # (variable, undeclared world): line, reported last
+    for lineno, var, tail in vals:
+        col = vcols.get(var)
+        if col is None:
+            col = vcols[var] = [-1] * len(worlds)
+        for chunk in tail.split():
+            w, sep, frac = chunk.partition("=")
+            x = fractions.get(frac)
+            if x is None:  # not as written by format_model: an error, or a numeral such as 03
+                if not sep:
+                    err(lineno, f"bad entry {chunk!r}, expected world=i/n")
+                num, _, den = frac.partition("/")
+                try:
+                    x, den_i = int(num), int(den)
+                except ValueError:
+                    err(lineno, f"bad fraction {frac!r}")
+                if den_i != n:
+                    err(lineno, f"denominator {den_i} does not match n = {n}")
+                if not 0 <= x <= n:
+                    err(lineno, f"numerator {x} of {var!r} at {w!r} out of range 0..{n}")
+            i = widx.get(w)
+            if i is None:
+                if (var, w) in strays:
+                    err(lineno, f"world {w!r} given twice for {var!r}")
+                strays[var, w] = lineno
+            elif col[i] >= 0:
+                err(lineno, f"world {w!r} given twice for {var!r}")
+            else:
+                col[i] = x
+    for var, col in vcols.items():
+        if -1 in col:
+            raise ModelError(f"valuation of {var!r} is missing world {worlds[col.index(-1)]!r}")
+        for (v, w), lineno in strays.items():
+            if v == var:
+                err(lineno, f"valuation of {var!r} uses undeclared world {w!r}")
+    model = KripkeModel.__new__(KripkeModel)
+    model._setup(n, worlds, widx, succ, vcols)
+    return model
 
 
 def format_model(m: KripkeModel, comments: Sequence[str] = ()) -> str:
+    """Model file text: one rel chunk per world with successors, its
+    targets in world order."""
     lines = [f"# {c}" for c in comments]
     lines.append(f"n = {m.n}")
     lines.append("worlds: " + " ".join(m.worlds))
     ws = m.worlds
     for atom, lists in sorted(m._succ.items()):
-        body = ", ".join(f"{ws[u]}->{ws[v]}" for u, vs in enumerate(lists) for v in sorted(set(vs)))
+        body = ", ".join(f"{ws[u]}->" + " ".join(ws[v] for v in sorted(set(vs))) for u, vs in enumerate(lists) if vs)
         lines.append(f"rel {atom}: {body}")
     for var in m.variables:
         body = " ".join(f"{w}={x}/{m.n}" for w, x in zip(ws, m._vcols[var]))

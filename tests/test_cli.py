@@ -212,6 +212,32 @@ def test_randmodel_refuses_names_that_do_not_parse_back(tmp_path, capsys):
     assert main(["check", "--model", str(path), "--n", "1", "[Q{1}]p_1 | [~Q{2}]p_1"]) in (0, 1)
 
 
+def test_randmodel_atoms_split_on_commas_outside_braces(tmp_path, capsys):
+    path = tmp_path / "q.kml"
+    argv = ["randmodel", "--n", "1", "--worlds", "3", "--atoms", "Q{1,2},a,,~Q{2,3}", "--vars", "p_1", "--out", str(path)]
+    assert main(argv) == 0
+    assert sorted(parse_model(path.read_text()).relations) == ["Q{1,2}", "a", "~Q{2,3}"]
+    assert main(["check", "--model", str(path), "--n", "1", "[Q{1,2}]p_1 | [a][~Q{2,3}]p_1"]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+
+
+def test_model_files_name_only_programs_and_variables(tmp_path, capsys):
+    # relation names that no formula can name are refused, not left unread
+    path = tmp_path / "m.kml"
+    path.write_text("n = 1\nworlds: w0 w1\nrel 2}:\nrel Q{1: w1->w1\nval p: w0=1/1 w1=1/1\n")
+    assert main(["check", "--model", str(path), "p"]) == 2
+    assert capsys.readouterr() == ("", "error: line 3: program name '2}' does not parse back as itself\n")
+    path.write_text("n = 1\nworlds: w0 w1\nrel Q{1: w1->w1\nval p: w0=1/1 w1=1/1\n")
+    assert main(["check", "--model", str(path), "p"]) == 2
+    assert capsys.readouterr() == ("", "error: line 3: program name 'Q{1' does not parse back as itself\n")
+    # the game's question atoms are names
+    path = tmp_path / "game.kml"
+    assert main(["ulam", "build", "--m", "2", "--n", "1", "--depth", "1", "--full-space", "--out", str(path)]) == 0
+    assert "rel Q{1,2}: " in path.read_text()
+    assert main(["check", "--model", str(path), "--n", "1", "[Q{1,2}]p_1 -> p_1"]) in (0, 1)
+    assert "error" not in capsys.readouterr().err
+
+
 def test_randmodel_names_the_seed_it_used(capsys):
     assert main(["randmodel", "--n", "2", "--worlds", "3"]) == 0
     seedless = capsys.readouterr().out
@@ -484,8 +510,10 @@ def _command_path(argv: list[str]) -> tuple[str, ...]:
 def test_command_line_digest(tmp_path, capsys, monkeypatch):
     # sha256 over argv, exit code, stdout, stderr and any --out file of every
     # call in the corpus, taken before `main` became the one writer: the
-    # refactor must keep every byte.  Temporary paths and `wall_time` are
-    # normalized.  `randmodel` without --seed is left out: it used to write
+    # refactor must keep every byte.  Re-taken when model files came to
+    # state each source world once per relation (`u->v w`): the 12 calls
+    # that print or write a model with such a chunk changed, and nothing
+    # else.  Temporary paths and `wall_time` are normalized.  `randmodel` without --seed is left out: it used to write
     # `# seed None` above a model generated from seed 0.
     monkeypatch.setenv("COLUMNS", "80")
     calls = _corpus(tmp_path)
@@ -507,7 +535,7 @@ def test_command_line_digest(tmp_path, capsys, monkeypatch):
         record = f"{argv}\n{code}\n{out}\n{err}\n{written}\n".replace(tmp, "TMP")
         record = re.sub(r'"wall_time": [-+0-9.eE]+', '"wall_time": 0', record)
         digest.update(record.encode())
-    assert digest.hexdigest() == "f98c8e8365f79e1d6820eb139c0cd6540c0638b101cf77aa5267790400b787bd"
+    assert digest.hexdigest() == "130ff6dbd3181b0dd27652e363db7f260d367b5598d56bb49ba2fafc1efbba7c"
 
 
 def test_out_into_a_missing_directory_is_an_error(model_file, tmp_path, capsys):

@@ -224,6 +224,90 @@ def test_model_file_errors():
         parse_model("n = 2\nworlds: u v\nval p: v=1/2 u=2/2 v=0/2\n")
 
 
+def test_model_file_chunk_errors():
+    head = "n = 2\nworlds: u v\n"
+    for rel, msg in (
+        ("rel a: u->", "line 3: bad edge 'u->', expected u->v"),
+        ("rel a: ->v", "line 3: bad edge '->v', expected u->v"),
+        ("rel a: u->v, , v->u", "line 3: bad edge '', expected u->v"),
+        ("rel a: u->v z", "line 3: relation 'a' uses undeclared world 'z'"),
+        ("rel a: z->v", "line 3: relation 'a' uses undeclared world 'z'"),
+        ("rel a: u->v u v", "line 3: repeated target in 'u->v u v'"),
+        ("rel a: u v->v", "line 3: relation 'a' uses undeclared world 'u v'"),
+    ):
+        with pytest.raises(ModelError) as err:
+            parse_model(f"{head}{rel}\nval p: u=0/2 v=2/2\n")
+        assert str(err.value) == msg, rel
+    with pytest.raises(ModelError) as err:
+        parse_model("n = 2\nworlds: u\nrel a: u->u\nworlds: v\n")
+    assert str(err.value) == "line 4: worlds line after a rel line"
+    # spaces around the arrow and between targets are no error, a source
+    # may head several chunks, and an edge in two chunks counts once
+    m = parse_model(f"{head}rel a:  u -> v   u ,v->v, u->v\nrel b:\nval p: u=0/2 v=2/2\n")
+    assert m.relations == {"a": {("u", "v"), ("u", "u"), ("v", "v")}, "b": frozenset()}
+    assert format_model(m) == f"{head}rel a: u->u v, v->v\nrel b: \nval p: u=0/2 v=2/2\n"
+
+
+def test_model_file_names_must_parse_back():
+    head = "n = 1\nworlds: w1\n"
+    for line, msg in (
+        ("rel 2}: w1->w1", "line 3: program name '2}' does not parse back as itself"),
+        ("rel Q{1: w1->w1", "line 3: program name 'Q{1' does not parse back as itself"),
+        ("rel : w1->w1", "line 3: program name '' does not parse back as itself"),
+        ("val p q: w1=1/1", "line 3: variable name 'p q' does not parse back as itself"),
+        ("val 1: w1=1/1", "line 3: variable name '1' does not parse back as itself"),
+    ):
+        with pytest.raises(ModelError) as err:
+            parse_model(f"{head}{line}\n")
+        assert str(err.value) == msg
+    m = parse_model(f"{head}rel Q{{1,2}}: w1->w1\nrel ~Q{{2}}: w1->w1\nval p_1: w1=1/1\n")
+    assert m.value("w1", parse_formula("[Q{1,2}]p_1 & [~Q{2}]0")).num == 0
+
+
+def _one_edge_per_chunk(text: str) -> str:
+    """Model text with every rel chunk split into one chunk per edge."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("rel "):
+            head, _, body = line.partition(": ")
+            chunks = [chunk.partition("->") for chunk in body.split(", ") if chunk]
+            line = f"{head}: " + ", ".join(f"{u}->{v}" for u, _, vs in chunks for v in vs.split())
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def test_one_edge_per_chunk_files_load_as_before():
+    # the models of test_format_model_output_is_pinned, written one edge per
+    # chunk, give byte for byte the text format_model wrote before a chunk
+    # could name several targets, and load to the model of the new text
+    def both(text):
+        old = _one_edge_per_chunk(text)
+        digest.update(old.encode())
+        for m in (parse_model(text), parse_model(old)):
+            yield m.worlds, m._succ, m._vcols, m.variables
+
+    digest = hashlib.sha256()
+    for seed in range(60):
+        m = random_model(
+            seed=seed,
+            n=1 + seed % 4,
+            world_count=1 + seed % 9,
+            atom_names=("a", "b", "c")[: seed % 4],
+            edge_density=(0.0, 0.2, 0.6)[seed % 3],
+        )
+        new, old = both(format_model(m, comments=[f"model {seed}"]))
+        assert new == old
+        doubled = {a: sorted(pairs) * 2 for a, pairs in m.relations.items()}
+        values = {v: {w: m.atomic_value(w, v) for w in m.worlds} for v in m.variables}
+        new, old = both(format_model(KripkeModel(m.n, m.worlds[::-1], doubled, values)))
+        assert new == old
+    bundled = files("mvpdl").joinpath("data/counterexample.kml").read_text(encoding="utf-8")
+    assert _one_edge_per_chunk(bundled) == bundled
+    new, old = both(format_model(parse_model(bundled)))
+    assert new == old
+    assert digest.hexdigest() == "2887fcafdc4c65275c2b257438b41ef450f3a3c282864267cd32e24a28138473"
+
+
 def _shaped(pairs, kind):
     """The same edges as a list with duplicates, a set or a one-shot generator."""
     if kind == "list":
@@ -282,8 +366,9 @@ def test_loaded_model_is_used_without_the_pair_view(monkeypatch, tmp_path, capsy
 
 
 def test_format_model_output_is_pinned():
-    # sha256 of format_model's output before successor index lists
-    # replaced the stored pair sets
+    # sha256 of format_model's output since a rel chunk names one source
+    # and all its targets; test_one_edge_per_chunk_files_load_as_before pins
+    # the one-edge-per-chunk text of the same models, as written before
     digest = hashlib.sha256()
     for seed in range(60):
         m = random_model(
@@ -298,7 +383,7 @@ def test_format_model_output_is_pinned():
         values = {v: {w: m.atomic_value(w, v) for w in m.worlds} for v in m.variables}
         digest.update(format_model(KripkeModel(m.n, m.worlds[::-1], doubled, values)).encode())
     digest.update(format_model(load_model(files("mvpdl").joinpath("data/counterexample.kml"))).encode())
-    assert digest.hexdigest() == "2887fcafdc4c65275c2b257438b41ef450f3a3c282864267cd32e24a28138473"
+    assert digest.hexdigest() == "49c6869937267715beace0e825cadf593970a0f051f4e67b4b8fd90499b18e0b"
 
 
 def test_concurrent_reads_are_consistent():
