@@ -457,6 +457,8 @@ def parse_model(text: str) -> KripkeModel:
             if not _parses_back(atom, "program"):
                 err(lineno, f"program name {atom!r} does not parse back as itself")
             if widx is None:
+                if not names:
+                    err(lineno, "rel line before any world is declared")
                 worlds, widx = _world_index(names)
                 get = widx.__getitem__
             lists = succ.get(atom)
@@ -496,7 +498,7 @@ def parse_model(text: str) -> KripkeModel:
         worlds, widx = _world_index(names)
     fractions = {f"{x}/{n}": x for x in range(n + 1)}  # each value as format_model writes it
     vcols: dict[str, list[int]] = {}
-    strays: dict[tuple[str, str], int] = {}  # (variable, undeclared world): line, reported last
+    strays: dict[str, tuple[int, str]] = {}  # a variable's first undeclared world, reported last
     for lineno, var, tail in vals:
         col = vcols.get(var)
         if col is None:
@@ -518,9 +520,7 @@ def parse_model(text: str) -> KripkeModel:
                     err(lineno, f"numerator {x} of {var!r} at {w!r} out of range 0..{n}")
             i = widx.get(w)
             if i is None:
-                if (var, w) in strays:
-                    err(lineno, f"world {w!r} given twice for {var!r}")
-                strays[var, w] = lineno
+                strays.setdefault(var, (lineno, w))
             elif col[i] >= 0:
                 err(lineno, f"world {w!r} given twice for {var!r}")
             else:
@@ -528,9 +528,8 @@ def parse_model(text: str) -> KripkeModel:
     for var, col in vcols.items():
         if -1 in col:
             raise ModelError(f"valuation of {var!r} is missing world {worlds[col.index(-1)]!r}")
-        for (v, w), lineno in strays.items():
-            if v == var:
-                err(lineno, f"valuation of {var!r} uses undeclared world {w!r}")
+        if var in strays:
+            err(strays[var][0], f"valuation of {var!r} uses undeclared world {strays[var][1]!r}")
     model = KripkeModel.__new__(KripkeModel)
     model._setup(n, worlds, widx, succ, vcols)
     return model

@@ -241,6 +241,9 @@ def test_model_file_chunk_errors():
     with pytest.raises(ModelError) as err:
         parse_model("n = 2\nworlds: u\nrel a: u->u\nworlds: v\n")
     assert str(err.value) == "line 4: worlds line after a rel line"
+    with pytest.raises(ModelError) as err:
+        parse_model("n = 2\nrel a: u->u\nworlds: u\n")
+    assert str(err.value) == "line 2: rel line before any world is declared"
     # spaces around the arrow and between targets are no error, a source
     # may head several chunks, and an edge in two chunks counts once
     m = parse_model(f"{head}rel a:  u -> v   u ,v->v, u->v\nrel b:\nval p: u=0/2 v=2/2\n")
