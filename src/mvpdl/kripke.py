@@ -460,7 +460,6 @@ def parse_model(text: str) -> KripkeModel:
                 if not names:
                     err(lineno, "rel line before any world is declared")
                 worlds, widx = _world_index(names)
-                get = widx.__getitem__
             lists = succ.get(atom)
             if lists is None:
                 lists = succ[atom] = [[] for _ in worlds]
@@ -471,9 +470,9 @@ def parse_model(text: str) -> KripkeModel:
                     vs = vs.split()  # empty without the arrow
                     try:
                         if len(vs) == 1:  # one target: each chunk of a file written one edge per chunk
-                            lists[get(u.strip())].append(get(vs[0]))
+                            lists[widx[u.strip()]].append(widx[vs[0]])
                             continue
-                        lists[get(u.strip())] += map(get, vs)
+                        lists[widx[u.strip()]] += map(widx.__getitem__, vs)
                     except KeyError as e:
                         if u.strip() and vs:
                             err(lineno, f"relation {atom!r} uses undeclared world {e.args[0]!r}")

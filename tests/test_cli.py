@@ -513,8 +513,9 @@ def test_command_line_digest(tmp_path, capsys, monkeypatch):
     # refactor must keep every byte.  Re-taken when model files came to
     # state each source world once per relation (`u->v w`): the 12 calls
     # that print or write a model with such a chunk changed, and nothing
-    # else.  Temporary paths and `wall_time` are normalized.  `randmodel` without --seed is left out: it used to write
-    # `# seed None` above a model generated from seed 0.
+    # else.  Temporary paths and `wall_time` are normalized.  `randmodel`
+    # without --seed is left out: it used to write `# seed None` above a
+    # model generated from seed 0.
     monkeypatch.setenv("COLUMNS", "80")
     calls = _corpus(tmp_path)
     parser = _build_parser()
