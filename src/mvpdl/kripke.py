@@ -425,6 +425,7 @@ def parse_model(text: str) -> KripkeModel:
     widx: dict[str, int] | None = None  # fixed by the first rel line
     succ: dict[str, list[list[int]]] = {}
     vals: list[tuple[int, str, str]] = []  # val lines, read once n is known
+    var_names: set[str] = set()
 
     def err(lineno, msg):
         raise ModelError(f"line {lineno}: {msg}") from None
@@ -454,31 +455,29 @@ def parse_model(text: str) -> KripkeModel:
             if not sep:
                 err(lineno, "missing ':' in rel line")
             atom = head.strip()
-            if not _parses_back(atom, "program"):
-                err(lineno, f"program name {atom!r} does not parse back as itself")
-            if widx is None:
-                if not names:
-                    err(lineno, "rel line before any world is declared")
-                worlds, widx = _world_index(names)
             lists = succ.get(atom)
-            if lists is None:
+            if lists is None:  # the atom's first rel line
+                if not _parses_back(atom, "program"):
+                    err(lineno, f"program name {atom!r} does not parse back as itself")
+                if widx is None:
+                    if not names:
+                        err(lineno, "rel line before any world is declared")
+                    worlds, widx = _world_index(names)
                 lists = succ[atom] = [[] for _ in worlds]
             tail = tail.strip()
             if tail:
                 for chunk in tail.split(","):
                     u, _, vs = chunk.partition("->")
-                    vs = vs.split()  # empty without the arrow
-                    try:
-                        if len(vs) == 1:  # one target: each chunk of a file written one edge per chunk
-                            lists[widx[u.strip()]].append(widx[vs[0]])
-                            continue
-                        lists[widx[u.strip()]] += map(widx.__getitem__, vs)
-                    except KeyError as e:
-                        if u.strip() and vs:
-                            err(lineno, f"relation {atom!r} uses undeclared world {e.args[0]!r}")
-                    if not (u.strip() and vs):
+                    u, vs = u.strip(), vs.split()  # no targets without the arrow
+                    if not (u and vs):
                         err(lineno, f"bad edge {chunk.strip()!r}, expected u->v")
-                    if len(set(vs)) != len(vs):
+                    try:
+                        row = lists[widx[u]]
+                        for v in vs:
+                            row.append(widx[v])
+                    except KeyError as e:
+                        err(lineno, f"relation {atom!r} uses undeclared world {e.args[0]!r}")
+                    if len(vs) > 1 and len(set(vs)) < len(vs):
                         err(lineno, f"repeated target in {chunk.strip()!r}")
             continue
         if line.startswith("val "):
@@ -486,8 +485,10 @@ def parse_model(text: str) -> KripkeModel:
             if not sep:
                 err(lineno, "missing ':' in val line")
             var = head.strip()
-            if not _parses_back(var, "variable"):
-                err(lineno, f"variable name {var!r} does not parse back as itself")
+            if var not in var_names:  # the variable's first val line
+                if not _parses_back(var, "variable"):
+                    err(lineno, f"variable name {var!r} does not parse back as itself")
+                var_names.add(var)
             vals.append((lineno, var, tail))
             continue
         err(lineno, f"unrecognized line {line!r}")
@@ -495,7 +496,6 @@ def parse_model(text: str) -> KripkeModel:
         raise ModelError("missing 'n = <int>' line")
     if widx is None:
         worlds, widx = _world_index(names)
-    fractions = {f"{x}/{n}": x for x in range(n + 1)}  # each value as format_model writes it
     vcols: dict[str, list[int]] = {}
     strays: dict[str, tuple[int, str]] = {}  # a variable's first undeclared world, reported last
     for lineno, var, tail in vals:
@@ -504,19 +504,17 @@ def parse_model(text: str) -> KripkeModel:
             col = vcols[var] = [-1] * len(worlds)
         for chunk in tail.split():
             w, sep, frac = chunk.partition("=")
-            x = fractions.get(frac)
-            if x is None:  # not as written by format_model: an error, or a numeral such as 03
-                if not sep:
-                    err(lineno, f"bad entry {chunk!r}, expected world=i/n")
-                num, _, den = frac.partition("/")
-                try:
-                    x, den_i = int(num), int(den)
-                except ValueError:
-                    err(lineno, f"bad fraction {frac!r}")
-                if den_i != n:
-                    err(lineno, f"denominator {den_i} does not match n = {n}")
-                if not 0 <= x <= n:
-                    err(lineno, f"numerator {x} of {var!r} at {w!r} out of range 0..{n}")
+            if not sep:
+                err(lineno, f"bad entry {chunk!r}, expected world=i/n")
+            num, _, den = frac.partition("/")
+            try:
+                x, den_i = int(num), int(den)
+            except ValueError:
+                err(lineno, f"bad fraction {frac!r}")
+            if den_i != n:
+                err(lineno, f"denominator {den_i} does not match n = {n}")
+            if not 0 <= x <= n:
+                err(lineno, f"numerator {x} of {var!r} at {w!r} out of range 0..{n}")
             i = widx.get(w)
             if i is None:
                 strays.setdefault(var, (lineno, w))

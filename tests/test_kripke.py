@@ -6,7 +6,7 @@ from importlib.resources import files
 
 import pytest
 
-from mvpdl import cli
+from mvpdl import cli, kripke
 from mvpdl.filtration import filter_model
 from mvpdl.kripke import (
     KripkeModel,
@@ -265,6 +265,31 @@ def test_model_file_names_must_parse_back():
         assert str(err.value) == msg
     m = parse_model(f"{head}rel Q{{1,2}}: w1->w1\nrel ~Q{{2}}: w1->w1\nval p_1: w1=1/1\n")
     assert m.value("w1", parse_formula("[Q{1,2}]p_1 & [~Q{2}]0")).num == 0
+
+
+def test_model_file_at_wide_resolutions():
+    # reading a value costs the same at every n, so a file at n = 2**63
+    # loads as fast as one at n = 4
+    for n in (2**31, 2**63, 2**70):
+        m = KripkeModel(n, ["u", "v"], {"a": [("u", "v"), ("v", "v")]}, {"p": {"u": 0, "v": n}, "q": {"u": n - 1, "v": 1}})
+        text = format_model(m)
+        again = parse_model(text)
+        assert (again.n, again.worlds, again._succ, again._vcols) == (m.n, m.worlds, m._succ, m._vcols)
+        assert again.variables == m.variables
+        assert format_model(again) == text
+        with pytest.raises(ModelError) as err:
+            parse_model(text.replace(f"v={n}/{n}", f"v={n + 1}/{n}"))
+        assert str(err.value) == f"line 4: numerator {n + 1} of 'p' at 'v' out of range 0..{n}"
+
+
+def test_model_file_names_are_parsed_once(monkeypatch):
+    # a file written one edge or one value per line parses each name once
+    calls = []
+    parses_back = kripke._parses_back
+    monkeypatch.setattr(kripke, "_parses_back", lambda name, kind: calls.append(name) or parses_back(name, kind))
+    text = "n = 1\nworlds: u v\n" + "rel a: u->v\nrel a: v->v\n" * 3 + "val p: u=0/1\nval p: v=1/1\n"
+    assert parse_model(text).relations == {"a": {("u", "v"), ("v", "v")}}
+    assert calls == ["a", "p"]
 
 
 def _one_edge_per_chunk(text: str) -> str:
