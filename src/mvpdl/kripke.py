@@ -77,9 +77,20 @@ def _world_index(worlds: Iterable[str]) -> tuple[tuple[str, ...], dict[str, int]
     return worlds, widx
 
 
+_ENDS_NAME = {"world": (",", "->", "#", "="), "program": ("#", ":"), "variable": ()}
+
+
 def _parses_back(name: str, kind: str) -> bool:
-    """Whether a program ("program") or variable ("variable") name parses
-    back as that atomic program or variable, so a file can state it."""
+    """Whether a world ("world"), program ("program") or variable
+    ("variable") name reads back from a model file as itself: one word with
+    nothing that would end it in its line (a world name sits in rel chunks
+    and val entries, and a program name, whose braces may hold any text,
+    before a line's ':'), and a program or variable name parses back as
+    that atomic program or variable."""
+    if name.split() != [name] or any(b in name for b in _ENDS_NAME[kind]):
+        return False
+    if kind == "world":
+        return True
     parse, node = (parse_program, Atomic) if kind == "program" else (parse_formula, Var)
     try:
         return parse(name) == node(name)
@@ -360,10 +371,6 @@ def random_model(
         raise ModelError("world_count must be >= 1")
     if not 0 <= edge_density <= 1:  # NaN too
         raise ModelError(f"edge density must be in [0, 1], got {edge_density}")
-    for names, kind in ((atom_names, "program"), (var_names, "variable")):
-        for name in names:  # a model file states each name, so it must parse back as itself
-            if not _parses_back(name, kind):
-                raise ModelError(f"{kind} name {name!r} does not parse back as itself")
     rng = random.Random(seed)
     worlds = [f"w{i}" for i in range(world_count)]
     relations = {}
@@ -534,7 +541,12 @@ def parse_model(text: str) -> KripkeModel:
 
 def format_model(m: KripkeModel, comments: Sequence[str] = ()) -> str:
     """Model file text: one rel chunk per world with successors, its
-    targets in world order."""
+    targets in world order.  A model with a name that the file would not
+    read back as itself is refused."""
+    for kind, names in (("world", m.worlds), ("program", sorted(m._succ)), ("variable", m.variables)):
+        for name in names:
+            if not _parses_back(name, kind):
+                raise ModelError(f"{kind} name {name!r} does not parse back as itself")
     lines = [f"# {c}" for c in comments]
     lines.append(f"n = {m.n}")
     lines.append("worlds: " + " ".join(m.worlds))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from typing import Mapping
 
 from .luk import synth_tau
 from .parser import parse_formula
@@ -104,18 +103,6 @@ def schema_formulas(index: int, n: int) -> list[Formula]:
     return [template(text) for text in row[1:]]
 
 
-def instantiate(
-    f: Formula,
-    fsub: Mapping[str, Formula] | None = None,
-    psub: Mapping[str, Program] | None = None,
-) -> Formula:
-    """Fill a schema by one simultaneous substitution: formulas replace
-    variables and programs replace atomic placeholders, and neither
-    replacement is rewritten by the other (a test inside a substituted
-    program keeps its own variables)."""
-    return substitute(f, fsub or {}, psub)
-
-
 # --- random instances -------------------------------------------------------
 
 
@@ -194,4 +181,4 @@ def random_instance(
         "a": random_program(rng, depth, var_names, atom_names),
         "b": random_program(rng, depth, var_names, atom_names),
     }
-    return [instantiate(f, fsub, psub) for f in schema_formulas(index, n)]
+    return [substitute(f, fsub, psub) for f in schema_formulas(index, n)]

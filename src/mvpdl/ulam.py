@@ -15,6 +15,13 @@ per question Q (written Q{...}) whose relation steps to either answer's
 update, and one variable p_m per candidate valued f(m) at state f.
 Worlds are the states reachable from the initial all-ones state within a
 question budget; a flag restores the full (n+1)^|M| space instead.
+
+One breadth-first exploration finds the worlds and the edges together:
+it visits each state once, updates it by both answers to every question
+(one `update_state` call each), appends an unseen successor while the
+question budget lasts, and records the successor's index under the
+question's name.  The full space starts with every state and, being
+closed under updates, never appends.  The state cap is checked there too.
 """
 
 from __future__ import annotations
@@ -154,39 +161,41 @@ def world_name_state(cfg: GameConfig, name: str) -> KnowledgeState:
     return KnowledgeState(cfg.elements, vals, cfg.n)
 
 
+def _explore(cfg: GameConfig) -> tuple[list[KnowledgeState], dict[str, list[list[int]]]]:
+    """The game's states and, per question name, each state's successor
+    indices, from one breadth-first pass over `update_state`."""
+    if cfg.full_space:  # closed under updates, so nothing is appended
+        values = itertools.product(range(cfg.n, -1, -1), repeat=len(cfg.elements))
+        states = [KnowledgeState(cfg.elements, v, cfg.n) for v in itertools.islice(values, _STATE_CAP + 1)]
+    else:
+        states = [cfg.start()]
+    index = {s: i for i, s in enumerate(states)}
+    questions = [(question_name(cfg, q), q) for q in all_questions(cfg)]
+    succ: dict[str, list[list[int]]] = {name: [] for name, _ in questions}
+    depth, level_end = 0, len(states)
+    for i, state in enumerate(states):  # states grows while it is read
+        if len(states) > _STATE_CAP:
+            raise GameError(f"state budget of {_STATE_CAP} exceeded")
+        if i == level_end:
+            depth, level_end = depth + 1, len(states)
+        for name, q in questions:
+            row: list[int] = []
+            for positive in (True, False):
+                nxt = update_state(cfg, state, q, positive)
+                j = index.get(nxt)
+                if j is None and depth < cfg.depth:
+                    j = index[nxt] = len(states)
+                    states.append(nxt)
+                if j is not None and j not in row:  # past the budget the edge leaves the model
+                    row.append(j)
+            succ[name].append(row)
+    return states, succ
+
+
 def reachable_states(cfg: GameConfig) -> list[KnowledgeState]:
-    """States reachable from the initial one within the question budget."""
-    start = cfg.start()
-    seen = {start}
-    order = [start]
-    frontier = [start]
-    questions = all_questions(cfg)
-    for _ in range(cfg.depth):
-        nxt = []
-        for state in frontier:
-            for q in questions:
-                for positive in (True, False):
-                    succ = update_state(cfg, state, q, positive)
-                    if succ not in seen:
-                        seen.add(succ)
-                        order.append(succ)
-                        nxt.append(succ)
-                        if len(seen) > _STATE_CAP:
-                            raise GameError(f"state budget of {_STATE_CAP} exceeded")
-        frontier = nxt
-        if not frontier:
-            break
-    return order
-
-
-def _all_states(cfg: GameConfig) -> list[KnowledgeState]:
-    states = [
-        KnowledgeState(cfg.elements, vals, cfg.n)
-        for vals in itertools.product(range(cfg.n, -1, -1), repeat=len(cfg.elements))
-    ]
-    if len(states) > _STATE_CAP:
-        raise GameError(f"state budget of {_STATE_CAP} exceeded")
-    return states
+    """The game model's states: those reachable from the initial one
+    within the question budget, or the full space with full_space."""
+    return _explore(cfg)[0]
 
 
 def build_game_model(cfg: GameConfig) -> KripkeModel:
@@ -197,28 +206,20 @@ def build_game_model(cfg: GameConfig) -> KripkeModel:
     relates, so paths of honest play can be checked against box formulas.
 
     When the depth budget truncates the space before it closes under
-    updates, frontier states keep no outgoing edges and box formulas hold
-    there vacuously; specifications should be checked at a saturating
-    depth (the exploration stops early once no new states appear) or with
-    full_space.
+    updates, a frontier state keeps the edges to states inside the model
+    and loses those to states past the budget, so box formulas there read
+    only part of the answers; specifications should be checked at a
+    saturating depth (the exploration stops early once no new states
+    appear) or with full_space.
     """
-    states = _all_states(cfg) if cfg.full_space else reachable_states(cfg)
-    index = {s: state_world_name(s) for s in states}
-    present = set(states)
-    relations: dict[str, set[tuple[str, str]]] = {}
-    for q in all_questions(cfg):
-        pairs = set()
-        for s in states:
-            for positive in (True, False):
-                succ = update_state(cfg, s, q, positive)
-                if succ in present:
-                    pairs.add((index[s], index[succ]))
-        relations[question_name(cfg, q)] = pairs
-    valuation = {
-        f"p_{m}": {index[s]: s.values[i] for s in states}
-        for i, m in enumerate(cfg.elements)
+    states, succ = _explore(cfg)
+    names = [state_world_name(s) for s in states]
+    relations = {
+        q: [(names[i], names[j]) for i, row in enumerate(rows) for j in row] for q, rows in succ.items()
     }
-    return KripkeModel(cfg.n, [index[s] for s in states], relations, valuation)
+    columns = zip(*(s.values for s in states))
+    valuation = {f"p_{m}": dict(zip(names, col)) for m, col in zip(cfg.elements, columns)}
+    return KripkeModel(cfg.n, names, relations, valuation)
 
 
 def check_spec(

@@ -5,6 +5,8 @@ import random
 from importlib.resources import files
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvpdl import cli, kripke
 from mvpdl.filtration import filter_model
@@ -265,6 +267,72 @@ def test_model_file_names_must_parse_back():
         assert str(err.value) == msg
     m = parse_model(f"{head}rel Q{{1,2}}: w1->w1\nrel ~Q{{2}}: w1->w1\nval p_1: w1=1/1\n")
     assert m.value("w1", parse_formula("[Q{1,2}]p_1 & [~Q{2}]0")).num == 0
+
+
+@pytest.mark.parametrize(
+    "worlds, relations, valuation, kind, name",
+    [
+        (["a,b", "c"], {"a": [("a,b", "c")]}, {}, "world", "a,b"),
+        (["u=1"], {}, {"p": {"u=1": 1}}, "world", "u=1"),
+        (["u v"], {}, {}, "world", "u v"),
+        (["u->v"], {}, {}, "world", "u->v"),
+        (["p#1"], {}, {}, "world", "p#1"),
+        ([""], {}, {}, "world", ""),
+        (["u"], {"a b": [("u", "u")]}, {}, "program", "a b"),
+        (["u"], {"Q{1:2}": [("u", "u")]}, {}, "program", "Q{1:2}"),
+        (["u"], {"Q{#}": []}, {}, "program", "Q{#}"),
+        (["u"], {}, {"p q": {"u": 0}}, "variable", "p q"),
+    ],
+)
+def test_format_model_refuses_names_that_do_not_read_back(worlds, relations, valuation, kind, name):
+    # the constructor takes these names, but a file stating them would not
+    # load or would load other names, so writing the model is refused
+    m = KripkeModel(1, worlds, relations, valuation)
+    with pytest.raises(ModelError) as err:
+        format_model(m)
+    assert str(err.value) == f"{kind} name {name!r} does not parse back as itself"
+
+
+_READABLE = {
+    "world": ["u", "v", "w1", "m0:w0", "-", ">", "u-", "Q{1}", ":", "n"],
+    "program": ["a", "b", "Q{1,2}", "~Q{2}", "Q{}", "Q{u-}"],
+    "variable": ["p", "q", "p_1"],
+}
+_MARKS = ["->", ",", ":", "#", "=", " ", "\x1c", "\u2028", "", "-", ">", "~", "{", "}"]
+
+
+@st.composite
+def _named_models(draw) -> KripkeModel:
+    """Models over names that read back, one of which is swapped for a
+    mark, with or without letters around it, that may end a name in a
+    model file (a program's inside Q{...})."""
+    n = draw(st.integers(1, 5))
+    names = {kind: draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)) for kind, pool in _READABLE.items()}
+    kind = draw(st.sampled_from(sorted(names)))
+    odd = draw(st.sampled_from(["", "u"])) + draw(st.sampled_from(_MARKS)) + draw(st.sampled_from(["", "v"]))
+    odd = f"Q{{{odd}}}" if kind == "program" else odd
+    if odd not in names[kind]:
+        names[kind][0] = odd
+    worlds = names["world"]
+    edges = st.lists(st.tuples(st.sampled_from(worlds), st.sampled_from(worlds)), max_size=6)
+    relations = {a: [(worlds[0], worlds[-1]), *draw(edges)] for a in names["program"]}
+    values = st.lists(st.integers(0, n), min_size=len(worlds), max_size=len(worlds))
+    valuation = {p: dict(zip(worlds, draw(values))) for p in names["variable"]}
+    return KripkeModel(n, worlds, relations, valuation)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(_named_models())
+def test_every_written_model_reads_back(m):
+    try:
+        text = format_model(m)
+    except ModelError:
+        return
+    again = parse_model(text)
+    assert (again.n, again.worlds, again._vcols) == (m.n, m.worlds, m._vcols)
+    assert {a: [set(vs) for vs in lists] for a, lists in again._succ.items()} == {
+        a: [set(vs) for vs in lists] for a, lists in m._succ.items()
+    }
 
 
 def test_model_file_at_wide_resolutions():

@@ -6,11 +6,10 @@ import pytest
 
 from mvpdl.kripke import random_model
 from mvpdl.luk import unary_table
-from mvpdl.syntax import Var
+from mvpdl.syntax import Var, substitute
 from mvpdl.tautologies import (
     SCHEMA_COUNT,
     SCHEMA_NAMES,
-    instantiate,
     random_instance,
     schema_formulas,
 )
@@ -71,9 +70,9 @@ def test_instantiate_orders_programs_before_formulas():
     from mvpdl.syntax import Atomic, Box, Seq, Test
 
     template = Box(Atomic("a"), Var("p"))
-    out = instantiate(template, fsub={"p": Box(Atomic("a"), Var("q"))}, psub={"a": Seq(Atomic("a"), Atomic("a"))})
+    out = substitute(template, {"p": Box(Atomic("a"), Var("q"))}, {"a": Seq(Atomic("a"), Atomic("a"))})
     assert out == Box(Seq(Atomic("a"), Atomic("a")), Box(Atomic("a"), Var("q")))
-    out = instantiate(template, fsub={"p": Var("q")}, psub={"a": Test(Var("p"))})
+    out = substitute(template, {"p": Var("q")}, {"a": Test(Var("p"))})
     assert out == Box(Test(Var("p")), Var("q"))
 
 

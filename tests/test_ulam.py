@@ -1,7 +1,11 @@
 """The searching game with lies and its model construction."""
 
+import hashlib
+
 import pytest
 
+from mvpdl import ulam
+from mvpdl.kripke import format_model
 from mvpdl.ulam import (
     GameConfig,
     GameError,
@@ -166,9 +170,9 @@ def test_specs_from_the_example():
 
 
 def test_truncated_frontier_makes_boxes_vacuous():
-    # depth 1 over two elements stops before the space closes: the
-    # frontier state (1/2, 1/2) has no successors inside the model, so
-    # its boxes are vacuously 1 and the soundness spec fails there
+    # depth 1 over two elements stops before the space closes: both
+    # answers to Q{1} take the frontier state (1/2, 1/2) past the model,
+    # so its [Q{1}] boxes are vacuously 1 and the soundness spec fails there
     cfg = GameConfig(elements=("1", "2"), n=2, depth=1)
     ok, state = check_spec(cfg, "[Q{1}]p_1 -> p_1")
     assert not ok
@@ -216,3 +220,57 @@ def test_config_validation():
         GameConfig(elements=("1", "1"), n=1, depth=1)
     with pytest.raises(GameError):
         GameConfig(elements=("1",), n=0, depth=1)
+
+
+def _game(m, n, depth, full_space=False) -> GameConfig:
+    return GameConfig(elements=tuple(str(i) for i in range(1, m + 1)), n=n, depth=depth, full_space=full_space)
+
+
+@pytest.mark.parametrize("m,n,depth,states", [(3, 2, 3, 27), (5, 1, 2, 32), (2, 2, 1, 4), (2, 2, 0, 1)])
+def test_each_answer_update_is_made_once(monkeypatch, m, n, depth, states):
+    calls = []
+    update = ulam.update_state
+    monkeypatch.setattr(ulam, "update_state", lambda *args: calls.append(1) or update(*args))
+    model = build_game_model(_game(m, n, depth))
+    assert len(model.worlds) == states
+    assert len(calls) == states * 2**m * 2
+
+
+def test_game_model_files_are_pinned():
+    # reachable, truncated (depth 1) and full-space models, written as
+    # model files: world order, names, edges and values all show here
+    digest = hashlib.sha256()
+    for m, n, depth, full_space in (
+        (3, 2, 3, False),
+        (2, 2, 1, False),
+        (3, 3, 1, False),
+        (4, 1, 2, False),
+        (2, 2, 0, True),
+        (2, 3, 1, True),
+        (3, 1, 0, True),
+        (1, 1, 5, False),
+    ):
+        digest.update(format_model(build_game_model(_game(m, n, depth, full_space))).encode())
+    assert digest.hexdigest() == "aa65a76d88f7726da31fd655565753443ba73d398020be186de43b7117e87762"
+
+
+def test_truncated_frontier_keeps_edges_inside_the_model():
+    model = build_game_model(_game(2, 2, 1))
+    rel = model.relations
+    assert {v for u, v in rel["Q{}"] if u == "s2_1"} == {"s2_1"}
+    assert {v for u, v in rel["Q{1,2}"] if u == "s2_1"} == {"s2_1"}
+    assert {v for u, v in rel["Q{1}"] if u == "s2_1"} == {"s1_1"}
+    assert {v for u, v in rel["Q{2}"] if u == "s2_1"} == {"s1_1"}
+
+
+def test_state_cap_is_one_check(monkeypatch):
+    # 27 reachable states at (3, 2, 3) and 27 in the full space at (3, 2, 0)
+    for cfg in (_game(3, 2, 3), _game(3, 2, 0, full_space=True)):
+        monkeypatch.setattr(ulam, "_STATE_CAP", 27)
+        assert len(build_game_model(cfg).worlds) == 27
+        monkeypatch.setattr(ulam, "_STATE_CAP", 26)
+        with pytest.raises(GameError) as err:
+            build_game_model(cfg)
+        assert str(err.value) == "state budget of 26 exceeded"
+        with pytest.raises(GameError):
+            reachable_states(cfg)
