@@ -27,7 +27,7 @@ from .kripke import format_model, load_model, random_model
 from .luk import prop_counterexample
 from .parser import format_formula, parse_formula
 from .proofs import check_derivation, parse_derivation
-from .sat import BudgetExceeded, decide_sat, decide_valid
+from .sat import DEFAULT_BUDGET, BudgetExceeded, decide_sat, decide_valid
 from .syntax import fl_closure
 from .ulam import GameConfig, build_game_model, check_spec, parse_question, run_game
 
@@ -153,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            default=10**6,
+            default=DEFAULT_BUDGET,
             help="candidate row sets to try (past the row cap: candidate models)",
         )
         common(p, n=True)

@@ -455,7 +455,11 @@ def parse_model(text: str) -> KripkeModel:
         if line.startswith("worlds:"):
             if widx is not None:
                 err(lineno, "worlds line after a rel line")
-            names.extend(line[len("worlds:") :].split())
+            words = line[len("worlds:") :].split()
+            if any(b in line for b in _ENDS_NAME["world"]):  # rare: find the name at fault
+                bad = next(w for w in words if not _parses_back(w, "world"))
+                err(lineno, f"world name {bad!r} does not parse back as itself")
+            names.extend(words)
             continue
         if line.startswith("rel "):
             head, sep, tail = line[4:].partition(":")
@@ -547,7 +551,8 @@ def format_model(m: KripkeModel, comments: Sequence[str] = ()) -> str:
         for name in names:
             if not _parses_back(name, kind):
                 raise ModelError(f"{kind} name {name!r} does not parse back as itself")
-    lines = [f"# {c}" for c in comments]
+    # each line of a comment is its own comment line, as parse_model splits them
+    lines = [f"# {part}" for c in comments for part in c.splitlines() or [""]]
     lines.append(f"n = {m.n}")
     lines.append("worlds: " + " ".join(m.worlds))
     ws = m.worlds

@@ -6,6 +6,12 @@ is min(1-x+y, 1); the strong and lattice connectives derive from those.
 Values at different resolutions never mix: the sets of values are
 incomparable in general, so a mismatch is an error, not a coercion.
 
+Each connective is stated as sugar over implication and zero in
+`syntax`, and as integer operations in `Lanes`; this module has no
+numerator-level layer beside them.  `implies`, `strong_or` and the other
+connectives on `TruthValue`s, the algebra's identities and the threshold
+search all lower a formula and evaluate it on `Lanes`.
+
 Also provides exhaustive propositional tautology checking and the
 synthesis of one-variable threshold formulas (value 1 from i/n upward,
 0 below) and point indicators, built only from the doubling maps
@@ -32,9 +38,10 @@ import itertools
 import threading
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
-from .syntax import FALSUM, IMP, NOT, VAR, ZERO, Formula, Not, Var, land, odot, oplus, plan
+from .parser import parse_formula
+from .syntax import FALSUM, IMP, NOT, VAR, ZERO, Formula, Implies, Not, Var, iff, land, lor, odot, oplus, plan
 
 
 class ResolutionMismatch(ValueError):
@@ -95,61 +102,8 @@ def _same_resolution(x: TruthValue, y: TruthValue) -> int:
     return x.n
 
 
-# Numerator-level connectives; the hot paths work on plain ints.
-
-
-def neg_i(x: int, n: int) -> int:
-    return n - x
-
-
-def imp_i(x: int, y: int, n: int) -> int:
-    return min(n - x + y, n)
-
-
-def oplus_i(x: int, y: int, n: int) -> int:
-    return min(x + y, n)
-
-
-def odot_i(x: int, y: int, n: int) -> int:
-    return max(x + y - n, 0)
-
-
-def equiv_i(x: int, y: int, n: int) -> int:
-    return n - abs(x - y)
-
-
 def neg(x: TruthValue) -> TruthValue:
     return TruthValue(x.n - x.num, x.n)
-
-
-def implies(x: TruthValue, y: TruthValue) -> TruthValue:
-    n = _same_resolution(x, y)
-    return TruthValue(imp_i(x.num, y.num, n), n)
-
-
-def strong_or(x: TruthValue, y: TruthValue) -> TruthValue:
-    n = _same_resolution(x, y)
-    return TruthValue(oplus_i(x.num, y.num, n), n)
-
-
-def strong_and(x: TruthValue, y: TruthValue) -> TruthValue:
-    n = _same_resolution(x, y)
-    return TruthValue(odot_i(x.num, y.num, n), n)
-
-
-def join(x: TruthValue, y: TruthValue) -> TruthValue:
-    n = _same_resolution(x, y)
-    return TruthValue(max(x.num, y.num), n)
-
-
-def meet(x: TruthValue, y: TruthValue) -> TruthValue:
-    n = _same_resolution(x, y)
-    return TruthValue(min(x.num, y.num), n)
-
-
-def equiv(x: TruthValue, y: TruthValue) -> TruthValue:
-    n = _same_resolution(x, y)
-    return TruthValue(equiv_i(x.num, y.num, n), n)
 
 
 # --- propositional evaluation --------------------------------------------
@@ -183,6 +137,25 @@ def _lower(f: Formula) -> tuple[list[str], list[tuple[int, int]], int]:
         steps.append((slot[a], slot[b]))
         slot[g] = zero + len(steps)
     return [g.name for g in names], steps, slot[f]
+
+
+def _connective(sugar: Callable[[Formula, Formula], Formula]) -> Callable[[TruthValue, TruthValue], TruthValue]:
+    """The connective on values that evaluates sugar(x, y) on `Lanes`."""
+    _, steps, root = _lower(sugar(Var("x"), Var("y")))
+
+    def connective(x: TruthValue, y: TruthValue) -> TruthValue:
+        n = _same_resolution(x, y)
+        return TruthValue(_evaluate(steps, root, [x.num, y.num], Lanes(n, 1)), n)
+
+    return connective
+
+
+implies = _connective(Implies)
+strong_or = _connective(oplus)
+strong_and = _connective(odot)
+join = _connective(lor)
+meet = _connective(land)
+equiv = _connective(iff)
 
 
 def eval_prop_num(f: Formula, env: Mapping[str, int], n: int) -> int:
@@ -410,10 +383,8 @@ def _threshold_family(n: int) -> dict[int, Formula]:
             i = targets.get(table)
             if i is not None and i not in found:
                 found[i] = ast
-            for new_table, new_ast in (
-                (tuple(min(2 * x, n) for x in table), oplus(ast, ast)),
-                (tuple(max(2 * x - n, 0) for x in table), odot(ast, ast)),
-            ):
+            for new_ast in (oplus(ast, ast), odot(ast, ast)):
+                new_table = unary_table(new_ast, n)
                 if new_table not in seen:
                     seen.add(new_table)
                     next_queue.append((new_table, new_ast))
@@ -462,26 +433,29 @@ def synth_indicator(i: int, n: int) -> Formula:
 # --- algebraic identities -------------------------------------------------
 
 
+# Each identity is the text of its equation: two formulas in x, y and z.
+_MV_EQUATIONS = ("1->x=x", "(x->y)->y=(y->x)->x", "(~x->~y)->(y->x)=1", "(x->y)->((y->z)->(x->z))=1")
+
+
 def mv_equation_failures(n: int) -> list[tuple[str, int, int, int]]:
     """Exhaustively check the four defining identities of the value algebra.
 
     As printed, two of the four need the standard reading: the first is
     checked as 1 -> x = x (not x -> 1 = x, which already fails at x = 0),
     and the third as (x -> y) -> y = (y -> x) -> x.  Returns the list of
-    failing (equation, x, y, z) numerator triples; empty means all hold.
+    failing (equation, x, y, z) numerator triples, grouped per identity in
+    the order above and each group in lexicographic order; variables an
+    identity does not use read 0.  Empty means all hold.
     """
     bad: list[tuple[str, int, int, int]] = []
-    rng = range(n + 1)
-    for x in rng:
-        if imp_i(n, x, n) != x:
-            bad.append(("1->x=x", x, 0, 0))
-        for y in rng:
-            if imp_i(imp_i(x, y, n), y, n) != imp_i(imp_i(y, x, n), x, n):
-                bad.append(("(x->y)->y=(y->x)->x", x, y, 0))
-            if imp_i(imp_i(neg_i(x, n), neg_i(y, n), n), imp_i(y, x, n), n) != n:
-                bad.append(("(~x->~y)->(y->x)=1", x, y, 0))
-            for z in rng:
-                lhs = imp_i(imp_i(x, y, n), imp_i(imp_i(y, z, n), imp_i(x, z, n), n), n)
-                if lhs != n:
-                    bad.append(("(x->y)->((y->z)->(x->z))=1", x, y, z))
+    lanes = Lanes(n, 1)
+    for equation in _MV_EQUATIONS:
+        lhs, rhs = map(parse_formula, equation.split("="))
+        names, steps, root = _lower(Implies(lhs, rhs))
+        i, j = steps[root - len(names) - 1]  # the root step reads the two sides' slots
+        for row in itertools.product(range(n + 1), repeat=len(names)):
+            vals = list(row)
+            _evaluate(steps, root, vals, lanes)
+            if vals[i] != vals[j]:
+                bad.append((equation, *row, *[0] * (3 - len(row))))
     return bad

@@ -293,6 +293,26 @@ def test_format_model_refuses_names_that_do_not_read_back(worlds, relations, val
     assert str(err.value) == f"{kind} name {name!r} does not parse back as itself"
 
 
+@pytest.mark.parametrize("name", ["a,b", "u->v", "a=b"])
+def test_model_file_world_names_must_parse_back(name):
+    # a world name that format_model would refuse does not load either
+    with pytest.raises(ModelError) as err:
+        parse_model(f"n = 1\nworlds: w1 {name} w2\nval p: w1=1/1\n")
+    assert str(err.value) == f"line 2: world name {name!r} does not parse back as itself"
+
+
+@pytest.mark.parametrize("comment", ["one\nworlds: x", "one\nn = 3"])
+def test_format_model_comments_with_line_breaks_round_trip(comment):
+    # each line of a comment is written as a comment line of its own, so it
+    # can neither declare worlds nor change n
+    m = parse_model("n = 2\nworlds: u v\nrel a: u->v\nval p: u=0/2 v=2/2\n")
+    text = format_model(m, comments=[comment])
+    assert text.startswith("# one\n# " + comment.splitlines()[1] + "\n")
+    again = parse_model(text)
+    assert (again.n, again.worlds, again.relations) == (m.n, m.worlds, m.relations)
+    assert format_model(again) == format_model(m)
+
+
 _READABLE = {
     "world": ["u", "v", "w1", "m0:w0", "-", ">", "u-", "Q{1}", ":", "n"],
     "program": ["a", "b", "Q{1,2}", "~Q{2}", "Q{}", "Q{u-}"],

@@ -360,9 +360,34 @@ def test_mv_identities_hold():
 
 def test_mv_identities_catch_the_misprinted_first_equation():
     # the uncorrected reading x -> 1 = x fails already at n = 1, x = 0
-    from mvpdl.luk import imp_i
+    assert implies(tv(0, 1), top(1)) != tv(0, 1)
 
-    assert imp_i(0, 1, 1) != 0
+
+def test_mv_identities_check_the_lane_implication(monkeypatch):
+    # the identities are evaluated on Lanes, so a wrong Lanes.imp shows;
+    # nothing here may reach synth_tau, whose tables are cached per n
+    assert mv_equation_failures(3) == []
+    monkeypatch.setattr(luk.Lanes, "imp", lambda lanes, x, y: lanes.top)  # constant 1
+    bad = mv_equation_failures(3)
+    assert ("1->x=x", 0, 0, 0) in bad and {eq for eq, *_ in bad} == {"1->x=x"}
+    monkeypatch.setattr(luk.Lanes, "imp", lambda lanes, x, y: lanes.top - x)  # ~x, ignoring y
+    assert mv_equation_failures(3) != []
+
+
+def test_value_connectives_match_their_closed_forms():
+    closed_forms = {
+        implies: lambda x, y, n: min(n - x + y, n),
+        strong_or: lambda x, y, n: min(x + y, n),
+        strong_and: lambda x, y, n: max(x + y - n, 0),
+        join: lambda x, y, n: max(x, y),
+        meet: lambda x, y, n: min(x, y),
+        equiv: lambda x, y, n: n - abs(x - y),
+    }
+    for n in range(1, 7):
+        for x, y in itertools.product(all_values(n), repeat=2):
+            assert neg(x) == tv(n - x.num, n)
+            for connective, value in closed_forms.items():
+                assert connective(x, y) == tv(value(x.num, y.num, n), n)
 
 
 def test_byte_lanes_are_the_fewest_bytes_and_round_trip():
