@@ -26,9 +26,21 @@ takes its column from the columns of the closure members its law reads
                     partial identities over fully true worlds)
     [b*]f     STAR  one flood over the states of its automaton
 
-A minimum over successor lists is no lane operation, so atomic boxes and
-star floods unpack the columns they read into lists of numerators and
-pack the columns they compute.
+An atomic box has one of two kernels, chosen per program when the model
+is set up, by the relation's shape and the lane width alone; no option
+selects it.  Where every world has at most two successors and a lane is
+one byte (n <= 127), as in the question relations of `ulam`'s game
+models, the model keeps two successor layers beside the lists: each
+world's first and second successor, or a sentinel lane valued n where it
+has fewer.  The box is then two gathers of the body's bytes by
+`operator.itemgetter`, which run in C, and one `Lanes.meet`, with no
+Python step per world.  The rule reads the out-degree because each
+successor slot costs one gather over every world, and the lane width
+because a gather moves single bytes.  Every other relation (out-degree 3
+or more, wider lanes, or an undeclared program) unpacks the body into
+numerators and takes each world's minimum in a loop that stops at 0.
+Star floods unpack the columns they read in the same way and pack the
+columns they compute.
 
 A star box g = [b*]f is read through its automaton,
 `syntax.star_states`, which its plan step carries (the step reads f and
@@ -55,6 +67,8 @@ construction.
 from __future__ import annotations
 
 import random
+from itertools import zip_longest
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .luk import Lanes, TruthValue
@@ -114,6 +128,7 @@ class KripkeModel:
         "variables",
         "_widx",
         "_succ",
+        "_layers",
         "_pred",
         "_view",
         "_vcols",
@@ -179,10 +194,21 @@ class KripkeModel:
         self._widx = widx
         self._succ = succ
         self._pred: dict[str, list[list[int]]] = {}
+        self._lanes = Lanes(n, len(worlds))
+        self._layers: dict[str, tuple[itemgetter, itemgetter]] = {}
+        if self._lanes.width == 8:
+            # each world's first and second successor, or the sentinel lane
+            # len(worlds), valued n, where it has fewer; a padding row of two
+            # sentinels makes the transposition two layers long and gives
+            # each itemgetter two indices or more, so that it returns a tuple
+            pad = (len(worlds),) * 2
+            for atom, lists in succ.items():
+                if max(map(len, lists)) <= 2:
+                    first, second = zip_longest(*lists, pad, fillvalue=pad[0])
+                    self._layers[atom] = itemgetter(*first), itemgetter(*second)
         self._view: dict[str, frozenset[tuple[str, str]]] | None = None
         self._vcols = vcols
         self.variables = tuple(sorted(vcols))
-        self._lanes = Lanes(n, len(worlds))
         self._tvs: dict[int, TruthValue] = {}
         self._prof: dict[Formula, int] = {}
 
@@ -286,8 +312,15 @@ class KripkeModel:
         return prof[f]
 
     def _atomic_box(self, name: str, packed: int) -> int:
-        n = self.n
-        body = self._lanes.unpack(packed)
+        n, lanes = self.n, self._lanes
+        layers = self._layers.get(name)
+        if layers is not None:  # two gathers and a meet, no per-world Python
+            get_first, get_second = layers
+            raw = packed.to_bytes(lanes.count, "little") + bytes((n,))  # the sentinel lane
+            first = int.from_bytes(bytes(get_first(raw)), "little")
+            second = int.from_bytes(bytes(get_second(raw)), "little")
+            return lanes.meet(first, second) - (n << 8 * lanes.count)  # less the padding row's lane, n
+        body = lanes.unpack(packed)
         col = []
         for vs in self._adjacency(name, False):
             m = n
@@ -298,7 +331,7 @@ class KripkeModel:
                     if m == 0:
                         break
             col.append(m)
-        return self._lanes.pack(col)
+        return lanes.pack(col)
 
     def _star(self, g: Formula, auto: dict) -> int:
         """Column of star box g from one backward flood over worlds x the

@@ -8,9 +8,9 @@ incomparable in general, so a mismatch is an error, not a coercion.
 
 Each connective is stated as sugar over implication and zero in
 `syntax`, and as integer operations in `Lanes`; this module has no
-numerator-level layer beside them.  `implies`, `strong_or` and the other
-connectives on `TruthValue`s, the algebra's identities and the threshold
-search all lower a formula and evaluate it on `Lanes`.
+numerator-level layer beside them.  A connective on `TruthValue`s is
+`eval_prop` of its sugar, and `eval_prop`, the algebra's identities and
+the threshold search all lower a formula and evaluate it on `Lanes`.
 
 Also provides exhaustive propositional tautology checking and the
 synthesis of one-variable threshold formulas (value 1 from i/n upward,
@@ -38,10 +38,10 @@ import itertools
 import threading
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping
+from typing import Mapping
 
 from .parser import parse_formula
-from .syntax import FALSUM, IMP, NOT, VAR, ZERO, Formula, Implies, Not, Var, iff, land, lor, odot, oplus, plan
+from .syntax import FALSUM, IMP, NOT, VAR, ZERO, Formula, Implies, Not, Var, land, odot, oplus, plan
 
 
 class ResolutionMismatch(ValueError):
@@ -91,19 +91,9 @@ def top(n: int) -> TruthValue:
     return TruthValue(n, n)
 
 
-def all_values(n: int) -> Iterator[TruthValue]:
-    for i in range(n + 1):
-        yield TruthValue(i, n)
-
-
-def _same_resolution(x: TruthValue, y: TruthValue) -> int:
+def _same_resolution(x: TruthValue, y: TruthValue) -> None:
     if x.n != y.n:
         raise ResolutionMismatch(f"cannot combine values at /{x.n} and /{y.n}")
-    return x.n
-
-
-def neg(x: TruthValue) -> TruthValue:
-    return TruthValue(x.n - x.num, x.n)
 
 
 # --- propositional evaluation --------------------------------------------
@@ -137,25 +127,6 @@ def _lower(f: Formula) -> tuple[list[str], list[tuple[int, int]], int]:
         steps.append((slot[a], slot[b]))
         slot[g] = zero + len(steps)
     return [g.name for g in names], steps, slot[f]
-
-
-def _connective(sugar: Callable[[Formula, Formula], Formula]) -> Callable[[TruthValue, TruthValue], TruthValue]:
-    """The connective on values that evaluates sugar(x, y) on `Lanes`."""
-    _, steps, root = _lower(sugar(Var("x"), Var("y")))
-
-    def connective(x: TruthValue, y: TruthValue) -> TruthValue:
-        n = _same_resolution(x, y)
-        return TruthValue(_evaluate(steps, root, [x.num, y.num], Lanes(n, 1)), n)
-
-    return connective
-
-
-implies = _connective(Implies)
-strong_or = _connective(oplus)
-strong_and = _connective(odot)
-join = _connective(lor)
-meet = _connective(land)
-equiv = _connective(iff)
 
 
 def eval_prop_num(f: Formula, env: Mapping[str, int], n: int) -> int:

@@ -5,7 +5,7 @@ import random
 from importlib.resources import files
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvpdl import cli, kripke
@@ -23,6 +23,7 @@ from mvpdl.luk import tv
 from mvpdl.parser import format_formula, parse_formula, parse_program
 from mvpdl.syntax import Atomic, Box, Implies, Not, Seq, Star, Test, Union, Var, power
 from mvpdl.tautologies import random_formula, random_program
+from mvpdl.ulam import GameConfig, build_game_model
 from relational import Relational
 
 
@@ -740,3 +741,69 @@ def test_lane_boundary_columns_match_relational_oracle():
                 assert m.falsifying_world(f) == (None if bad is None else (m.worlds[bad], tv(want[bad], n)))
                 w = rng.randrange(len(m.worlds))
                 assert m.value(m.worlds[w], f) == tv(want[w], n)
+
+
+# one box of each kind over a and b, with c never declared
+_KERNEL_BOXES = tuple(
+    parse_formula(t)
+    for t in ("[a]p", "[b]q", "[c]p", "[a][b]q", "[a+b]p", "[a;b]q", "[b;c]p", "[a*]p", "[(a+b)*]q", "[(a;b)*]p", "[a*;b]q", "<a>p")
+)
+
+
+@st.composite
+def _low_degree_models(draw):
+    """n, each world's targets under a and b, and the values of p and q.
+    A program's out-degree is at most a drawn cap of 0 to 3, and targets
+    may repeat and loop back."""
+    n = draw(st.sampled_from((1, 4, 127, 128)))
+    count = draw(st.integers(1, 8))
+    world = st.integers(0, count - 1)
+    edges = {}
+    for atom in ("a", "b"):
+        cap = draw(st.integers(0, 3))
+        edges[atom] = draw(st.lists(st.lists(world, max_size=cap), min_size=count, max_size=count))
+    values = {p: draw(st.lists(st.integers(0, n), min_size=count, max_size=count)) for p in ("p", "q")}
+    return n, edges, values
+
+
+_FIXED_SHAPES = (
+    {"a": [[0], [], [1, 1]], "b": [[0, 2, 1], [1], []]},  # self-loops, a dead end, a repeat
+    {"a": [[], [], []], "b": [[2, 2, 2], [0, 0], [2]]},  # an empty program
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_low_degree_models())
+@example((127, _FIXED_SHAPES[0], {"p": [127, 0, 64], "q": [3, 127, 0]}))
+@example((128, _FIXED_SHAPES[0], {"p": [128, 0, 64], "q": [3, 128, 0]}))
+@example((1, _FIXED_SHAPES[1], {"p": [1, 0, 1], "q": [0, 1, 1]}))
+@example((4, {"a": [[0, 0]], "b": [[]]}, {"p": [2], "q": [4]}))
+def test_both_box_kernels_match_relational_oracle(spec):
+    # the model is read from a file written one edge per chunk, so a
+    # target given twice sits twice in its successor list
+    n, edges, values = spec
+    worlds = [f"w{i}" for i in range(len(values["p"]))]
+    lines = [f"n = {n}", "worlds: " + " ".join(worlds)]
+    for atom, targets in edges.items():
+        lines.append(f"rel {atom}: " + ", ".join(f"w{u}->w{v}" for u, vs in enumerate(targets) for v in vs))
+    for var, col in values.items():
+        lines.append(f"val {var}: " + " ".join(f"{w}={x}/{n}" for w, x in zip(worlds, col)))
+    m = parse_model("\n".join(lines) + "\n")
+    for atom, targets in edges.items():
+        assert (atom in m._layers) is (n <= 127 and max(map(len, targets)) <= 2)
+    oracle = Relational(m)
+    for f in _KERNEL_BOXES:
+        got = m.value_profile(f)
+        assert [got[w].num for w in worlds] == oracle.profile(f), format_formula(f)
+
+
+def test_box_kernel_choice_is_pinned():
+    # every question of the benchmark's game configs has at most two
+    # successors per world and takes the layers; the check workload's
+    # 300-world models have larger out-degrees and take the loop
+    for m, n, depth in ((4, 2, 3), (5, 2, 3), (6, 2, 2), (6, 3, 2)):
+        model = build_game_model(GameConfig(tuple(str(i) for i in range(1, m + 1)), n, depth))
+        assert len(model._succ) == 2**m and set(model._layers) == set(model._succ)
+    for seed, density in enumerate((0.02, 0.035, 0.05)):
+        model = random_model(seed, 4, 300, edge_density=density)
+        assert model._layers == {} and set(model._succ) == {"a", "b"}

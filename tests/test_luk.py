@@ -13,19 +13,11 @@ from mvpdl import luk
 from mvpdl.luk import (
     ResolutionMismatch,
     UnboundVariable,
-    all_values,
-    equiv,
     eval_prop,
     eval_prop_num,
-    implies,
     is_tautology_prop,
-    join,
-    meet,
     mv_equation_failures,
-    neg,
     prop_counterexample,
-    strong_and,
-    strong_or,
     synth_indicator,
     synth_tau,
     top,
@@ -53,6 +45,21 @@ from mvpdl.syntax import (
 )
 from mvpdl.tautologies import SCHEMA_COUNT, random_formula, random_instance
 
+X, Y = Var("x"), Var("y")
+
+
+def values(n):
+    return [tv(i, n) for i in range(n + 1)]
+
+
+def neg(x):
+    return eval_prop(Not(X), {"x": x})
+
+
+def connective(sugar, x, y):
+    """The value of sugar(x, y), the connective on values."""
+    return eval_prop(sugar(X, Y), {"x": x, "y": y})
+
 
 def test_negation_examples():
     assert neg(tv(3, 4)) == tv(1, 4)
@@ -61,26 +68,26 @@ def test_negation_examples():
 
 
 def test_implication_examples():
-    assert implies(tv(3, 4), tv(1, 4)) == tv(2, 4)
+    assert connective(Implies, tv(3, 4), tv(1, 4)) == tv(2, 4)
     for n in range(1, 5):
-        for x in all_values(n):
-            assert implies(x, x) == top(n)
-            assert implies(tv(0, n), x) == top(n)
+        for x in values(n):
+            assert connective(Implies, x, x) == top(n)
+            assert connective(Implies, tv(0, n), x) == top(n)
 
 
 def test_derived_connective_examples():
-    assert strong_and(tv(1, 2), tv(1, 2)) == tv(0, 2)
-    assert strong_or(tv(3, 4), tv(2, 4)) == tv(4, 4)
-    assert equiv(tv(3, 4), tv(1, 4)) == tv(2, 4)
-    assert join(tv(1, 3), tv(2, 3)) == tv(2, 3)
-    assert meet(tv(1, 3), tv(2, 3)) == tv(1, 3)
+    assert connective(odot, tv(1, 2), tv(1, 2)) == tv(0, 2)
+    assert connective(oplus, tv(3, 4), tv(2, 4)) == tv(4, 4)
+    assert connective(iff, tv(3, 4), tv(1, 4)) == tv(2, 4)
+    assert connective(lor, tv(1, 3), tv(2, 3)) == tv(2, 3)
+    assert connective(land, tv(1, 3), tv(2, 3)) == tv(1, 3)
 
 
 def test_resolution_mismatch_is_an_error():
     with pytest.raises(ResolutionMismatch):
-        implies(tv(1, 2), tv(1, 3))
+        connective(Implies, tv(1, 2), tv(1, 3))
     with pytest.raises(ResolutionMismatch):
-        strong_and(tv(0, 1), tv(0, 2))
+        connective(odot, tv(0, 1), tv(0, 2))
     with pytest.raises(ResolutionMismatch):
         tv(1, 2) <= tv(1, 4)
 
@@ -101,17 +108,17 @@ def test_truth_value_validation():
 
 def test_implication_characterizes_the_order():
     for n in range(1, 6):
-        for x in all_values(n):
-            for y in all_values(n):
-                assert (implies(x, y) == top(n)) == (x.num <= y.num)
+        for x in values(n):
+            for y in values(n):
+                assert (connective(Implies, x, y) == top(n)) == (x.num <= y.num)
 
 
 def test_strong_connectives_bound_the_lattice_ones():
     for n in range(1, 6):
-        for x in all_values(n):
-            for y in all_values(n):
-                assert strong_and(x, y).num <= meet(x, y).num
-                assert strong_or(x, y).num >= join(x, y).num
+        for x in values(n):
+            for y in values(n):
+                assert connective(odot, x, y).num <= connective(land, x, y).num
+                assert connective(oplus, x, y).num >= connective(lor, x, y).num
 
 
 def test_powers_stabilize_at_n():
@@ -128,14 +135,14 @@ def test_powers_stabilize_at_n():
 def test_eval_prop_examples():
     p, q = Var("p"), Var("q")
     for n in range(1, 5):
-        for x in all_values(n):
+        for x in values(n):
             assert eval_prop(oplus(p, Not(p)), {"p": x}) == top(n)
         # p^n at value (n-1)/n collapses to 0
         assert eval_prop(power(p, n), {"p": tv(n - 1, n)}) == tv(0, n)
         # fuzzy modus ponens is identically 1
         f = parse_formula("(p (.) (p -> q)) -> q")
-        for x in all_values(n):
-            for y in all_values(n):
+        for x in values(n):
+            for y in values(n):
                 assert eval_prop(f, {"p": x, "q": y}) == top(n)
 
 
@@ -360,7 +367,7 @@ def test_mv_identities_hold():
 
 def test_mv_identities_catch_the_misprinted_first_equation():
     # the uncorrected reading x -> 1 = x fails already at n = 1, x = 0
-    assert implies(tv(0, 1), top(1)) != tv(0, 1)
+    assert connective(Implies, tv(0, 1), top(1)) != tv(0, 1)
 
 
 def test_mv_identities_check_the_lane_implication(monkeypatch):
@@ -376,18 +383,18 @@ def test_mv_identities_check_the_lane_implication(monkeypatch):
 
 def test_value_connectives_match_their_closed_forms():
     closed_forms = {
-        implies: lambda x, y, n: min(n - x + y, n),
-        strong_or: lambda x, y, n: min(x + y, n),
-        strong_and: lambda x, y, n: max(x + y - n, 0),
-        join: lambda x, y, n: max(x, y),
-        meet: lambda x, y, n: min(x, y),
-        equiv: lambda x, y, n: n - abs(x - y),
+        Implies: lambda x, y, n: min(n - x + y, n),
+        oplus: lambda x, y, n: min(x + y, n),
+        odot: lambda x, y, n: max(x + y - n, 0),
+        lor: lambda x, y, n: max(x, y),
+        land: lambda x, y, n: min(x, y),
+        iff: lambda x, y, n: n - abs(x - y),
     }
     for n in range(1, 7):
-        for x, y in itertools.product(all_values(n), repeat=2):
+        for x, y in itertools.product(values(n), repeat=2):
             assert neg(x) == tv(n - x.num, n)
-            for connective, value in closed_forms.items():
-                assert connective(x, y) == tv(value(x.num, y.num, n), n)
+            for sugar, value in closed_forms.items():
+                assert connective(sugar, x, y) == tv(value(x.num, y.num, n), n)
 
 
 def test_byte_lanes_are_the_fewest_bytes_and_round_trip():

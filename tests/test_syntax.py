@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvpdl import syntax
-from mvpdl.luk import all_values, eval_prop
+from mvpdl.luk import eval_prop, tv
 from mvpdl.parser import parse_formula
 from mvpdl.syntax import (
     IMP,
@@ -126,11 +126,15 @@ def test_walk_visits_shared_subterms_once():
     assert time.perf_counter() - t0 < 0.5
 
 
+def values(n):
+    return [tv(i, n) for i in range(n + 1)]
+
+
 def test_desugaring_preserves_semantics():
     # sugared connectives evaluate to their min/max/sum readings
     for n in (1, 2, 3):
-        for x in all_values(n):
-            for y in all_values(n):
+        for x in values(n):
+            for y in values(n):
                 env = {"p": x, "q": y}
                 assert eval_prop(lor(P, Q), env).num == max(x.num, y.num)
                 assert eval_prop(land(P, Q), env).num == min(x.num, y.num)
@@ -142,7 +146,7 @@ def test_desugaring_preserves_semantics():
 def test_repetition_sugar_semantics():
     for n in (1, 2, 3):
         for k in range(5):
-            for x in all_values(n):
+            for x in values(n):
                 env = {"p": x}
                 want_times = min(k * x.num, n) if k else 0
                 want_power = max(k * x.num - (k - 1) * n, 0) if k else n
