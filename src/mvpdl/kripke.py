@@ -24,23 +24,27 @@ takes its column from the columns of the closure members its law reads
     [a+b]f    MIN   the pointwise minimum of [a]f and [b]f
     [g?]f     TEST  f where g has value 1, and 1 elsewhere (tests are
                     partial identities over fully true worlds)
-    [b*]f     STAR  one flood over the states of its automaton
+    [b*]f     STAR  rounds of atomic boxes, or one flood, over the
+                    states of its automaton
 
 An atomic box has one of two kernels, chosen per program when the model
-is set up, by the relation's shape and the lane width alone; no option
-selects it.  Where every world has at most two successors and a lane is
-one byte (n <= 127), as in the question relations of `ulam`'s game
-models, the model keeps two successor layers beside the lists: each
-world's first and second successor, or a sentinel lane valued n where it
-has fewer.  The box is then two gathers of the body's bytes by
+is set up, by the world count, the relation's shape and the lane width
+alone; no option selects it.  Where the model has at least _LAYER_FLOOR
+(16) worlds, every world has at most two successors and a lane is one
+byte (n <= 127), as in the question relations of `ulam`'s game models,
+the model keeps two successor layers beside the lists: each world's
+first and second successor, or a sentinel lane valued n where it has
+fewer.  The box is then two gathers of the body's bytes by
 `operator.itemgetter`, which run in C, and one `Lanes.meet`, with no
 Python step per world.  The rule reads the out-degree because each
-successor slot costs one gather over every world, and the lane width
-because a gather moves single bytes.  Every other relation (out-degree 3
-or more, wider lanes, or an undeclared program) unpacks the body into
-numerators and takes each world's minimum in a loop that stops at 0.
-Star floods unpack the columns they read in the same way and pack the
-columns they compute.
+successor slot costs one gather over every world, the lane width because
+a gather moves single bytes, and the world count because below the floor
+the layers cost more to build than their boxes save (`sat`'s witness
+models, of a few worlds, are checked once).  Every other relation
+(out-degree 3 or more, wider lanes, fewer worlds, or an undeclared
+program) unpacks the body into numerators and takes each world's minimum
+in a loop that stops at 0.  Star floods unpack the columns they read in
+the same way and pack the columns they compute.
 
 A star box g = [b*]f is read through its automaton,
 `syntax.star_states`, which its plan step carries (the step reads f and
@@ -48,16 +52,30 @@ the tests' formulas): states s (g and closure members [b'][b*]f) whose
 edges take one atomic step, or a test that stays at worlds where its
 formula has value 1, or accept.  The value of state s at world w is the
 minimum of f over the worlds where some path from (w, s) through worlds
-x states accepts; with no such world it is 1.  The flood computes that
-for every state at once, backward over worlds x states: accepting pairs
-are taken in ascending f value, and each one not yet reached hands its
-value to every unreached pair that reaches it through unreached pairs.
-The reached set stays closed under predecessors, so a pair is first
-reached from the lowest-valued accepting pair it can reach, which is its
-value; each pair and each edge between pairs is handled once, in
-O((W + E) * states) after sorting the W worlds by f value, for E atomic
-edges and any n.  The columns of the other states are cached too, and a
-later step for one of them is skipped.
+x states accepts; with no such world it is 1.  These columns are the
+greatest fixpoint of X_s = the meet over s's edges of f (acceptance) and
+[a]X_t (a step of a into t) (Kozen 1983).  Where every edge accepts or
+steps along a program with successor layers (`_iterates`), the columns
+are computed by rounds from f at accepting states and 1 at the others,
+each round updating every state from its edges, two gathers and a meet
+per edge, O(W) in C with no per-world Python and no predecessor lists,
+until a round changes no column.  A round moves values at least one
+step, so the rounds needed grow with how far each world's minimum lies:
+the two-question stars [(Q+Q')*]p of the game models at m = 4..6 settle
+in 2 or 3.  After _STAR_ROUNDS rounds per state the rounds give up and the flood
+runs, so such a star costs at most about one flood more.  Every other
+star (a test on an edge, an undeclared program, a relation without
+layers) takes the flood.  Either way the columns of every state are
+cached, and a later step for one of them is skipped.
+
+The flood computes the columns for every state at once, backward over
+worlds x states: accepting pairs are taken in ascending f value, and
+each one not yet reached hands its value to every unreached pair that
+reaches it through unreached pairs.  The reached set stays closed under
+predecessors, so a pair is first reached from the lowest-valued
+accepting pair it can reach, which is its value; each pair and each edge
+between pairs is handled once, in O((W + E) * states) after sorting the
+W worlds by f value, for E atomic edges and any n.
 
 The plan keeps an explicit stack, so depth is bounded by memory rather
 than by the interpreter's recursion limit.  Models are immutable after
@@ -72,8 +90,28 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .luk import Lanes, TruthValue
-from .parser import ParseError, parse_formula, parse_program
+from .parser import ParseError, is_identifier, parse_formula, parse_program
 from .syntax import ATOM, FALSUM, IMP, MIN, NOT, STAR, TEST, VAR, Atomic, Formula, Var, plan
+
+
+# Rounds per automaton state that a star's column iteration may take
+# before the flood takes over.  One round of the game's two-question star
+# [(Q{x}+Q{y})*]p at 729 worlds (two layered boxes of about 44 us and two
+# meets) takes about 90 us, against 0.5-1.0 ms for the flood with the two
+# predecessor lists it builds, so 8 rounds cost about one flood: a star
+# that falls back costs about twice what the flood alone does ([a*]p on a
+# 729-world a-cycle: 0.41-0.45 ms by the flood, 0.81-0.89 ms by 8 rounds
+# and the flood).  The game's two-question stars settle in 2 or 3 rounds.
+_STAR_ROUNDS = 8
+
+# Fewest worlds for which a model keeps successor layers.  On random
+# out-degree-2 models at n = 2, a box by the layers saves at most about
+# 0.3 us below 16 worlds (1.8-2.6 against 1.9-2.5 us by the loop at 2-14
+# worlds) and 0.8 us at 16, while the layers add 3-6 us (40-65 %) to
+# building the model, and three stars by rounds took up to 15 % longer
+# than by the flood; `sat`'s witness models, of a few worlds, are built to
+# be checked once.
+_LAYER_FLOOR = 16
 
 
 class ModelError(ValueError):
@@ -101,6 +139,8 @@ def _parses_back(name: str, kind: str) -> bool:
     and val entries, and a program name, whose braces may hold any text,
     before a line's ':'), and a program or variable name parses back as
     that atomic program or variable."""
+    if kind != "world" and is_identifier(name):  # most names, without the parser
+        return True
     if name.split() != [name] or any(b in name for b in _ENDS_NAME[kind]):
         return False
     if kind == "world":
@@ -196,7 +236,7 @@ class KripkeModel:
         self._pred: dict[str, list[list[int]]] = {}
         self._lanes = Lanes(n, len(worlds))
         self._layers: dict[str, tuple[itemgetter, itemgetter]] = {}
-        if self._lanes.width == 8:
+        if self._lanes.width == 8 and len(worlds) >= _LAYER_FLOOR:
             # each world's first and second successor, or the sentinel lane
             # len(worlds), valued n, where it has fewer; a padding row of two
             # sentinels makes the transposition two layers long and gives
@@ -334,11 +374,48 @@ class KripkeModel:
         return lanes.pack(col)
 
     def _star(self, g: Formula, auto: dict) -> int:
-        """Column of star box g from one backward flood over worlds x the
-        states of its automaton `auto` (`star_states`); the columns of the
-        other states are cached too."""
+        """Column of star box g; the columns of every state of its
+        automaton `auto` (`star_states`) are cached.  Where `_iterates`
+        holds they come from `_star_rounds`, each round O(W) in C per edge
+        and at most _STAR_ROUNDS rounds per state before the flood runs
+        instead; otherwise from the flood, O((W + E) * states) in Python."""
+        f = self._prof[g.body]
+        self._prof.update(zip(auto, self._star_rounds(auto, f) if self._iterates(auto) else self._flood(auto, f)))
+        return self._prof[g]
+
+    def _iterates(self, auto: dict) -> bool:
+        """Whether every edge of a star automaton accepts or takes one step
+        of a program with successor layers (no test, no undeclared
+        program)."""
+        return all(target is None or name in self._layers for edges in auto.values() for name, _, target in edges)
+
+    def _star_rounds(self, auto: dict, f: int) -> list[int]:
+        """Every state's column as the greatest fixpoint of X_s = the meet
+        over s's edges of f (acceptance) and [a]X_t (a step into t), by
+        rounds from f at accepting states and top at the others; by the
+        flood if a round still changes a column after _STAR_ROUNDS rounds
+        per state.  A round updates the states in turn, each edge from the
+        columns so far, which only fall, so X_s stays at or below f where s
+        accepts."""
+        meet = self._lanes.meet
+        cols = {s: f if (None, None, None) in edges else self._lanes.top for s, edges in auto.items()}
+        for _ in range(_STAR_ROUNDS * len(auto)):
+            settled = True
+            for s, edges in auto.items():
+                col = cols[s]
+                for name, _, t in edges:
+                    if t is not None:
+                        cols[s] = meet(cols[s], self._atomic_box(name, cols[t]))
+                settled = settled and cols[s] == col
+            if settled:
+                return list(cols.values())
+        return self._flood(auto, f)
+
+    def _flood(self, auto: dict, f: int) -> list[int]:
+        """Every state's column from one backward flood over worlds x the
+        states of the automaton."""
         n, prof, lanes = self.n, self._prof, self._lanes
-        body = lanes.unpack(prof[g.body])
+        body = lanes.unpack(f)
         index = {state: i for i, state in enumerate(auto)}
         cols = [[n] * len(body) for _ in auto]  # n until reached below n
         accepting = []
@@ -370,8 +447,7 @@ class KripkeModel:
                             if c[u] == n:
                                 c[u] = x
                                 todo.append((u, s))
-        prof.update(zip(auto, map(lanes.pack, cols)))
-        return prof[g]
+        return list(map(lanes.pack, cols))
 
     def _adjacency(self, name: str, backward: bool) -> Sequence[Sequence[int]]:
         """Successor (or predecessor) index lists of an atomic program;

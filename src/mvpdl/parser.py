@@ -126,8 +126,10 @@ _MAX_K = 10_000  # largest k in ^k and k.
 # Whitespace, then a token: an identifier or a question atom (one may
 # lack its closing brace), a negated question atom, an integer, a
 # punctuation mark of several characters, or any one other character.
-# Identifiers come first, as they are the most common word.
-_TOKEN = re.compile(r"\s*([^\W\d_]\w*(?:\{[^}]*\}?)?|~[^\W\d_]\w*\{[^}]*\}?|[0-9]+|\(\+\)|\(\.\)|<->|->|\S)")
+# Identifiers come first, as they are the most common word; `_IDENT` is
+# their rule, which `is_identifier` reads too.
+_IDENT = re.compile(r"[^\W\d_]\w*")
+_TOKEN = re.compile(r"\s*(" + _IDENT.pattern + r"(?:\{[^}]*\}?)?|~" + _IDENT.pattern + r"\{[^}]*\}?|[0-9]+|\(\+\)|\(\.\)|<->|->|\S)")
 _PUNCT = frozenset(("(+)", "(.)", "<->", "->", *"()[]<>|&^;+*?.~"))
 _END = "end of input"  # the word after the last, and its kind
 
@@ -140,6 +142,14 @@ def _offset(text: str, i: int) -> int:
     """Where the i-th word of text starts (its length for _END)."""
     m = next(islice(_TOKEN.finditer(text), i, None), None)
     return len(text) if m is None else m.start(1)
+
+
+def is_identifier(name: str) -> bool:
+    """Whether name is one identifier word, which parses as the variable
+    or the atomic program of that name: all of it matches `_IDENT`, and
+    its first character is a letter (`_IDENT` also starts a word with
+    characters such as ², which `_tokenize` refuses)."""
+    return _IDENT.fullmatch(name) is not None and name[0].isalpha()
 
 
 def _tokenize(text: str) -> tuple[list[str], dict[str, str]]:

@@ -20,8 +20,8 @@ from mvpdl.kripke import (
     random_model,
 )
 from mvpdl.luk import tv
-from mvpdl.parser import format_formula, parse_formula, parse_program
-from mvpdl.syntax import Atomic, Box, Implies, Not, Seq, Star, Test, Union, Var, power
+from mvpdl.parser import ParseError, format_formula, is_identifier, parse_formula, parse_program
+from mvpdl.syntax import STAR, Atomic, Box, Implies, Not, Seq, Star, Test, Union, Var, plan, power, star_states
 from mvpdl.tautologies import random_formula, random_program
 from mvpdl.ulam import GameConfig, build_game_model
 from relational import Relational
@@ -379,6 +379,35 @@ def test_model_file_names_are_parsed_once(monkeypatch):
     text = "n = 1\nworlds: u v\n" + "rel a: u->v\nrel a: v->v\n" * 3 + "val p: u=0/1\nval p: v=1/1\n"
     assert parse_model(text).relations == {"a": {("u", "v"), ("v", "v")}}
     assert calls == ["a", "p"]
+
+
+def _parses_back_by_the_parser(name: str, kind: str) -> bool:
+    """`kripke._parses_back` for a program or variable name, always by the
+    parser: the rule that its identifier fast path must agree with."""
+    if name.split() != [name] or any(b in name for b in kripke._ENDS_NAME[kind]):
+        return False
+    parse, node = (parse_program, Atomic) if kind == "program" else (parse_formula, Var)
+    try:
+        return parse(name) == node(name)
+    except ParseError:
+        return False
+
+
+_NAME_CORPUS = ("a", "p_1", "Q{1,3}", "~Q{1}", "Q{1", "Q{}x", "²a", "a²", "_a", "a_", "1", "0", "1a", "ab c", " a")
+_NAME_CORPUS += ("é", "e\u0301", "ß", "Ωmega", "x٣", "٣x", "a:b", "a#b", "a~b", "~a", "{a}", "a}", "a\tb", "")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(st.text(alphabet="aQz_~{},:# \t1²ßΩ٣\u0301", max_size=5) | st.sampled_from(_NAME_CORPUS))
+def test_identifier_names_parse_back_without_the_parser(name):
+    parsed = []
+    with pytest.MonkeyPatch.context() as patch:
+        for parse in ("parse_formula", "parse_program"):
+            real = getattr(kripke, parse)
+            patch.setattr(kripke, parse, lambda text, real=real: parsed.append(text) or real(text))
+        for kind in ("program", "variable"):
+            assert kripke._parses_back(name, kind) is _parses_back_by_the_parser(name, kind), (name, kind)
+    assert not (is_identifier(name) and parsed)
 
 
 def _one_edge_per_chunk(text: str) -> str:
@@ -780,7 +809,9 @@ _FIXED_SHAPES = (
 @example((4, {"a": [[0, 0]], "b": [[]]}, {"p": [2], "q": [4]}))
 def test_both_box_kernels_match_relational_oracle(spec):
     # the model is read from a file written one edge per chunk, so a
-    # target given twice sits twice in its successor list
+    # target given twice sits twice in its successor list; it is read at
+    # the real layer floor, which these models lie below, and with the
+    # floor at one world, so that the layers serve every model they can
     n, edges, values = spec
     worlds = [f"w{i}" for i in range(len(values["p"]))]
     lines = [f"n = {n}", "worlds: " + " ".join(worlds)]
@@ -788,22 +819,107 @@ def test_both_box_kernels_match_relational_oracle(spec):
         lines.append(f"rel {atom}: " + ", ".join(f"w{u}->w{v}" for u, vs in enumerate(targets) for v in vs))
     for var, col in values.items():
         lines.append(f"val {var}: " + " ".join(f"{w}={x}/{n}" for w, x in zip(worlds, col)))
-    m = parse_model("\n".join(lines) + "\n")
-    for atom, targets in edges.items():
-        assert (atom in m._layers) is (n <= 127 and max(map(len, targets)) <= 2)
-    oracle = Relational(m)
-    for f in _KERNEL_BOXES:
-        got = m.value_profile(f)
-        assert [got[w].num for w in worlds] == oracle.profile(f), format_formula(f)
+    for floor in (kripke._LAYER_FLOOR, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kripke, "_LAYER_FLOOR", floor)
+            m = parse_model("\n".join(lines) + "\n")
+        for atom, targets in edges.items():
+            assert (atom in m._layers) is (len(worlds) >= floor and n <= 127 and max(map(len, targets)) <= 2)
+        oracle = Relational(m)
+        for f in _KERNEL_BOXES:
+            got = m.value_profile(f)
+            assert [got[w].num for w in worlds] == oracle.profile(f), format_formula(f)
+
+
+def _no_flood(model, auto, f):
+    raise AssertionError("the rounds did not settle")
 
 
 def test_box_kernel_choice_is_pinned():
     # every question of the benchmark's game configs has at most two
-    # successors per world and takes the layers; the check workload's
-    # 300-world models have larger out-degrees and take the loop
+    # successors per world and takes the layers, and a star over two
+    # questions takes the rounds and settles without the flood; the check
+    # workload's 300-world models have larger out-degrees and take the loop
+    # and the flood, and so does a model below the layer floor
+    rng = random.Random(0)
     for m, n, depth in ((4, 2, 3), (5, 2, 3), (6, 2, 2), (6, 3, 2)):
         model = build_game_model(GameConfig(tuple(str(i) for i in range(1, m + 1)), n, depth))
         assert len(model._succ) == 2**m and set(model._layers) == set(model._succ)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(KripkeModel, "_flood", _no_flood)
+            for _ in range(4):
+                x, y = rng.sample(sorted(model._succ), 2)
+                g = Box(Star(Union(Atomic(x), Atomic(y))), Var(f"p_{rng.randrange(1, m + 1)}"))
+                assert model._iterates(star_states(g))
+                model._profile(g)
     for seed, density in enumerate((0.02, 0.035, 0.05)):
         model = random_model(seed, 4, 300, edge_density=density)
         assert model._layers == {} and set(model._succ) == {"a", "b"}
+        for text in ("[a*]p", "[(a+b)*]q", "<(a+b)*>p", "[a*][b*]q -> [(a+b)*]p"):
+            stars = [auto for _, op, _, auto in plan((parse_formula(text),), {}) if op is STAR]
+            assert stars and not any(map(model._iterates, stars))
+    for count, layered in ((3, False), (15, False), (16, True)):
+        worlds = [f"w{i}" for i in range(count)]
+        ring = {"a": [(w, worlds[i - 1]) for i, w in enumerate(worlds)]}
+        model = KripkeModel(2, worlds, ring, {"p": dict.fromkeys(worlds, 1)})
+        assert bool(model._layers) is model._iterates(star_states(parse_formula("[a*]p"))) is layered
+
+
+# stars whose automata step only along a, b and c, one of them with inner stars
+_ROUND_STARS = tuple(parse_formula(t) for t in ("[a*]p", "[(a+b)*]q", "[(a;b)*]p", "[((a;b)*;c)*]q", "[(a*;b)*](p -> q)"))
+
+
+@st.composite
+def _layered_models(draw):
+    """n, each world's targets under a, b and c (at most two, which may
+    repeat and loop back), and the values of p and q."""
+    n = draw(st.sampled_from((1, 2, 4, 127)))
+    count = draw(st.integers(1, 24))
+    world = st.integers(0, count - 1)
+    edges = {atom: draw(st.lists(st.lists(world, max_size=2), min_size=count, max_size=count)) for atom in "abc"}
+    values = {p: draw(st.lists(st.integers(0, n), min_size=count, max_size=count)) for p in ("p", "q")}
+    return n, edges, values
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(_layered_models())
+def test_star_rounds_match_flood_and_relational_oracle(spec):
+    # every model keeps layers (the floor at one world) and the rounds may
+    # run until they settle, so each automaton state's column from the
+    # rounds is compared with the flood's, which reads no layers, and with
+    # the oracle's; a star with a test takes the flood
+    n, edges, values = spec
+    worlds = [f"w{i}" for i in range(len(values["p"]))]
+    relations = {a: [(worlds[u], worlds[v]) for u, vs in enumerate(targets) for v in vs] for a, targets in edges.items()}
+    valuation = {p: dict(zip(worlds, col)) for p, col in values.items()}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kripke, "_LAYER_FLOOR", 1)
+        patch.setattr(kripke, "_STAR_ROUNDS", 10**6)
+        m = KripkeModel(n, worlds, relations, valuation)
+        assert set(m._layers) == ({"a", "b", "c"} if n <= 127 else set())
+        oracle = Relational(m)
+        for g in _ROUND_STARS:
+            auto = star_states(g)
+            f = m._profile(g.body)
+            assert m._iterates(auto)
+            cols = m._star_rounds(auto, f)
+            assert cols == m._flood(auto, f), format_formula(g)
+            assert [m._lanes.unpack(col) for col in cols] == [oracle.profile(s) for s in auto], format_formula(g)
+        tested = parse_formula("[(p?;a)*]q")
+        assert not m._iterates(star_states(tested))
+        assert m._column(tested) == oracle.profile(tested)
+
+
+def test_star_rounds_fall_back_to_the_flood_on_a_long_cycle(monkeypatch):
+    # one a-cycle of 40 worlds whose only 0 is 39 steps from world 0:
+    # [a*]p takes one round per step, more than _STAR_ROUNDS, so the
+    # rounds give up and the flood computes the column
+    worlds = [f"w{i}" for i in range(40)]
+    cycle = {"a": [(w, worlds[(i + 1) % 40]) for i, w in enumerate(worlds)]}
+    m = KripkeModel(2, worlds, cycle, {"p": {w: 0 if w == "w39" else 2 for w in worlds}})
+    g = parse_formula("[a*]p")
+    assert 40 > kripke._STAR_ROUNDS + 1 and m._iterates(star_states(g))
+    floods = []
+    flood = KripkeModel._flood
+    monkeypatch.setattr(KripkeModel, "_flood", lambda self, auto, f: floods.append(auto) or flood(self, auto, f))
+    assert m._column(g) == [0] * 40 and len(floods) == 1
