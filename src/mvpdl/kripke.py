@@ -27,24 +27,32 @@ takes its column from the columns of the closure members its law reads
     [b*]f     STAR  rounds of atomic boxes, or one flood, over the
                     states of its automaton
 
-An atomic box has one of two kernels, chosen per program when the model
-is set up, by the world count, the relation's shape and the lane width
-alone; no option selects it.  Where the model has at least _LAYER_FLOOR
-(16) worlds, every world has at most two successors and a lane is one
-byte (n <= 127), as in the question relations of `ulam`'s game models,
-the model keeps two successor layers beside the lists: each world's
-first and second successor, or a sentinel lane valued n where it has
-fewer.  The box is then two gathers of the body's bytes by
-`operator.itemgetter`, which run in C, and one `Lanes.meet`, with no
-Python step per world.  The rule reads the out-degree because each
-successor slot costs one gather over every world, the lane width because
-a gather moves single bytes, and the world count because below the floor
-the layers cost more to build than their boxes save (`sat`'s witness
-models, of a few worlds, are checked once).  Every other relation
-(out-degree 3 or more, wider lanes, fewer worlds, or an undeclared
-program) unpacks the body into numerators and takes each world's minimum
-in a loop that stops at 0.  Star floods unpack the columns they read in
-the same way and pack the columns they compute.
+An atomic box has one of three kernels, chosen per program when the
+model is set up, by the world count, the relation's shape and the lane
+width alone; no option selects it.  Where the model has at least
+_LAYER_FLOOR (16) worlds, every world has at most two successors and a
+lane is one byte (n <= 127), as in the question relations of `ulam`'s
+game models, the model keeps two successor layers beside the lists: each
+world's first and second successor, where it has them.  Up to _TABLE_CAP
+(2,048) worlds the layers are the low bytes of the successor indices and,
+per 256-lane table of the body that a successor lies in, a byte-lane mask
+of the worlds whose successor lies there.  The box then cuts the body's
+bytes into 256-byte tables and, per table, maps the low bytes of both
+layers through it with one `bytes.translate`, keeps the masked lanes and
+ORs them together, starting from n in the lanes of missing successors;
+one `Lanes.meet` of the two layers ends it.  Each table costs a pass over
+every world, so above the cap two `operator.itemgetter` gathers of the
+body's bytes, with a sentinel lane valued n for missing successors, are
+cheaper and take over.  Either way the box runs in C, with no Python step
+per world.  The rule reads the out-degree because each successor slot is
+one layer over every world, the lane width because a gather moves single
+bytes, and the world count because below the floor the layers cost more
+to build than their boxes save (`sat`'s witness models, of a few worlds,
+are checked once) and because the table passes grow with it.  Every
+other relation (out-degree 3 or more, wider lanes, fewer worlds, or an
+undeclared program) unpacks the body into numerators and takes each
+world's minimum in a loop that stops at 0.  Star floods unpack the
+columns they read in the same way and pack the columns they compute.
 
 A star box g = [b*]f is read through its automaton,
 `syntax.star_states`, which its plan step carries (the step reads f and
@@ -57,16 +65,16 @@ greatest fixpoint of X_s = the meet over s's edges of f (acceptance) and
 [a]X_t (a step of a into t) (Kozen 1983).  Where every edge accepts or
 steps along a program with successor layers (`_iterates`), the columns
 are computed by rounds from f at accepting states and 1 at the others,
-each round updating every state from its edges, two gathers and a meet
-per edge, O(W) in C with no per-world Python and no predecessor lists,
+each round updating every state from its edges, a layered box and a meet
+per edge, in C with no per-world Python and no predecessor lists,
 until a round changes no column.  A round moves values at least one
 step, so the rounds needed grow with how far each world's minimum lies:
 the two-question stars [(Q+Q')*]p of the game models at m = 4..6 settle
-in 2 or 3.  After _STAR_ROUNDS rounds per state the rounds give up and the flood
-runs, so such a star costs at most about one flood more.  Every other
-star (a test on an edge, an undeclared program, a relation without
-layers) takes the flood.  Either way the columns of every state are
-cached, and a later step for one of them is skipped.
+in 2 or 3.  After _STAR_ROUNDS rounds per state the rounds give up and
+the flood runs, so such a star costs at most about one flood more.
+Every other star (a test on an edge, an undeclared program, a relation
+without layers) takes the flood.  Either way the columns of every state
+are cached, and a later step for one of them is skipped.
 
 The flood computes the columns for every state at once, backward over
 worlds x states: accepting pairs are taken in ascending f value, and
@@ -85,6 +93,7 @@ construction.
 from __future__ import annotations
 
 import random
+import struct
 from itertools import zip_longest
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -96,22 +105,32 @@ from .syntax import ATOM, FALSUM, IMP, MIN, NOT, STAR, TEST, VAR, Atomic, Formul
 
 # Rounds per automaton state that a star's column iteration may take
 # before the flood takes over.  One round of the game's two-question star
-# [(Q{x}+Q{y})*]p at 729 worlds (two layered boxes of about 44 us and two
-# meets) takes about 90 us, against 0.5-1.0 ms for the flood with the two
-# predecessor lists it builds, so 8 rounds cost about one flood: a star
+# [(Q{x}+Q{y})*]p at 729 worlds (two layered boxes of about 12 us and two
+# meets) takes about 30 us, against 0.5-0.9 ms for the flood with the two
+# predecessor lists it builds, so 16 rounds cost about one flood: a star
 # that falls back costs about twice what the flood alone does ([a*]p on a
-# 729-world a-cycle: 0.41-0.45 ms by the flood, 0.81-0.89 ms by 8 rounds
-# and the flood).  The game's two-question stars settle in 2 or 3 rounds.
-_STAR_ROUNDS = 8
+# 729-world a-cycle: 0.24-0.27 ms by the flood, 0.49-0.54 ms by 16 rounds
+# and the flood, 0.37-0.41 ms by 8).  On random 729-world relations of
+# out-degree 0-2, [a*]p fell back after 8 rounds in 5 of 6 models and
+# settled within 16 in all of them, at 0.10-0.22 ms against 0.34-0.51 ms
+# by the flood.  The game's two-question stars settle in 2 or 3 rounds.
+_STAR_ROUNDS = 16
 
 # Fewest worlds for which a model keeps successor layers.  On random
-# out-degree-2 models at n = 2, a box by the layers saves at most about
-# 0.3 us below 16 worlds (1.8-2.6 against 1.9-2.5 us by the loop at 2-14
-# worlds) and 0.8 us at 16, while the layers add 3-6 us (40-65 %) to
-# building the model, and three stars by rounds took up to 15 % longer
-# than by the flood; `sat`'s witness models, of a few worlds, are built to
-# be checked once.
+# out-degree 0-2 models at n = 2, a box by the layers saves about 0.1-1.0 us
+# below 16 worlds (0.6-1.3 against 0.9-2.4 us by the loop at 2-14
+# worlds), while the layers of two programs add 7-12 us (100-190 %) to
+# building the model; `sat`'s witness models, of a few worlds, are built
+# to be checked once.
 _LAYER_FLOOR = 16
+
+# Most worlds for which a layered box gathers by `bytes.translate`, one
+# pass over every world per 256-lane table of the body (8 tables).  On
+# random out-degree 0-2 models at n = 2 a box takes 65-70 against 93-100 us
+# by two `itemgetter` gathers at 2,048 worlds, 94-105 against 109-125 us at
+# 2,560, and 130-153 against 136-150 us at 3,072
+# (`BENCH_translate_gather.json`).
+_TABLE_CAP = 2048
 
 
 class ModelError(ValueError):
@@ -150,6 +169,47 @@ def _parses_back(name: str, kind: str) -> bool:
         return parse(name) == node(name)
     except ParseError:
         return False
+
+
+# Successor layers of a relation at a world count up to _TABLE_CAP: the
+# low bytes of the first successors of every world, then of the second
+# ones; per 256-lane table of the body that some successor lies in, the
+# table's first lane and a mask of 0xFF in the byte lanes whose successor
+# lies in it; and n in the lanes of missing successors.
+_Tables = tuple[bytes, tuple[tuple[int, int], ...], int]
+
+_MISSING = 0xFF00  # a successor slot left empty: high byte 255, in no table
+
+
+def _tables(lists: list[list[int]], n: int) -> _Tables:
+    """The layers of successor lists of at most two entries, gathered by
+    `bytes.translate`.  The successor indices are written as 2-byte
+    little-endian words, whose low and high bytes are every other byte
+    on any machine, and each table's mask is a translate of the high
+    bytes; no Python step runs per world."""
+    count = len(lists)
+    first, second = zip_longest(*lists, (_MISSING,) * 2, fillvalue=_MISSING)  # two layers at least
+    words = struct.pack(f"<{2 * count}H", *first[:count], *second[:count])
+    low, high = words[0::2], words[1::2]
+    tables = []
+    for t in range((count + 255) // 256):
+        mask = int.from_bytes(high.translate(bytes(t) + b"\xff" + bytes(255 - t)), "little")
+        if mask:  # a table no successor lies in is left out
+            tables.append((256 * t, mask))
+    fill = int.from_bytes(high.translate(bytes(255) + bytes((n,))), "little")
+    return low, tuple(tables), fill
+
+
+def _getters(lists: list[list[int]]) -> tuple[itemgetter, itemgetter]:
+    """The layers of successor lists of at most two entries, gathered by
+    `operator.itemgetter`: each world's first and second successor, or
+    the sentinel lane len(lists), valued n, where it has fewer.  A
+    padding row of two sentinels makes the transposition two layers long
+    and gives each itemgetter two indices or more, so that it returns a
+    tuple."""
+    pad = (len(lists),) * 2
+    first, second = zip_longest(*lists, pad, fillvalue=pad[0])
+    return itemgetter(*first), itemgetter(*second)
 
 
 class KripkeModel:
@@ -235,17 +295,12 @@ class KripkeModel:
         self._succ = succ
         self._pred: dict[str, list[list[int]]] = {}
         self._lanes = Lanes(n, len(worlds))
-        self._layers: dict[str, tuple[itemgetter, itemgetter]] = {}
-        if self._lanes.width == 8 and len(worlds) >= _LAYER_FLOOR:
-            # each world's first and second successor, or the sentinel lane
-            # len(worlds), valued n, where it has fewer; a padding row of two
-            # sentinels makes the transposition two layers long and gives
-            # each itemgetter two indices or more, so that it returns a tuple
-            pad = (len(worlds),) * 2
+        self._layers: dict[str, _Tables | tuple[itemgetter, itemgetter]] = {}
+        count = len(worlds)
+        if self._lanes.width == 8 and count >= _LAYER_FLOOR:
             for atom, lists in succ.items():
                 if max(map(len, lists)) <= 2:
-                    first, second = zip_longest(*lists, pad, fillvalue=pad[0])
-                    self._layers[atom] = itemgetter(*first), itemgetter(*second)
+                    self._layers[atom] = _tables(lists, n) if count <= _TABLE_CAP else _getters(lists)
         self._view: dict[str, frozenset[tuple[str, str]]] | None = None
         self._vcols = vcols
         self.variables = tuple(sorted(vcols))
@@ -354,8 +409,15 @@ class KripkeModel:
     def _atomic_box(self, name: str, packed: int) -> int:
         n, lanes = self.n, self._lanes
         layers = self._layers.get(name)
-        if layers is not None:  # two gathers and a meet, no per-world Python
-            get_first, get_second = layers
+        if layers is not None:
+            if len(layers) == 3:  # per 256-lane table of the body, one translate of both layers
+                low, tables, col = layers  # col starts at n in the slots of missing successors
+                raw = packed.to_bytes(lanes.count + 255, "little")  # every table a full 256 bytes
+                for start, mask in tables:
+                    col |= int.from_bytes(low.translate(raw[start : start + 256]), "little") & mask
+                width = 8 * lanes.count
+                return lanes.meet(col & ((1 << width) - 1), col >> width)
+            get_first, get_second = layers  # two gathers by itemgetter
             raw = packed.to_bytes(lanes.count, "little") + bytes((n,))  # the sentinel lane
             first = int.from_bytes(bytes(get_first(raw)), "little")
             second = int.from_bytes(bytes(get_second(raw)), "little")

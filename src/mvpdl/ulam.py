@@ -231,14 +231,14 @@ def check_spec(
     the violating state is returned alongside False.
     """
     f = parse_formula(spec) if isinstance(spec, str) else spec
-    # canonical question names; complements resolve against the search space
-    f = substitute_atomics(
-        f,
-        {
-            name: Atomic(question_name(cfg, parse_question(cfg, name)))
-            for name in atomic_programs_of(f)
-        },
-    )
+    # canonical question names, complements resolved against the search
+    # space; a formula whose names are all canonical is not rewritten
+    renames = {}
+    for name in atomic_programs_of(f):
+        canonical = question_name(cfg, parse_question(cfg, name))
+        if canonical != name:
+            renames[name] = Atomic(canonical)
+    f = substitute_atomics(f, renames)
     m = model if model is not None else build_game_model(cfg)
     bad = m.falsifying_world(f)
     if bad is None:

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from importlib.resources import files
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -831,20 +832,64 @@ def test_both_box_kernels_match_relational_oracle(spec):
             assert [got[w].num for w in worlds] == oracle.profile(f), format_formula(f)
 
 
+_EDGE_BOXES = tuple(parse_formula(t) for t in ("[a]p", "[b]q", "[c]q", "[a+b]p", "[a;b]q", "[a][c]p -> [b]q"))
+
+
+@pytest.mark.parametrize("count", (254, 255, 256, 257, 511, 512, 513, kripke._TABLE_CAP + 1))
+def test_layered_boxes_match_loop_and_oracle_at_table_edges(count):
+    # world counts on both sides of each 256-lane table edge, and one above
+    # the cap, where the layers gather by itemgetter with a sentinel lane;
+    # half the targets of a and b lie next to a table edge, and a world has
+    # 0 to 2, while c steps from every other world to world 0 only, so its
+    # gather leaves out every table but the first
+    rng = random.Random(count)
+    n = (1, 4, 127)[count % 3]
+    near = [v for v in (0, 1, 254, 255, 256, 257, 510, 511, 512, count - 2, count - 1) if 0 <= v < count]
+    worlds = [f"w{i}" for i in range(count)]
+    relations = {
+        atom: [
+            (w, worlds[rng.choice(near) if rng.random() < 0.5 else rng.randrange(count)])
+            for w in worlds
+            for _ in range(rng.randint(0, 2))
+        ]
+        for atom in "ab"
+    }
+    relations["c"] = [(w, "w0") for w in worlds[::2]]
+    valuation = {p: {w: rng.randint(0, n) for w in worlds} for p in "pq"}
+    m = KripkeModel(n, worlds, relations, valuation)
+    assert set(m._layers) == {"a", "b", "c"}
+    if count <= kripke._TABLE_CAP:
+        assert all(type(layers[0]) is bytes for layers in m._layers.values())
+        assert [start for start, _ in m._layers["c"][1]] == [0]
+    else:
+        assert all(type(layers[0]) is itemgetter for layers in m._layers.values())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kripke, "_LAYER_FLOOR", count + 1)
+        loop = KripkeModel(n, worlds, relations, valuation)
+    assert loop._layers == {}
+    oracle = Relational(m)
+    for f in _EDGE_BOXES:
+        assert m._column(f) == loop._column(f) == oracle.profile(f), format_formula(f)
+
+
 def _no_flood(model, auto, f):
     raise AssertionError("the rounds did not settle")
 
 
 def test_box_kernel_choice_is_pinned():
     # every question of the benchmark's game configs has at most two
-    # successors per world and takes the layers, and a star over two
-    # questions takes the rounds and settles without the flood; the check
-    # workload's 300-world models have larger out-degrees and take the loop
-    # and the flood, and so does a model below the layer floor
+    # successors per world and takes the layers, gathered by translate from
+    # one 256-lane table at 81 and 243 worlds and three at 729, and a star
+    # over two questions takes the rounds and settles without the flood; the
+    # check workload's 300-world models have larger out-degrees and take the
+    # loop and the flood, and so does a model below the layer floor
     rng = random.Random(0)
-    for m, n, depth in ((4, 2, 3), (5, 2, 3), (6, 2, 2), (6, 3, 2)):
+    for (m, n, depth), count, tables in (((4, 2, 3), 81, 1), ((5, 2, 3), 243, 1), ((6, 2, 2), 729, 3), ((6, 3, 2), 729, 3)):
         model = build_game_model(GameConfig(tuple(str(i) for i in range(1, m + 1)), n, depth))
         assert len(model._succ) == 2**m and set(model._layers) == set(model._succ)
+        assert len(model.worlds) == count <= kripke._TABLE_CAP
+        assert {type(layers[0]) for layers in model._layers.values()} == {bytes}
+        assert max(len(layers[1]) for layers in model._layers.values()) == tables
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(KripkeModel, "_flood", _no_flood)
             for _ in range(4):

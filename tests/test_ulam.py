@@ -191,6 +191,12 @@ def test_spec_counterexample():
     assert not ok
     assert state is not None
     assert state.value_of("1") > 0
+    # a complement or a reordered name reads the canonical question, not
+    # an undeclared program, whose box would hold vacuously
+    want = check_spec(cfg, "p_1 -> [Q{2,3}]p_1")
+    assert not want[0]
+    for name in ("~Q{1}", "Q{3,2}"):
+        assert check_spec(cfg, f"p_1 -> [{name}]p_1") == want
 
 
 def test_unknown_question_in_spec():
