@@ -27,32 +27,30 @@ takes its column from the columns of the closure members its law reads
     [b*]f     STAR  rounds of atomic boxes, or one flood, over the
                     states of its automaton
 
-An atomic box has one of three kernels, chosen per program when the
-model is set up, by the world count, the relation's shape and the lane
-width alone; no option selects it.  Where the model has at least
-_LAYER_FLOOR (16) worlds, every world has at most two successors and a
-lane is one byte (n <= 127), as in the question relations of `ulam`'s
-game models, the model keeps two successor layers beside the lists: each
-world's first and second successor, where it has them.  Up to _TABLE_CAP
-(2,048) worlds the layers are the low bytes of the successor indices and,
-per 256-lane table of the body that a successor lies in, a byte-lane mask
-of the worlds whose successor lies there.  The box then cuts the body's
+An atomic box has one of two kernels, chosen per program when the model
+is set up, by the world count, the relation's shape and the lane width
+alone; no option selects it.  Where the model has from _LAYER_FLOOR (16)
+to _LAYER_CAP (4,096) worlds, every world has at most two successors and
+a lane is one byte (n <= 127), as in the question relations of `ulam`'s
+game models, the model keeps two successor layers beside the lists: the
+low bytes of each world's first and second successor index and, per
+256-lane table of the body that a successor lies in, a byte-lane mask of
+the worlds whose successor lies there.  The box then cuts the body's
 bytes into 256-byte tables and, per table, maps the low bytes of both
 layers through it with one `bytes.translate`, keeps the masked lanes and
 ORs them together, starting from n in the lanes of missing successors;
-one `Lanes.meet` of the two layers ends it.  Each table costs a pass over
-every world, so above the cap two `operator.itemgetter` gathers of the
-body's bytes, with a sentinel lane valued n for missing successors, are
-cheaper and take over.  Either way the box runs in C, with no Python step
-per world.  The rule reads the out-degree because each successor slot is
-one layer over every world, the lane width because a gather moves single
+one `Lanes.meet` of the two layers ends it, in C with no Python step per
+world.  The rule reads the out-degree because each successor slot is one
+layer over every world, the lane width because a table maps single
 bytes, and the world count because below the floor the layers cost more
 to build than their boxes save (`sat`'s witness models, of a few worlds,
-are checked once) and because the table passes grow with it.  Every
-other relation (out-degree 3 or more, wider lanes, fewer worlds, or an
-undeclared program) unpacks the body into numerators and takes each
-world's minimum in a loop that stops at 0.  Star floods unpack the
-columns they read in the same way and pack the columns they compute.
+are checked once) and because each table costs a pass over every world,
+so that above the cap the box gains less and less over the loop while
+the layers still cost their build.  Every other relation (out-degree 3
+or more, wider lanes, fewer or more worlds, or an undeclared program)
+unpacks the body into numerators and takes each world's minimum in a
+loop that stops at 0.  Star floods unpack the columns they read in the
+same way and pack the columns they compute.
 
 A star box g = [b*]f is read through its automaton,
 `syntax.star_states`, which its plan step carries (the step reads f and
@@ -95,7 +93,6 @@ from __future__ import annotations
 import random
 import struct
 from itertools import zip_longest
-from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .luk import Lanes, TruthValue
@@ -107,14 +104,11 @@ from .syntax import ATOM, FALSUM, IMP, MIN, NOT, STAR, TEST, VAR, Atomic, Formul
 # before the flood takes over.  One round of the game's two-question star
 # [(Q{x}+Q{y})*]p at 729 worlds (two layered boxes of about 12 us and two
 # meets) takes about 30 us, against 0.5-0.9 ms for the flood with the two
-# predecessor lists it builds, so 16 rounds cost about one flood: a star
-# that falls back costs about twice what the flood alone does ([a*]p on a
-# 729-world a-cycle: 0.24-0.27 ms by the flood, 0.49-0.54 ms by 16 rounds
-# and the flood, 0.37-0.41 ms by 8).  On random 729-world relations of
-# out-degree 0-2, [a*]p fell back after 8 rounds in 5 of 6 models and
-# settled within 16 in all of them, at 0.10-0.22 ms against 0.34-0.51 ms
-# by the flood.  The game's two-question stars settle in 2 or 3 rounds.
-_STAR_ROUNDS = 16
+# predecessor lists it builds, so 8 rounds cost about half a flood: a star
+# that falls back costs about 1.5 times what the flood alone does ([a*]p on
+# a 729-world a-cycle: 0.25-0.38 ms by the flood, 0.37-0.41 ms by 8 rounds
+# and the flood).  The game's two-question stars settle in 2 or 3 rounds.
+_STAR_ROUNDS = 8
 
 # Fewest worlds for which a model keeps successor layers.  On random
 # out-degree 0-2 models at n = 2, a box by the layers saves about 0.1-1.0 us
@@ -124,13 +118,17 @@ _STAR_ROUNDS = 16
 # to be checked once.
 _LAYER_FLOOR = 16
 
-# Most worlds for which a layered box gathers by `bytes.translate`, one
-# pass over every world per 256-lane table of the body (8 tables).  On
-# random out-degree 0-2 models at n = 2 a box takes 65-70 against 93-100 us
-# by two `itemgetter` gathers at 2,048 worlds, 94-105 against 109-125 us at
-# 2,560, and 130-153 against 136-150 us at 3,072
-# (`BENCH_translate_gather.json`).
-_TABLE_CAP = 2048
+# Most worlds for which a model keeps successor layers, 16 tables of 256
+# lanes.  A layered box makes one pass over every world per table, so its
+# cost grows with the square of the world count: on random out-degree 0-2
+# models at n = 2 a box took 84-95 against 233-249 us by the loop at 2,048
+# worlds, 227-228 against 443-453 us at 4,096, 502-511 against 662-675 us
+# at 6,144 and 883-923 against 924-941 us at 8,192, while the layers of
+# two programs add 1.4-1.6 ms to building a 4,096-world model and 2.8 ms
+# at 6,144 (`BENCH_translate_gather.json`).  At the cap a box is twice as
+# fast as the loop and the layers pay for themselves within four boxes.
+# The layers' 2-byte successor indices also need the cap below 65,280.
+_LAYER_CAP = 4096
 
 
 class ModelError(ValueError):
@@ -171,22 +169,22 @@ def _parses_back(name: str, kind: str) -> bool:
         return False
 
 
-# Successor layers of a relation at a world count up to _TABLE_CAP: the
-# low bytes of the first successors of every world, then of the second
-# ones; per 256-lane table of the body that some successor lies in, the
-# table's first lane and a mask of 0xFF in the byte lanes whose successor
-# lies in it; and n in the lanes of missing successors.
+# Successor layers of a relation in a model of _LAYER_FLOOR to _LAYER_CAP
+# worlds: the low bytes of the first successors of every world, then of
+# the second ones; per 256-lane table of the body that some successor
+# lies in, the table's first lane and a mask of 0xFF in the byte lanes
+# whose successor lies in it; and n in the lanes of missing successors.
 _Tables = tuple[bytes, tuple[tuple[int, int], ...], int]
 
 _MISSING = 0xFF00  # a successor slot left empty: high byte 255, in no table
 
 
 def _tables(lists: list[list[int]], n: int) -> _Tables:
-    """The layers of successor lists of at most two entries, gathered by
-    `bytes.translate`.  The successor indices are written as 2-byte
-    little-endian words, whose low and high bytes are every other byte
-    on any machine, and each table's mask is a translate of the high
-    bytes; no Python step runs per world."""
+    """The layers of successor lists of at most two entries.  The
+    successor indices are written as 2-byte little-endian words, whose
+    low and high bytes are every other byte on any machine, and each
+    table's mask is a translate of the high bytes; no Python step runs
+    per world."""
     count = len(lists)
     first, second = zip_longest(*lists, (_MISSING,) * 2, fillvalue=_MISSING)  # two layers at least
     words = struct.pack(f"<{2 * count}H", *first[:count], *second[:count])
@@ -198,18 +196,6 @@ def _tables(lists: list[list[int]], n: int) -> _Tables:
             tables.append((256 * t, mask))
     fill = int.from_bytes(high.translate(bytes(255) + bytes((n,))), "little")
     return low, tuple(tables), fill
-
-
-def _getters(lists: list[list[int]]) -> tuple[itemgetter, itemgetter]:
-    """The layers of successor lists of at most two entries, gathered by
-    `operator.itemgetter`: each world's first and second successor, or
-    the sentinel lane len(lists), valued n, where it has fewer.  A
-    padding row of two sentinels makes the transposition two layers long
-    and gives each itemgetter two indices or more, so that it returns a
-    tuple."""
-    pad = (len(lists),) * 2
-    first, second = zip_longest(*lists, pad, fillvalue=pad[0])
-    return itemgetter(*first), itemgetter(*second)
 
 
 class KripkeModel:
@@ -295,12 +281,11 @@ class KripkeModel:
         self._succ = succ
         self._pred: dict[str, list[list[int]]] = {}
         self._lanes = Lanes(n, len(worlds))
-        self._layers: dict[str, _Tables | tuple[itemgetter, itemgetter]] = {}
-        count = len(worlds)
-        if self._lanes.width == 8 and count >= _LAYER_FLOOR:
+        self._layers: dict[str, _Tables] = {}
+        if self._lanes.width == 8 and _LAYER_FLOOR <= len(worlds) <= _LAYER_CAP:
             for atom, lists in succ.items():
                 if max(map(len, lists)) <= 2:
-                    self._layers[atom] = _tables(lists, n) if count <= _TABLE_CAP else _getters(lists)
+                    self._layers[atom] = _tables(lists, n)
         self._view: dict[str, frozenset[tuple[str, str]]] | None = None
         self._vcols = vcols
         self.variables = tuple(sorted(vcols))
@@ -409,19 +394,13 @@ class KripkeModel:
     def _atomic_box(self, name: str, packed: int) -> int:
         n, lanes = self.n, self._lanes
         layers = self._layers.get(name)
-        if layers is not None:
-            if len(layers) == 3:  # per 256-lane table of the body, one translate of both layers
-                low, tables, col = layers  # col starts at n in the slots of missing successors
-                raw = packed.to_bytes(lanes.count + 255, "little")  # every table a full 256 bytes
-                for start, mask in tables:
-                    col |= int.from_bytes(low.translate(raw[start : start + 256]), "little") & mask
-                width = 8 * lanes.count
-                return lanes.meet(col & ((1 << width) - 1), col >> width)
-            get_first, get_second = layers  # two gathers by itemgetter
-            raw = packed.to_bytes(lanes.count, "little") + bytes((n,))  # the sentinel lane
-            first = int.from_bytes(bytes(get_first(raw)), "little")
-            second = int.from_bytes(bytes(get_second(raw)), "little")
-            return lanes.meet(first, second) - (n << 8 * lanes.count)  # less the padding row's lane, n
+        if layers is not None:  # per 256-lane table of the body, one translate of both layers
+            low, tables, col = layers  # col starts at n in the slots of missing successors
+            raw = packed.to_bytes(lanes.count + 255, "little")  # every table a full 256 bytes
+            for start, mask in tables:
+                col |= int.from_bytes(low.translate(raw[start : start + 256]), "little") & mask
+            width = 8 * lanes.count
+            return lanes.meet(col & ((1 << width) - 1), col >> width)
         body = lanes.unpack(packed)
         col = []
         for vs in self._adjacency(name, False):

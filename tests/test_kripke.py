@@ -3,7 +3,6 @@
 import hashlib
 import random
 from importlib.resources import files
-from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -825,7 +824,8 @@ def test_both_box_kernels_match_relational_oracle(spec):
             patch.setattr(kripke, "_LAYER_FLOOR", floor)
             m = parse_model("\n".join(lines) + "\n")
         for atom, targets in edges.items():
-            assert (atom in m._layers) is (len(worlds) >= floor and n <= 127 and max(map(len, targets)) <= 2)
+            layered = floor <= len(worlds) <= kripke._LAYER_CAP and n <= 127
+            assert (atom in m._layers) is (layered and max(map(len, targets)) <= 2)
         oracle = Relational(m)
         for f in _KERNEL_BOXES:
             got = m.value_profile(f)
@@ -835,16 +835,17 @@ def test_both_box_kernels_match_relational_oracle(spec):
 _EDGE_BOXES = tuple(parse_formula(t) for t in ("[a]p", "[b]q", "[c]q", "[a+b]p", "[a;b]q", "[a][c]p -> [b]q"))
 
 
-@pytest.mark.parametrize("count", (254, 255, 256, 257, 511, 512, 513, kripke._TABLE_CAP + 1))
+@pytest.mark.parametrize("count", (254, 255, 256, 257, 511, 512, 513, kripke._LAYER_CAP))
 def test_layered_boxes_match_loop_and_oracle_at_table_edges(count):
-    # world counts on both sides of each 256-lane table edge, and one above
-    # the cap, where the layers gather by itemgetter with a sentinel lane;
-    # half the targets of a and b lie next to a table edge, and a world has
-    # 0 to 2, while c steps from every other world to world 0 only, so its
-    # gather leaves out every table but the first
+    # world counts on both sides of each 256-lane table edge, and the cap,
+    # whose last table is full; half the targets of a and b lie next to a
+    # table edge, and a world has 0 to 2, while c steps from every other
+    # world to world 0 only, so its gather leaves out every table but the
+    # first
     rng = random.Random(count)
     n = (1, 4, 127)[count % 3]
-    near = [v for v in (0, 1, 254, 255, 256, 257, 510, 511, 512, count - 2, count - 1) if 0 <= v < count]
+    edges = (0, 1, 254, 255, 256, 257, 510, 511, 512, count - 257, count - 256, count - 2, count - 1)
+    near = [v for v in edges if 0 <= v < count]
     worlds = [f"w{i}" for i in range(count)]
     relations = {
         atom: [
@@ -858,11 +859,7 @@ def test_layered_boxes_match_loop_and_oracle_at_table_edges(count):
     valuation = {p: {w: rng.randint(0, n) for w in worlds} for p in "pq"}
     m = KripkeModel(n, worlds, relations, valuation)
     assert set(m._layers) == {"a", "b", "c"}
-    if count <= kripke._TABLE_CAP:
-        assert all(type(layers[0]) is bytes for layers in m._layers.values())
-        assert [start for start, _ in m._layers["c"][1]] == [0]
-    else:
-        assert all(type(layers[0]) is itemgetter for layers in m._layers.values())
+    assert [start for start, _ in m._layers["c"][1]] == [0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kripke, "_LAYER_FLOOR", count + 1)
         loop = KripkeModel(n, worlds, relations, valuation)
@@ -878,17 +875,17 @@ def _no_flood(model, auto, f):
 
 def test_box_kernel_choice_is_pinned():
     # every question of the benchmark's game configs has at most two
-    # successors per world and takes the layers, gathered by translate from
-    # one 256-lane table at 81 and 243 worlds and three at 729, and a star
-    # over two questions takes the rounds and settles without the flood; the
-    # check workload's 300-world models have larger out-degrees and take the
-    # loop and the flood, and so does a model below the layer floor
+    # successors per world and takes the layers, gathered from one 256-lane
+    # table at 81 and 243 worlds and three at 729, and a star over two
+    # questions takes the rounds and settles without the flood; the check
+    # workload's 300-world models have larger out-degrees and take the loop
+    # and the flood, and so does a model below the layer floor or above the
+    # layer cap
     rng = random.Random(0)
     for (m, n, depth), count, tables in (((4, 2, 3), 81, 1), ((5, 2, 3), 243, 1), ((6, 2, 2), 729, 3), ((6, 3, 2), 729, 3)):
         model = build_game_model(GameConfig(tuple(str(i) for i in range(1, m + 1)), n, depth))
         assert len(model._succ) == 2**m and set(model._layers) == set(model._succ)
-        assert len(model.worlds) == count <= kripke._TABLE_CAP
-        assert {type(layers[0]) for layers in model._layers.values()} == {bytes}
+        assert len(model.worlds) == count
         assert max(len(layers[1]) for layers in model._layers.values()) == tables
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(KripkeModel, "_flood", _no_flood)
@@ -903,7 +900,8 @@ def test_box_kernel_choice_is_pinned():
         for text in ("[a*]p", "[(a+b)*]q", "<(a+b)*>p", "[a*][b*]q -> [(a+b)*]p"):
             stars = [auto for _, op, _, auto in plan((parse_formula(text),), {}) if op is STAR]
             assert stars and not any(map(model._iterates, stars))
-    for count, layered in ((3, False), (15, False), (16, True)):
+    cap = kripke._LAYER_CAP
+    for count, layered in ((3, False), (15, False), (16, True), (cap, True), (cap + 1, False)):
         worlds = [f"w{i}" for i in range(count)]
         ring = {"a": [(w, worlds[i - 1]) for i, w in enumerate(worlds)]}
         model = KripkeModel(2, worlds, ring, {"p": dict.fromkeys(worlds, 1)})
