@@ -10,6 +10,11 @@ Each handler returns its exit code, a JSON payload (None for randmodel,
 ulam build and ulam run) and its text; `main` alone writes them: the
 text to the --out file if one is given, else the payload as sorted JSON
 under --json, else the text to stdout.
+
+Handlers read the library through the package's names (`mvpdl.<name>`),
+and import the few names it does not export inside the handler that uses
+them, so a command loads only the modules it calls: `check` loads the
+model checker and what it uses, never `sat`, `proofs` or `ulam`.
 """
 
 from __future__ import annotations
@@ -21,15 +26,7 @@ import json
 import re
 import sys
 
-from . import __version__
-from .filtration import filter_model
-from .kripke import format_model, load_model, random_model
-from .luk import prop_counterexample
-from .parser import format_formula, parse_formula
-from .proofs import check_derivation, parse_derivation
-from .sat import DEFAULT_BUDGET, BudgetExceeded, decide_sat, decide_valid
-from .syntax import fl_closure
-from .ulam import GameConfig, build_game_model, check_spec, parse_question, run_game
+import mvpdl
 
 
 class CliError(ValueError):
@@ -56,11 +53,13 @@ def main(argv=None) -> int:
         else:
             print(text, end="")
         return code
-    except (ValueError, BudgetExceeded, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a failure must never read as a negative verdict
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        # BudgetExceeded is read only here, so that no command loads `sat` just to name it
+        internal = "" if isinstance(exc, mvpdl.BudgetExceeded) else f"internal: {type(exc).__name__}: "
+        print(f"error: {internal}{exc}", file=sys.stderr)
         return 2
 
 
@@ -85,10 +84,12 @@ def _require_n(args) -> int:
 
 def _model_and_formula(args):
     """The --model file, checked against any --n, and the formula."""
+    from .kripke import load_model
+
     model = load_model(args.model)
     if args.n is not None and model.n != args.n:
         raise CliError(f"model resolution is {model.n}, but --n {args.n} was given")
-    return model, parse_formula(args.formula)
+    return model, mvpdl.parse_formula(args.formula)
 
 
 @functools.cache  # parse_args never changes the parser: one serves every call
@@ -97,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mvpdl",
         description="Finitely-valued propositional dynamic logic toolkit.",
     )
-    parser.add_argument("--version", action="version", version=f"mvpdl {__version__}")
+    parser.add_argument("--version", action="version", version=f"mvpdl {mvpdl.__version__}")
     parser.add_argument("--n", type=int, default=None, dest="global_n",
                         help="number of value steps (truth set has n+1 values)")
     parser.add_argument("--seed", type=int, default=None, dest="global_seed", help="random seed")
@@ -153,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget",
             type=int,
-            default=DEFAULT_BUDGET,
+            default=None,
             help="candidate row sets to try (past the row cap: candidate models)",
         )
         common(p, n=True)
@@ -225,7 +226,7 @@ def _cmd_check(args) -> Report:
 
 def _cmd_taut(args) -> Report:
     n = _require_n(args)
-    bad = prop_counterexample(parse_formula(args.formula), n)
+    bad = mvpdl.prop_counterexample(mvpdl.parse_formula(args.formula), n)
     if bad is None:
         return 0, {"verdict": "tautology"}, "tautology\n"
     payload = {"verdict": "not a tautology", "counterexample": {k: str(v) for k, v in bad.items()}}
@@ -234,16 +235,16 @@ def _cmd_taut(args) -> Report:
 
 
 def _cmd_flclosure(args) -> Report:
-    members = [format_formula(g) for g in fl_closure(parse_formula(args.formula))]
+    members = [mvpdl.format_formula(g) for g in mvpdl.fl_closure(mvpdl.parse_formula(args.formula))]
     return 0, {"closure": members}, "".join(f"{g}\n" for g in members)
 
 
 def _cmd_filter(args) -> Report:
     model, f = _model_and_formula(args)
-    res = filter_model(model, f)
-    comments = [f"filtration through {format_formula(f)}"]
+    res = mvpdl.filter_model(model, f)
+    comments = [f"filtration through {mvpdl.format_formula(f)}"]
     comments += [f"class {w} ↦ {c}" for w, c in res.class_of.items()]
-    text = format_model(res.quotient, comments=comments)
+    text = mvpdl.format_model(res.quotient, comments=comments)
     return 0, {"model": text, "classes": res.class_of}, text
 
 
@@ -264,13 +265,16 @@ _ANSWERS = {
 
 
 def _cmd_decide(args) -> Report:
+    from .sat import DEFAULT_BUDGET
+
     n = _require_n(args)
-    f = parse_formula(args.formula)
-    decide = decide_sat if args.command == "sat" else decide_valid
-    result = decide(f, n, max_worlds=args.max_worlds, budget=args.budget)
+    f = mvpdl.parse_formula(args.formula)
+    decide = mvpdl.decide_sat if args.command == "sat" else mvpdl.decide_valid
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    result = decide(f, n, max_worlds=args.max_worlds, budget=budget)
     code, verdict, template = _ANSWERS[args.command][0 if result.is_sat else 1 if result.complete else 2]
     world = result.world if result.is_sat else None
-    witness = format_model(result.model) if result.is_sat else None
+    witness = mvpdl.format_model(result.model) if result.is_sat else None
     value = result.model.value(world, f) if result.is_sat and args.command == "valid" else None
     k = result.bound_used
     payload = {
@@ -289,8 +293,8 @@ def _cmd_prove(args) -> Report:
     n = _require_n(args)
     with open(args.derivation, "r", encoding="utf-8") as fh:
         text = fh.read()
-    d = parse_derivation(text, n)
-    bad = check_derivation(d)
+    d = mvpdl.parse_derivation(text, n)
+    bad = mvpdl.check_derivation(d)
     if bad is not None:
         lineno, reason = bad
         return 1, {"verdict": "violation", "line": lineno, "reason": reason}, f"line {lineno}: {reason}\n"
@@ -309,7 +313,7 @@ def _names(text: str) -> list[str]:
 def _cmd_randmodel(args) -> Report:
     n = _require_n(args)
     seed = 0 if args.seed is None else args.seed
-    model = random_model(
+    model = mvpdl.random_model(
         seed=seed,
         n=n,
         world_count=args.worlds,
@@ -317,18 +321,18 @@ def _cmd_randmodel(args) -> Report:
         var_names=_names(args.vars),
         edge_density=args.density,
     )
-    return 0, None, format_model(model, comments=[f"seed {seed}"])
+    return 0, None, mvpdl.format_model(model, comments=[f"seed {seed}"])
 
 
 def _cmd_ulam(args) -> Report:
     raise CliError("choose a ulam subcommand")
 
 
-def _game_config(args) -> GameConfig:
+def _game_config(args) -> mvpdl.GameConfig:
     n = _require_n(args)
     if args.m < 1:
         raise CliError("--m must be >= 1")
-    return GameConfig(
+    return mvpdl.GameConfig(
         elements=tuple(str(i) for i in range(1, args.m + 1)),
         n=n,
         depth=args.depth,
@@ -337,19 +341,21 @@ def _game_config(args) -> GameConfig:
 
 
 def _cmd_ulam_build(args) -> Report:
-    model = build_game_model(_game_config(args))
+    model = mvpdl.build_game_model(_game_config(args))
     comment = f"searching game: |M|={args.m}, n={args.n}, depth={args.depth}"
-    return 0, None, format_model(model, comments=[comment])
+    return 0, None, mvpdl.format_model(model, comments=[comment])
 
 
 def _cmd_ulam_check(args) -> Report:
-    ok, state = check_spec(_game_config(args), args.spec)
+    ok, state = mvpdl.check_spec(_game_config(args), args.spec)
     if ok:
         return 0, {"verdict": "holds", "counterexample": None}, "holds at every reachable state\n"
     return 1, {"verdict": "fails", "counterexample": str(state)}, f"fails at state {state}\n"
 
 
 def _cmd_ulam_run(args) -> Report:
+    from .ulam import parse_question, run_game
+
     cfg = _game_config(args)
     questions = [parse_question(cfg, chunk) for chunk in args.questions.split(";") if chunk.strip()]
     answer_text = args.answers.strip().lower()

@@ -231,15 +231,15 @@ def check_spec(
     the violating state is returned alongside False.
     """
     f = parse_formula(spec) if isinstance(spec, str) else spec
-    # canonical question names, complements resolved against the search
-    # space; a formula whose names are all canonical is not rewritten
-    renames = {}
-    for name in atomic_programs_of(f):
-        canonical = question_name(cfg, parse_question(cfg, name))
-        if canonical != name:
-            renames[name] = Atomic(canonical)
-    f = substitute_atomics(f, renames)
     m = model if model is not None else build_game_model(cfg)
+    # a name the model declares is that question; any other (a complement
+    # ~Q{..}, members out of order) is renamed to its canonical question
+    renames = {
+        name: Atomic(question_name(cfg, parse_question(cfg, name)))
+        for name in atomic_programs_of(f)
+        if name not in m._succ
+    }
+    f = substitute_atomics(f, renames)
     bad = m.falsifying_world(f)
     if bad is None:
         return True, None

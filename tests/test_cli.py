@@ -308,7 +308,7 @@ def test_error_exits_are_two(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr("mvpdl.cli.decide_valid", fail)
+    monkeypatch.setattr("mvpdl.decide_valid", fail)
     assert main(["valid", "p -> p", "--n", "2"]) == 2
     assert capsys.readouterr().err.startswith("error: internal: RecursionError")
     assert main([]) == 2

@@ -199,6 +199,25 @@ def test_spec_counterexample():
         assert check_spec(cfg, f"p_1 -> [{name}]p_1") == want
 
 
+def test_spec_parses_only_names_the_model_does_not_declare(monkeypatch):
+    cfg = cfg3(depth=2)
+    m = build_game_model(cfg)
+    parsed = []
+
+    def spy(cfg, name):
+        parsed.append(name)
+        return parse_question(cfg, name)
+
+    monkeypatch.setattr(ulam, "parse_question", spy)
+    canonical = "p_1 -> [Q{2,3}]p_1 & [Q{1}]p_2"
+    want = check_spec(cfg, canonical, model=m)
+    assert not want[0]
+    assert parsed == []
+    assert check_spec(cfg, "p_1 -> [~Q{1}]p_1 & [Q{1}]p_2", model=m) == want
+    assert check_spec(cfg, "p_1 -> [Q{3,2}]p_1 & [Q{1}]p_2", model=m) == want
+    assert parsed == ["~Q{1}", "Q{3,2}"]
+
+
 def test_unknown_question_in_spec():
     cfg = cfg3(depth=1)
     with pytest.raises(GameError):
