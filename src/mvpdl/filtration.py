@@ -62,20 +62,21 @@ def filter_model(m: KripkeModel, seed: Formula) -> FiltrationResult:
     """Quotient of m through the closure of the seed formula."""
     closure, sigs, cls = _classes(m, seed)
     names = [f"c{i}" for i in range(len(sigs))]
-    classes = [names[i] for i in cls]  # per world index
-    relations = {
-        atom: {(classes[u], classes[v]) for u, vs in enumerate(lists) for v in vs}
-        for atom, lists in m._succ.items()
-    }
-    valuation: dict[str, dict[str, int]] = {}
+    succ: dict[str, list[list[int]]] = {}
+    for atom, lists in m._succ.items():
+        targets: list[set[int]] = [set() for _ in names]
+        for c, vs in zip(cls, lists):
+            targets[c].update(map(cls.__getitem__, vs))
+        succ[atom] = [sorted(t) for t in targets]
+    vcols: dict[str, list[int]] = {}
     for var in m.variables:
-        per_class: dict[str, int] = {}
-        for c, v in zip(classes, m._vcols[var]):
-            if v > per_class.get(c, -1):
-                per_class[c] = v
-        valuation[var] = per_class
-    quotient = KripkeModel(m.n, names, relations, valuation)
-    class_of = dict(zip(m.worlds, classes))
+        col = [0] * len(names)  # every class has a member
+        for c, v in zip(cls, m._vcols[var]):
+            if v > col[c]:
+                col[c] = v
+        vcols[var] = col
+    quotient = KripkeModel._indexed(m.n, names, succ, vcols)
+    class_of = {w: names[c] for w, c in zip(m.worlds, cls)}
     return FiltrationResult(quotient, class_of, seed, tuple(closure), dict(zip(names, sigs)))
 
 

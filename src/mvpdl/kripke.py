@@ -6,9 +6,10 @@ the body over a program's successors, with the empty minimum equal to 1
 so dead ends validate every box.
 
 A model stores its edges once, as successor index lists per declared
-atomic program, built while the world names are checked; predecessor
-lists are built from them on first use, and the world-name pairs of
-`relations` only when something reads that attribute.
+atomic program, built while the world names are checked or, from the
+package's own producers, taken as they are (`KripkeModel._indexed`);
+predecessor lists are built from them on first use, and the world-name
+pairs of `relations` only when something reads that attribute.
 
 Evaluation computes whole value columns, one per step of `syntax.plan`
 and each from the columns the step reads, and caches them per model; the
@@ -206,6 +207,12 @@ class KripkeModel:
     (numerator int or TruthValue).  The valuation must be total on worlds
     x declared variables and name no other world.  Atomic programs that
     were never declared denote the empty relation.
+
+    This constructor is the validated API.  The package's own producers
+    (`ulam.build_game_model`, `sat`'s witnesses, `filtration.filter_model`'s
+    quotients) already hold successor index lists and numerator columns,
+    and build through `_indexed`, which checks only the world names;
+    `parse_model`, which checks its file as it reads it, ends in `_setup`.
     """
 
     __slots__ = (
@@ -264,6 +271,20 @@ class KripkeModel:
             vcols[var] = col
         self._setup(n, worlds, widx, succ, vcols)
 
+    @classmethod
+    def _indexed(
+        cls, n: int, worlds: Sequence[str], succ: dict[str, list[list[int]]], vcols: dict[str, list[int]]
+    ) -> KripkeModel:
+        """A model from index-level parts that its caller built correctly:
+        successor index lists per atomic program, one per world and each
+        without repeats (successor layers read their lengths), and a
+        numerator column per variable in 0..n, in world order.  Only the
+        world names are checked (`_world_index`); the lists and columns
+        are kept as they are, not copied."""
+        model = cls.__new__(cls)
+        model._setup(n, *_world_index(worlds), succ, vcols)
+        return model
+
     def _setup(
         self,
         n: int,
@@ -274,7 +295,7 @@ class KripkeModel:
     ) -> None:
         """Set every field from checked index-level parts: successor index
         lists per atomic program and a numerator column per variable.  The
-        constructor and `parse_model` both end here."""
+        constructor, `_indexed` and `parse_model` all end here."""
         self.n = n
         self.worlds = worlds
         self._widx = widx

@@ -473,17 +473,17 @@ def _decide(
     elim = _Elimination(info, rows)
 
     def found(members: int, w: int) -> Satisfiable:
-        """The rows of members as worlds, with every allowed edge, checked."""
-        names = {i: f"s{k}" for k, i in enumerate(_bits(members))}
-        relations = {
-            a: [(names[u], names[v]) for u in names for v in _bits(elim.succ(a, u) & members)]
-            for a in elim.boxes
-        }
-        valuation = {g.name: {names[i]: rows[i][info.index[g]] for i in names} for g in info.var_slots}
-        model = KripkeModel(n, list(names.values()), relations, valuation)
-        if not _meets_goal(model.value(names[w], f).num, n, want_true):
+        """The rows of members as worlds s0, s1, ..., with every allowed
+        edge, checked."""
+        order = list(_bits(members))
+        pos = {i: k for k, i in enumerate(order)}
+        succ = {a: [[pos[v] for v in _bits(elim.succ(a, u) & members)] for u in order] for a in elim.boxes}
+        vcols = {g.name: [rows[i][info.index[g]] for i in order] for g in info.var_slots}
+        model = KripkeModel._indexed(n, [f"s{k}" for k in range(len(order))], succ, vcols)
+        world = model.worlds[pos[w]]
+        if not _meets_goal(model.value(world, f).num, n, want_true):
             raise RuntimeError(f"witness row {w} fails the model check")
-        return Satisfiable(model=model, world=names[w], bound_used=len(names), stats=stats)
+        return Satisfiable(model=model, world=world, bound_used=len(order), stats=stats)
 
     for w in goals:  # one world with its loops: linear, so not charged
         stats.nodes_explored += 1

@@ -22,6 +22,16 @@ it visits each state once, updates it by both answers to every question
 question budget lasts, and records the successor's index under the
 question's name.  The full space starts with every state and, being
 closed under updates, never appends.  The state cap is checked there too.
+The model is built from those successor index lists and the states'
+value columns as they are, through the index-level constructor
+`KripkeModel._indexed`, which checks only the world names; no edge is
+written out as a pair of world names.  The pair constructor
+`KripkeModel(n, worlds, relations, valuation)` stays the validated API
+for models built outside the package.
+
+A `GameConfig` refuses an element whose question name Q{e} or variable
+p_e does not read back as that element (a comma, a space, a brace), so
+a specification always names the question it reads as.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .kripke import KripkeModel
+from .kripke import KripkeModel, _parses_back
 from .parser import parse_formula
 from .syntax import Atomic, Formula, atomic_programs_of, substitute_atomics
 
@@ -86,6 +96,14 @@ class GameConfig:
             raise GameError("n must be >= 1")
         if self.depth < 0:
             raise GameError("depth must be >= 0")
+        for m in self.elements:  # else a spec could name another question, or none
+            name, var = "Q{" + m + "}", f"p_{m}"
+            try:
+                back = _parses_back(name, "program") and _parses_back(var, "variable") and parse_question(self, name)
+            except GameError:  # members that are no elements
+                back = None
+            if back != {m}:
+                raise GameError(f"element {m!r} does not read back from its question name {name!r} or variable {var!r}")
 
     def start(self) -> KnowledgeState:
         return KnowledgeState(self.elements, (self.n,) * len(self.elements), self.n)
@@ -213,13 +231,9 @@ def build_game_model(cfg: GameConfig) -> KripkeModel:
     appear) or with full_space.
     """
     states, succ = _explore(cfg)
-    names = [state_world_name(s) for s in states]
-    relations = {
-        q: [(names[i], names[j]) for i, row in enumerate(rows) for j in row] for q, rows in succ.items()
-    }
     columns = zip(*(s.values for s in states))
-    valuation = {f"p_{m}": dict(zip(names, col)) for m, col in zip(cfg.elements, columns)}
-    return KripkeModel(cfg.n, names, relations, valuation)
+    vcols = {f"p_{m}": list(col) for m, col in zip(cfg.elements, columns)}
+    return KripkeModel._indexed(cfg.n, [state_world_name(s) for s in states], succ, vcols)
 
 
 def check_spec(

@@ -15,6 +15,7 @@ from mvpdl.parser import parse_formula
 from mvpdl.syntax import Box
 from mvpdl.tautologies import random_formula
 from relational import Relational
+from validated import assert_same_as_validated
 
 
 def counterexample_model() -> KripkeModel:
@@ -142,3 +143,15 @@ def test_characteristic_formula_rejects_unsaturated_sets():
         characteristic_formula(m, parse_formula("p"), {"u"})
     with pytest.raises(NotSaturated):
         characteristic_formula(m, parse_formula("p"), {"zz"})
+
+
+def test_quotients_match_the_validated_constructor():
+    rng = random.Random(77)
+    for trial in range(30):
+        n = rng.choice((1, 2, 3))
+        density = rng.choice((0.05, 0.2, 0.5))
+        m = random_model(5100 + trial, n, rng.randrange(1, 40), var_names=("p", "q"), edge_density=density)
+        q = filter_model(m, random_formula(rng, rng.randrange(4), var_names=("p", "q"))).quotient
+        assert_same_as_validated(q)
+        for lists in q._succ.values():
+            assert all(vs == sorted(set(vs)) for vs in lists)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 from relational import Relational
+from validated import assert_same_as_validated
 
 from mvpdl.kripke import KripkeModel, random_model
 from mvpdl.parser import format_formula, parse_formula
@@ -22,7 +23,7 @@ from mvpdl.sat import (
     is_validity_verdict,
 )
 from mvpdl.syntax import Atomic, Box, Implies, Not, Star, power
-from mvpdl.tautologies import random_formula, random_program
+from mvpdl.tautologies import random_formula, random_program, schema_formulas
 
 
 def test_variable_is_satisfiable_in_one_world():
@@ -336,3 +337,26 @@ def test_generated_rows_are_pinned():
         generated += 1
     assert generated >= 300
     assert digest.hexdigest() == "04c8b63a2b223283d68fdbf5ef0db1d4fc9e5912c8153f6f5fcf2f69d41d86b7"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_witnesses_match_the_validated_constructor(n):
+    # satisfying and refuting witnesses of schemas 1-11, and refutations
+    # of non-laws whose witnesses need two worlds and one or two programs
+    results = []
+    for i in range(1, 12):
+        for f in schema_formulas(i, n):
+            results += [decide_sat(f, n), decide_valid(Not(f), n)]
+    for text in (
+        "(p & [a*](p -> [a]p)) -> [a*]p",  # induction without the power
+        "[a][a]p -> [a]p",
+        "[a][b]p -> [b][a]p",
+        "[(a;b)*]p -> [a*]p",
+    ):
+        results.append(decide_valid(parse_formula(text), n))
+    assert all(isinstance(r, Satisfiable) for r in results)
+    assert max(len(r.model.worlds) for r in results) == 2
+    for r in results:
+        assert_same_as_validated(r.model)
+        assert r.model.worlds == tuple(f"s{k}" for k in range(len(r.model.worlds)))
+        assert r.world in r.model.worlds

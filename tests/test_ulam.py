@@ -1,8 +1,10 @@
 """The searching game with lies and its model construction."""
 
 import hashlib
+import tracemalloc
 
 import pytest
+from validated import assert_same_as_validated
 
 from mvpdl import ulam
 from mvpdl.kripke import format_model
@@ -245,6 +247,12 @@ def test_config_validation():
         GameConfig(elements=("1", "1"), n=1, depth=1)
     with pytest.raises(GameError):
         GameConfig(elements=("1",), n=0, depth=1)
+    # Q{a,b} reads back as elements a and b, Q{ a} as element a, and the
+    # formula lexer reads Q{x y} as Q{xy}
+    for elements in (("a,b", "c"), (" a", "a"), ("x y", "z"), ("", "a")):
+        with pytest.raises(GameError, match="does not read back"):
+            GameConfig(elements=elements, n=1, depth=1)
+    assert GameConfig(elements=("a", "b2", "élément"), n=1, depth=1).elements == ("a", "b2", "élément")
 
 
 def _game(m, n, depth, full_space=False) -> GameConfig:
@@ -299,3 +307,32 @@ def test_state_cap_is_one_check(monkeypatch):
         assert str(err.value) == "state budget of 26 exceeded"
         with pytest.raises(GameError):
             reachable_states(cfg)
+
+
+@pytest.mark.parametrize(
+    "m,n,depth,full_space", [(3, 2, 3, False), (5, 1, 2, False), (4, 2, 3, False), (2, 3, 1, True)]
+)
+def test_game_model_matches_the_validated_constructor(m, n, depth, full_space):
+    cfg = _game(m, n, depth, full_space)
+    model = build_game_model(cfg)
+    assert_same_as_validated(model)
+    states = reachable_states(cfg)
+    assert model.worlds == tuple(map(state_world_name, states))
+    for i, element in enumerate(cfg.elements):
+        assert model._vcols[f"p_{element}"] == [s.values[i] for s in states]
+
+
+def test_game_build_keeps_no_edge_copy():
+    # the model's index lists are the exploration's own, so the build's
+    # allocation peak stays near what the model keeps (a copy of the edges
+    # as world-name pairs took it to about 3 times)
+    cfg = _game(5, 2, 3)
+    build_game_model(cfg)  # lazy imports and parser caches, outside the count
+    tracemalloc.start()
+    try:
+        model = build_game_model(cfg)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.worlds) == 243
+    assert peak <= 1.5 * retained, (peak, retained)
