@@ -130,6 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("taut", help="propositional tautology over the (n+1)-valued truth set")
     p.add_argument("formula")
+    p.add_argument("--budget", type=int, default=None, help="truth-table rows to read at most (default: 10^8)")
     common(p, n=True)
     p.set_defaults(handler=_cmd_taut)
 
@@ -225,8 +226,11 @@ def _cmd_check(args) -> Report:
 
 
 def _cmd_taut(args) -> Report:
+    from .luk import DEFAULT_ROWS
+
     n = _require_n(args)
-    bad = mvpdl.prop_counterexample(mvpdl.parse_formula(args.formula), n)
+    budget = DEFAULT_ROWS if args.budget is None else args.budget
+    bad = mvpdl.prop_counterexample(mvpdl.parse_formula(args.formula), n, budget)
     if bad is None:
         return 0, {"verdict": "tautology"}, "tautology\n"
     payload = {"verdict": "not a tautology", "counterexample": {k: str(v) for k, v in bad.items()}}
@@ -235,7 +239,8 @@ def _cmd_taut(args) -> Report:
 
 
 def _cmd_flclosure(args) -> Report:
-    members = [mvpdl.format_formula(g) for g in mvpdl.fl_closure(mvpdl.parse_formula(args.formula))]
+    texts: dict = {}  # one text table: members restate each other
+    members = [mvpdl.format_formula(g, texts) for g in mvpdl.fl_closure(mvpdl.parse_formula(args.formula))]
     return 0, {"closure": members}, "".join(f"{g}\n" for g in members)
 
 

@@ -160,13 +160,29 @@ def eval_prop(f: Formula, assignment: Mapping[str, TruthValue], n: int | None = 
     return TruthValue(eval_prop_num(f, env, n), n)
 
 
-def prop_counterexample(f: Formula, n: int) -> dict[str, TruthValue] | None:
+# Truth-table rows `mvpdl taut` reads at most unless told otherwise: about
+# two seconds of packed arithmetic.
+DEFAULT_ROWS = 10**8
+
+
+def prop_counterexample(f: Formula, n: int, budget: int | None = None) -> dict[str, TruthValue] | None:
     """First assignment (in lexicographic order) with value below 1, if any.
 
     Exhausts the full table, so the cost is (n+1)**#variables lanes of
-    packed arithmetic (see `_first_failing_row`).
+    packed arithmetic (see `_first_failing_row`).  With a budget, a table
+    of more rows raises `sat.BudgetExceeded` before any row is built.
     """
     names, steps, root = _lower(f)
+    if budget is not None:
+        if budget < 0:
+            raise ValueError("budget must be >= 0")
+        if (n + 1) ** len(names) > budget:
+            from .sat import BudgetExceeded, SearchStats  # loaded on this path only
+
+            raise BudgetExceeded(
+                f"the truth table has {n + 1}^{len(names)} rows, past the budget of {budget}; raise it to go on",
+                SearchStats(),
+            )
     nums = _first_failing_row(len(names), steps, root, n)
     if nums is None:
         return None

@@ -52,6 +52,15 @@ node that is the left operand of `(.)` prints as a plain `(.)` chain,
 never as `^k` or `<->`, so `r (.) r (.) x` does not read `r^2 (.) x`.
 Since trees are interned, parsing the printed text returns the very node
 `f`.
+
+Prints that restate each other, such as the lines of a derivation or the
+members of a closure, can share one text table, a dict, as their parses
+share `Groups`.  A node's text in a context is the same wherever it
+stands, so with a table `_emit` records where each (node, context) pair
+it expands starts and ends in its output, and a later occurrence of the
+pair, in that text or a later one, appends that span (joined into one
+string on its first reuse) instead of expanding the node again.  Without
+a table the loop is the same and nothing is kept.
 """
 
 from __future__ import annotations
@@ -379,19 +388,23 @@ def _error(text: str, words: list[str], kinds: dict[str, str], i: int, expected:
 # --- printing -------------------------------------------------------------
 
 
-def format_formula(f: Formula) -> str:
-    """Canonical text; parsing it back yields the same (interned) node."""
-    return _emit(f, 0)
+def format_formula(f: Formula, texts: dict | None = None) -> str:
+    """Canonical text; parsing it back yields the same (interned) node.
+    With `texts`, a text table, subterms printed before under that table
+    are copied from it, and those printed now are added to it."""
+    return _emit(f, 0, texts)
 
 
-def format_program(p: Program) -> str:
-    return _emit(p, _PROG)
+def format_program(p: Program, texts: dict | None = None) -> str:
+    return _emit(p, _PROG, texts)
 
 
-def _emit(node, ctx: int) -> str:
+def _emit(node, ctx: int, texts: dict | None = None) -> str:
     """node's text in context ctx, written from one stack of strings and
     (node, context) pairs, so that no depth of nesting recurses.  A node's
     first part is taken at once and the rest go on the stack."""
+    if texts is not None:
+        return _emit_shared(node, ctx, texts)
     out, stack, flat = [], [], set()
     item = (node, ctx)
     while True:
@@ -411,6 +424,45 @@ def _emit(node, ctx: int) -> str:
             stack.append(")")
         stack += parts[:0:-1]
         item = parts[0]
+
+
+def _emit_shared(node, ctx: int, texts: dict) -> str:
+    """`_emit` with a text table.  Each (node, context) pair expanded here
+    goes into `texts` as the span of `out` it printed, (out, start, end):
+    the pair and the start are pushed below its parts, and the int marks
+    the span's end when it comes off the stack.  A pair found in `texts`
+    appends its span, joined into one string the first time."""
+    out, stack, flat = [], [], set()
+    item = (node, ctx)
+    while True:
+        t = type(item)
+        if t is tuple:
+            node, ctx = item
+            if type(node) is Var and ctx < _PROG:
+                item = node.name
+                continue
+            span = texts.get(item)
+            if span is not None:
+                if type(span) is not str:
+                    span = texts[item] = "".join(span[0][span[1] : span[2]])
+                item = span
+                continue
+            stack.append(item)
+            stack.append(len(out))
+            level, parts = _shape(node, ctx, flat)
+            if level < ctx:
+                out.append("(")
+                stack.append(")")
+            stack += parts[:0:-1]
+            item = parts[0]
+            continue
+        if t is str:
+            out.append(item)
+        else:  # the span that began at item ends here
+            texts[stack.pop()] = (out, item, len(out))
+        if not stack:
+            return "".join(out)
+        item = stack.pop()
 
 
 def _shape(f, ctx: int, flat: set):

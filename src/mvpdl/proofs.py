@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Mapping
 
 from .luk import is_tautology_prop
@@ -81,10 +82,19 @@ def instantiate_axiom(
     template = axiom_template(axiom_id, n)
     fsub = fsub or {}
     psub = psub or {}
-    missing = (variables_of(template) - set(fsub)) | (atomic_programs_of(template) - set(psub))
+    variables, programs = _vocabulary(axiom_id)
+    missing = variables.difference(fsub) | programs.difference(psub)
     if missing:
         raise IncompleteSubstitution(f"axiom {axiom_id} leaves {sorted(missing)} unmapped")
     return substitute(template, fsub, psub)
+
+
+@cache
+def _vocabulary(axiom_id: str) -> tuple[frozenset[str], frozenset[str]]:
+    """The schematic variables and programs of an axiom, which are the same
+    at every n: read once, from its template at n = 1."""
+    template = axiom_template(axiom_id, 1)
+    return frozenset(variables_of(template)), frozenset(atomic_programs_of(template))
 
 
 # --- derivations ------------------------------------------------------------
@@ -418,13 +428,17 @@ def _parse_justification(text: str, lineno: int, groups: Groups) -> Justificatio
 
 
 def format_derivation(d: Derivation) -> str:
+    """The text of d, one step a line.  Its formulas, nec programs and
+    bindings are printed with one text table, so a subterm that an earlier
+    line printed is copied, not printed again."""
+    texts: dict = {}
     out = []
     for i, line in enumerate(d.lines, start=1):
-        out.append(f"{i}. {format_formula(line.formula)} ; {_format_justification(line.justification)}")
+        out.append(f"{i}. {format_formula(line.formula, texts)} ; {_format_justification(line.justification, texts)}")
     return "\n".join(out) + "\n"
 
 
-def _format_justification(j: Justification) -> str:
+def _format_justification(j: Justification, texts: dict) -> str:
     if isinstance(j, Premise):
         return "premise"
     if isinstance(j, Luk):
@@ -432,14 +446,14 @@ def _format_justification(j: Justification) -> str:
     if isinstance(j, ModusPonens):
         return f"mp({j.minor}, {j.major})"
     if isinstance(j, Necessitation):
-        return f"nec({j.source}, [{format_program(j.prog)}])"
+        return f"nec({j.source}, [{format_program(j.prog, texts)}])"
     if isinstance(j, AxiomRef):
         bits = [j.axiom_id]
-        bits += [f"{k} := {format_formula(v)}" for k, v in sorted(j.fsub.items())]
-        bits += [f"{k} := {format_program(v)}" for k, v in sorted(j.psub.items())]
+        bits += [f"{k} := {format_formula(v, texts)}" for k, v in sorted(j.fsub.items())]
+        bits += [f"{k} := {format_program(v, texts)}" for k, v in sorted(j.psub.items())]
         return f"axiom({'; '.join(bits)})"
     if isinstance(j, Substitution):
         bits = [str(j.source)]
-        tail = "; ".join(f"{k} := {format_formula(v)}" for k, v in sorted(j.fsub.items()))
+        tail = "; ".join(f"{k} := {format_formula(v, texts)}" for k, v in sorted(j.fsub.items()))
         return f"sub({bits[0]}; {tail})" if tail else f"sub({bits[0]})"
     raise TypeError(f"unknown justification {j!r}")

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,30 @@ def test_taut_verdicts(capsys):
     assert "p=1/2" in capsys.readouterr().out
     assert main(["taut", "p^300 -> p^300", "--n", "2"]) == 0
     assert capsys.readouterr().out.strip() == "tautology"
+
+
+def _implication_chain(k: int) -> str:
+    """(p1 -> p2) -> ((p2 -> p3) -> ... -> (p1 -> pk)), a tautology over k variables."""
+    text = f"p1 -> p{k}"
+    for i in range(k - 1, 0, -1):
+        text = f"(p{i} -> p{i + 1}) -> ({text})"
+    return text
+
+
+def test_taut_past_its_budget_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["taut", _implication_chain(40), "--n", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the truth table has 2^40 rows, past the budget of 100000000; raise it to go on\n"
+    # a table of as many rows as the budget is read
+    assert main(["taut", _implication_chain(3), "--n", "2", "--budget", "27"]) == 0
+    assert capsys.readouterr().out == "tautology\n"
+    assert main(["taut", _implication_chain(3), "--n", "2", "--budget", "26"]) == 2
+    assert capsys.readouterr().err.startswith("error: the truth table has 3^3 rows, past the budget of 26;")
+    assert main(["taut", "p", "--n", "2", "--budget", "-1"]) == 2
+    assert capsys.readouterr().err == "error: budget must be >= 0\n"
 
 
 def test_flclosure_prints_members(capsys):
@@ -513,7 +538,9 @@ def test_command_line_digest(tmp_path, capsys, monkeypatch):
     # refactor must keep every byte.  Re-taken when model files came to
     # state each source world once per relation (`u->v w`): the 12 calls
     # that print or write a model with such a chunk changed, and nothing
-    # else.  Temporary paths and `wall_time` are normalized.  `randmodel`
+    # else.  Re-taken when `taut` got `--budget`: `taut --help` changed,
+    # and every other record kept its bytes.  Temporary paths and
+    # `wall_time` are normalized.  `randmodel`
     # without --seed is left out: it used to write `# seed None` above a
     # model generated from seed 0.
     monkeypatch.setenv("COLUMNS", "80")
@@ -536,7 +563,7 @@ def test_command_line_digest(tmp_path, capsys, monkeypatch):
         record = f"{argv}\n{code}\n{out}\n{err}\n{written}\n".replace(tmp, "TMP")
         record = re.sub(r'"wall_time": [-+0-9.eE]+', '"wall_time": 0', record)
         digest.update(record.encode())
-    assert digest.hexdigest() == "130ff6dbd3181b0dd27652e363db7f260d367b5598d56bb49ba2fafc1efbba7c"
+    assert digest.hexdigest() == "a46db2130add5b7ca9b15dcd1e550b554ab89e1f52556b705308100663ab82a2"
 
 
 def test_out_into_a_missing_directory_is_an_error(model_file, tmp_path, capsys):

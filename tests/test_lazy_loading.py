@@ -40,6 +40,16 @@ def test_check_loads_only_the_model_checker(tmp_path):
     assert fresh(code) == ["cli", "kripke", "luk", "parser", "syntax"]
 
 
+def test_taut_loads_the_decider_only_past_its_budget():
+    code = (
+        "import json, sys\nfrom mvpdl import cli\n"
+        "assert cli.main(['taut', 'p -> q -> p', '--n', '2']) == 0\nbefore = 'mvpdl.sat' in sys.modules\n"
+        "assert cli.main(['taut', 'p -> q -> p', '--n', '2', '--budget', '8']) == 2\n"
+        "print(json.dumps([before, 'mvpdl.sat' in sys.modules]))"
+    )
+    assert fresh(code) == [False, True]
+
+
 def test_ulam_check_leaves_the_decider_and_proofs_unloaded():
     code = (
         "import json, sys\nfrom mvpdl import cli\n"

@@ -548,3 +548,69 @@ def test_a_shared_group_table_never_changes_a_node(nodes, rng):
     for parse, text in texts + edited + texts:
         alone, shared = _read(parse, text), _read(parse, text, groups)
         assert shared is alone if isinstance(alone, (Formula, Program)) else shared == alone
+
+
+def _table_corpus():
+    """Nodes whose subterms recur in other contexts: random and sugar-mixed
+    formulas, programs with tests, powers as the left operand of (.) and
+    elsewhere, and chains past _MAX_K."""
+    rng = random.Random(26)
+    nodes = [random_formula(rng, rng.randrange(6)) for _ in range(300)]
+    nodes += [random_program(rng, rng.randrange(5)) for _ in range(150)]
+    nodes += [_sugar_mix(rng, rng.randrange(6)) for _ in range(300)]
+    for x in (P, lor(P, Q), Implies(Q, R)):
+        for k in (2, 3):
+            y = power(x, k)  # a plain (.) chain as the left operand of (.), x^k elsewhere
+            nodes += [y, odot(y, x), odot(x, y), odot(y, y), odot(odot(y, Q), y), iff(y, odot(y, x)), Box(Test(y), y)]
+    for k in (parser._MAX_K - 1, parser._MAX_K + 2):
+        for y in (power(P, k), times(k, Q), power(Implies(Q, R), k)):
+            nodes += [y, Not(y), odot(y, P), Box(Star(Test(y)), y), Test(y)]
+    return nodes
+
+
+def _print(node, texts=None):
+    return format_program(node, texts) if isinstance(node, Program) else format_formula(node, texts)
+
+
+def test_a_shared_text_table_never_changes_a_text():
+    nodes = _table_corpus()
+    texts = {}
+    for node in nodes + nodes[::-1]:
+        assert _print(node, texts) == _print(node)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(st.lists(_TREES, min_size=1, max_size=5))
+def test_a_shared_text_table_prints_trees_as_alone(nodes):
+    # each tree, then compounds that restate it in other contexts, as the
+    # lines of a derivation and the members of a closure do
+    prints, prev = [], Q
+    for node in nodes:
+        if isinstance(node, Program):
+            prints += [node, Star(node), Box(node, prev), Seq(node, Test(prev))]
+        else:
+            prints += [node, Implies(node, Not(prev)), odot(node, prev), Test(node), power(node, 2)]
+            prev = node
+    texts = {}
+    for node in prints + prints:
+        assert _print(node, texts) == _print(node)
+
+
+def test_a_shared_text_table_shapes_each_pair_once(monkeypatch):
+    shaped = []
+    real = parser._shape
+
+    def counting(f, ctx, flat):
+        shaped.append((f, ctx))
+        return real(f, ctx, flat)
+
+    monkeypatch.setattr(parser, "_shape", counting)
+    nodes = _table_corpus()
+    texts = {}
+    for node in nodes + nodes:
+        _print(node, texts)
+    assert shaped and len(shaped) == len(set(shaped))
+    shaped.clear()
+    for node in nodes:
+        _print(node)
+    assert len(shaped) > 3 * len(set(shaped))  # without a table each occurrence is shaped

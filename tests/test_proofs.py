@@ -25,6 +25,7 @@ from mvpdl.proofs import (
     Substitution,
     abstract_boxes,
     axiom_ids,
+    axiom_template,
     check_derivation,
     check_line,
     derive_loop_invariance,
@@ -43,11 +44,13 @@ from mvpdl.syntax import (
     Seq,
     Star,
     Var,
+    atomic_programs_of,
     iff,
     land,
     lor,
     power,
     substitute,
+    variables_of,
 )
 from mvpdl.tautologies import random_formula, random_program
 
@@ -91,6 +94,38 @@ def test_incomplete_substitution_is_an_error():
         instantiate_axiom("union", 2, fsub={"p": P}, psub={"a": A})
     with pytest.raises(ValueError):
         instantiate_axiom("nope", 2)
+
+
+def test_an_axiom_has_the_same_symbols_at_every_n():
+    for axiom_id in axiom_ids():
+        templates = [axiom_template(axiom_id, n) for n in range(1, 9)]
+        symbols = {(frozenset(variables_of(t)), frozenset(atomic_programs_of(t))) for t in templates}
+        assert len(symbols) == 1, axiom_id
+
+
+def test_incomplete_substitutions_are_reported_as_before():
+    # the message the walk of the template at n gave, for every subset of
+    # an axiom's symbols left unmapped; errors keep their order: an unknown
+    # axiom first, then a template that cannot be built, then the symbols
+    for n in (1, 6):
+        for axiom_id in axiom_ids():
+            template = axiom_template(axiom_id, n)
+            symbols = sorted(variables_of(template)) + sorted(atomic_programs_of(template))
+            for mask in range(1 << len(symbols)):
+                kept = [s for i, s in enumerate(symbols) if mask >> i & 1]
+                fsub = {s: P for s in kept if s not in ("a", "b")}
+                psub = {s: A for s in kept if s in ("a", "b")}
+                missing = sorted(set(symbols) - set(kept))
+                if not missing:
+                    assert instantiate_axiom(axiom_id, n, fsub, psub) == substitute(template, fsub, psub)
+                    continue
+                with pytest.raises(IncompleteSubstitution) as err:
+                    instantiate_axiom(axiom_id, n, fsub, psub)
+                assert str(err.value) == f"axiom {axiom_id} leaves {missing} unmapped"
+    with pytest.raises(ValueError, match="^unknown axiom 'nope'$"):
+        instantiate_axiom("nope", 6)
+    with pytest.raises(ValueError, match="^negative power$"):
+        instantiate_axiom("ind", -1)
 
 
 def test_axiom_instances_are_valid_in_random_models():
@@ -445,3 +480,20 @@ def test_derivation_parses_are_pinned():
     results = [_derivation_result(text, n) for text, n, _ in _derivation_corpus()]
     digest = hashlib.sha256("\n".join(results).encode())
     assert digest.hexdigest() == "83699a1b97cf3abc86a9c33515268bf07f4b4fc5cc28d96c9cee6b3d73cfdaae"
+
+
+def test_printed_derivations_are_pinned():
+    # sha256 of format_derivation before one text table served all the
+    # lines, nec programs and bindings of a derivation
+    rng = random.Random(26)
+    texts = []
+    for n in range(1, 7):
+        for derive in (derive_loop_invariance, derive_loop_invariance_plain):
+            for _ in range(4):
+                phi = random_formula(rng, rng.randrange(1, 4), var_names=("p", "q"))
+                alpha = random_program(rng, rng.randrange(3), var_names=("p", "q"))
+                texts.append(format_derivation(derive(phi, alpha, n)))
+    bundled = Path(mvpdl.__file__).parent / "data" / "loop_invariance_n2.prf"
+    texts.append(format_derivation(parse_derivation(bundled.read_text(encoding="utf-8"), 2)))
+    digest = hashlib.sha256("\n".join(texts).encode())
+    assert digest.hexdigest() == "299ab4a03255e6e79f1153d65462fb3f75add0f779c267956298e8a2711d1f28"
