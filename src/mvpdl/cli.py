@@ -163,6 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="check a derivation file")
     p.add_argument("derivation", help="derivation file")
+    p.add_argument("--budget", type=int, default=None, help="truth-table rows a luk line reads at most (default: 10^8)")
     common(p, n=True)
     p.set_defaults(handler=_cmd_prove)
 
@@ -295,11 +296,13 @@ def _cmd_decide(args) -> Report:
 
 
 def _cmd_prove(args) -> Report:
+    from .luk import DEFAULT_ROWS
+
     n = _require_n(args)
     with open(args.derivation, "r", encoding="utf-8") as fh:
         text = fh.read()
     d = mvpdl.parse_derivation(text, n)
-    bad = mvpdl.check_derivation(d)
+    bad = mvpdl.check_derivation(d, DEFAULT_ROWS if args.budget is None else args.budget)
     if bad is not None:
         lineno, reason = bad
         return 1, {"verdict": "violation", "line": lineno, "reason": reason}, f"line {lineno}: {reason}\n"

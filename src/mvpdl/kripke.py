@@ -13,7 +13,9 @@ pairs of `relations` only when something reads that attribute.
 
 Evaluation computes whole value columns, one per step of `syntax.plan`
 and each from the columns the step reads, and caches them per model; the
-plan leaves out what the cache holds.  A column is one int of
+plan leaves out what the cache holds.  The steps run in `luk.Lanes.run`,
+the loop the truth table runs too; the model gives it the columns of
+its variables and its atomic box and star kernels.  A column is one int of
 `luk.Lanes`: the numerator at world i sits in lane i, of the fewest whole
 bytes that hold n below a guard bit, so the connectives and the MIN and
 TEST steps are a few integer operations on every world at once.  A box
@@ -98,7 +100,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .luk import Lanes, TruthValue
 from .parser import ParseError, is_identifier, parse_formula, parse_program
-from .syntax import ATOM, FALSUM, IMP, MIN, NOT, STAR, TEST, VAR, Atomic, Formula, Var, plan
+from .syntax import ATOM, STAR, VAR, Atomic, Formula, Step, Var, plan
 
 
 # Rounds per automaton state that a star's column iteration may take
@@ -379,38 +381,25 @@ class KripkeModel:
         got = prof.get(f)
         if got is not None:
             return got
-        lanes = self._lanes
         try:
-            for g, op, reads, auto in plan((f,), prof):
-                if op is IMP:
-                    col = lanes.imp(prof[reads[0]], prof[reads[1]])
-                elif op is NOT:
-                    col = lanes.top - prof[reads[0]]
-                elif op is VAR:
-                    col = self._vcols.get(g.name)
-                    if col is None:
-                        raise ModelError(f"undeclared variable {g.name!r}")
-                    col = lanes.pack(col)
-                elif g in prof:  # a box a star flood cached after the plan entered it
-                    continue
-                elif op is ATOM:
-                    col = self._atomic_box(g.prog.name, prof[reads[0]])
-                elif op is MIN:
-                    col = prof[reads[0]]
-                    if len(reads) == 2:
-                        col = lanes.meet(col, prof[reads[1]])
-                elif op is TEST:
-                    col = lanes.test(prof[reads[0]], prof[reads[1]])
-                elif op is STAR:
-                    col = self._star(g, auto)
-                elif op is FALSUM:
-                    col = 0
-                else:
-                    raise ModelError(f"cannot evaluate {g!r}")
-                prof[g] = col
+            self._lanes.run(plan((f,), prof), prof, self._leaf)
         except TypeError as e:  # from `laws` in the plan: a box over something else
             raise ModelError(str(e)) from None
         return prof[f]
+
+    def _leaf(self, step: Step) -> int:
+        """The column of a variable, atomic box or star box step."""
+        g, op, reads, auto = step
+        if op is ATOM:
+            return self._atomic_box(g.prog.name, self._prof[reads[0]])
+        if op is STAR:
+            return self._star(g, auto)
+        if op is VAR:
+            col = self._vcols.get(g.name)
+            if col is None:
+                raise ModelError(f"undeclared variable {g.name!r}")
+            return self._lanes.pack(col)
+        raise ModelError(f"cannot evaluate {g!r}")
 
     def _atomic_box(self, name: str, packed: int) -> int:
         n, lanes = self.n, self._lanes

@@ -10,7 +10,7 @@ Each connective is stated as sugar over implication and zero in
 `syntax`, and as integer operations in `Lanes`; this module has no
 numerator-level layer beside them.  A connective on `TruthValue`s is
 `eval_prop` of its sugar, and `eval_prop`, the algebra's identities and
-the threshold search all lower a formula and evaluate it on `Lanes`.
+the threshold search all run a formula's plan on `Lanes`.
 
 Also provides exhaustive propositional tautology checking and the
 synthesis of one-variable threshold formulas (value 1 from i/n upward,
@@ -23,13 +23,19 @@ connective is a few integer operations on every lane at once (broadword
 arithmetic, Knuth TAOCP 4A 7.1.3).  The model checker keeps its value
 columns in them, one lane per world.
 
-A formula is lowered to a straight-line program of implications in the
-order of `syntax.plan`.  The tautology check reads the whole (n+1)**k
-table of k variables as such columns, a lane of n.bit_length()+1 bits
-per row.  A column of a block of rows is at most 4 KiB and a block's
-columns at most 1 MiB together: the last variables run through all
-their values in a block (3,125 rows at n = 4), and the leading ones that
-do not fit are constant per block.
+`Lanes.run` is the one interpreter of `syntax.plan` steps: it computes
+the connectives and the MIN and TEST steps of boxes from the columns of
+what they read, and asks its caller for the leaves.  The model checker
+gives it value columns and its box and star kernels; the truth table
+gives it, per block of rows, the leaves' columns and no leaf kernel.
+The tautology check reads the whole (n+1)**k table of k leaves, a lane
+of n.bit_length()+1 bits per row; the leaves are a formula's variables,
+sorted by name, and for a `luk` step of `proofs` its maximal boxes too,
+so a box is a value of its own and nothing inside it is read.  A column
+of a block of rows is at most 4 KiB and a block's columns at most 1 MiB
+together: the last leaves run through all their values in a block
+(3,125 rows at n = 4), and the leading ones that do not fit are
+constant per block.
 """
 
 from __future__ import annotations
@@ -37,11 +43,12 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
-from typing import Mapping
+from typing import Callable, Iterable, Mapping
 
 from .parser import parse_formula
-from .syntax import FALSUM, IMP, NOT, VAR, ZERO, Formula, Implies, Not, Var, land, odot, oplus, plan
+from .syntax import FALSUM, IMP, MIN, NOT, TEST, Box, Formula, Implies, Not, Step, Var, Zero, land, odot, oplus, plan
 
 
 class ResolutionMismatch(ValueError):
@@ -99,44 +106,44 @@ def _same_resolution(x: TruthValue, y: TruthValue) -> None:
 # --- propositional evaluation --------------------------------------------
 
 
-def _lower(f: Formula) -> tuple[list[str], list[tuple[int, int]], int]:
-    """Straight-line program of a modality-free formula, in the order of
-    `syntax.plan`.
-
-    Returns (names, steps, root) over a row of slots: slot i < len(names)
-    holds the value of variable names[i] (names sorted), the next slot
-    holds 0, and step k computes slot len(names) + 1 + k as the
-    implication of the two slots it names; ~g is lowered as g -> 0.
-    """
+def _leaves(f: Formula, boxes: bool = False) -> list[Formula]:
+    """The leaves of f's truth table: its variables, sorted by name, and,
+    with boxes, then its maximal boxes in the order first reached; without,
+    a box is an error.  Nothing inside a box is read."""
     names: list[Formula] = []
-    pending = []
-    for g, op, reads, _ in plan((f,)):
-        if op is VAR:
+    found: list[Formula] = []
+    seen = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        t = type(g)
+        if t is Implies:
+            stack += g.rhs, g.lhs
+        elif t is Not:
+            stack.append(g.sub)
+        elif t is Var:
             names.append(g)
-        elif op is NOT or op is IMP:
-            pending.append((g, reads[0], reads[1] if op is IMP else ZERO))
-        elif op is None:
+        elif t is Box:
+            if not boxes:
+                raise ValueError("modal formula passed to propositional evaluation")
+            found.append(g)
+        elif t is not Zero:
             raise TypeError(f"not a formula: {g!r}")
-        elif op is not FALSUM:
-            raise ValueError("modal formula passed to propositional evaluation")
     names.sort(key=attrgetter("name"))
-    slot = {g: i for i, g in enumerate(names)}
-    slot[ZERO] = zero = len(names)
-    steps: list[tuple[int, int]] = []
-    for g, a, b in pending:
-        steps.append((slot[a], slot[b]))
-        slot[g] = zero + len(steps)
-    return [g.name for g in names], steps, slot[f]
+    return names + found
 
 
 def eval_prop_num(f: Formula, env: Mapping[str, int], n: int) -> int:
     """Evaluate a modality-free formula; env maps names to numerators."""
-    names, steps, root = _lower(f)
     try:
-        nums = [env[name] for name in names]
+        cols = {g: env[g.name] for g in _leaves(f)}
     except KeyError as exc:
         raise UnboundVariable(exc.args[0]) from None
-    return _evaluate(steps, root, nums, Lanes(n, 1))
+    Lanes(n, 1).run(plan((f,), cols), cols)
+    return cols[f]
 
 
 def eval_prop(f: Formula, assignment: Mapping[str, TruthValue], n: int | None = None) -> TruthValue:
@@ -160,8 +167,8 @@ def eval_prop(f: Formula, assignment: Mapping[str, TruthValue], n: int | None = 
     return TruthValue(eval_prop_num(f, env, n), n)
 
 
-# Truth-table rows `mvpdl taut` reads at most unless told otherwise: about
-# two seconds of packed arithmetic.
+# Truth-table rows `mvpdl taut` and a `luk` step of `mvpdl prove` read at
+# most unless told otherwise: about two seconds of packed arithmetic.
 DEFAULT_ROWS = 10**8
 
 
@@ -169,24 +176,62 @@ def prop_counterexample(f: Formula, n: int, budget: int | None = None) -> dict[s
     """First assignment (in lexicographic order) with value below 1, if any.
 
     Exhausts the full table, so the cost is (n+1)**#variables lanes of
-    packed arithmetic (see `_first_failing_row`).  With a budget, a table
-    of more rows raises `sat.BudgetExceeded` before any row is built.
+    packed arithmetic (see `failing_row`).  With a budget, a table of
+    more rows raises `sat.BudgetExceeded` before any row is built.
     """
-    names, steps, root = _lower(f)
+    leaves, row = failing_row(f, n, budget)
+    return None if row is None else {g.name: TruthValue(i, n) for g, i in zip(leaves, row)}
+
+
+def failing_row(
+    f: Formula, n: int, budget: int | None = None, boxes: bool = False
+) -> tuple[list[Formula], tuple[int, ...] | None]:
+    """The leaves of f's truth table and the numerators they take on its
+    first row, in lexicographic order, on which f is below 1 (None if f
+    is 1 on every row).
+
+    The leaves are f's variables, sorted by name, and, with boxes, then
+    its maximal boxes, each a value of its own: f is then 1 on every row
+    exactly when it is an instance of an (n+1)-valued tautology, the
+    `luk` step of `proofs`.  Without boxes a box is an error.  With a
+    budget, a table of more rows raises `sat.BudgetExceeded` before any
+    row is built.
+
+    The table is evaluated a block of rows at a time, by `Lanes.run` with
+    one lane of n.bit_length() + 1 bits per row, row 0 of the block in
+    the lowest lane; the leaves' columns are given, and the plan leaves
+    them out.  The last t leaves run through all their values in a block
+    (`_ramps`) and the leading ones are constant in it, so the blocks
+    follow the rows' order.
+    """
+    leaves = _leaves(f, boxes)
+    k = len(leaves)
     if budget is not None:
         if budget < 0:
             raise ValueError("budget must be >= 0")
-        if (n + 1) ** len(names) > budget:
+        if (n + 1) ** k > budget:
             from .sat import BudgetExceeded, SearchStats  # loaded on this path only
 
             raise BudgetExceeded(
-                f"the truth table has {n + 1}^{len(names)} rows, past the budget of {budget}; raise it to go on",
+                f"the truth table has {n + 1}^{k} rows, past the budget of {budget}; raise it to go on",
                 SearchStats(),
             )
-    nums = _first_failing_row(len(names), steps, root, n)
-    if nums is None:
-        return None
-    return {name: TruthValue(i, n) for name, i in zip(names, nums)}
+    steps = list(plan((f,), set(leaves)))
+    w = n.bit_length() + 1
+    base = n + 1
+    lanes_cap = max(1, min(_COLUMN_BITS, _BLOCK_BITS // (k + len(steps))) // w)
+    t = 0
+    while t < k and base ** (t + 1) <= lanes_cap:
+        t += 1
+    lanes = Lanes(n, base**t, w)
+    trailing = _ramps(n, t)
+    for lead in itertools.product(range(base), repeat=k - t):
+        cols = dict(zip(leaves, (*[v * lanes.ones for v in lead], *trailing)))
+        lanes.run(steps, cols)
+        row = lanes.first_below_top(cols[f])
+        if row is not None:
+            return leaves, lead + tuple(row // base ** (t - 1 - i) % base for i in range(t))
+    return leaves, None
 
 
 # A column of a block of the packed table has at most _COLUMN_BITS bits
@@ -258,54 +303,49 @@ class Lanes:
             return int.from_bytes(bytes(values), "little")
         return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in values), "little")
 
+    def run(self, steps: Iterable[Step], cols: dict[Formula, int], leaf: Callable[[Step], int] | None = None) -> None:
+        """Put the column of each `syntax.plan` step into cols, from the
+        columns of the formulas it reads, which cols holds by then.
 
-def _first_failing_row(k: int, steps: list[tuple[int, int]], root: int, n: int) -> tuple[int, ...] | None:
-    """The numerators of the first row of k variables, in
-    `itertools.product` order, on which the lowered formula is below n.
-
-    The table is evaluated a block of rows at a time, each slot's column
-    `Lanes` with one lane of n.bit_length() + 1 bits per row, row 0 of
-    the block in the lowest lane.  The last t variables run through all
-    their values in a block and the leading ones are constant in it, so
-    the blocks follow the rows' order.
-    """
-    w = n.bit_length() + 1
-    base = n + 1
-    lanes_cap = max(1, min(_COLUMN_BITS, _BLOCK_BITS // (k + 1 + len(steps))) // w)
-    t = 0
-    while t < k and base ** (t + 1) <= lanes_cap:
-        t += 1
-    lanes = Lanes(n, base**t, w)
-    trailing = [_ramp(base, base ** (t - 1 - i), lanes.count, w) for i in range(t)]
-    for lead in itertools.product(range(base), repeat=k - t):
-        vals = [v * lanes.ones for v in lead]
-        vals += trailing
-        row = lanes.first_below_top(_evaluate(steps, root, vals, lanes))
-        if row is not None:
-            digits = []
-            for _ in range(t):
-                row, v = divmod(row, base)
-                digits.append(v)
-            return lead + tuple(reversed(digits))
-    return None
+        IMP, NOT, FALSUM, MIN and TEST steps are computed here; leaf(step)
+        gives the column of every other one (VAR, ATOM, STAR) or rejects
+        it.  A box step whose formula cols already holds is skipped: a
+        leaf may put in the columns of formulas the plan has entered but
+        not yet reached (the states of a star's automaton).
+        """
+        imp, top = self.imp, self.top
+        for step in steps:
+            g, op, reads, _ = step
+            if op is IMP:
+                col = imp(cols[reads[0]], cols[reads[1]])
+            elif op is NOT:
+                col = top - cols[reads[0]]
+            elif g in cols:
+                continue
+            elif op is MIN:
+                col = cols[reads[0]] if len(reads) == 1 else self.meet(cols[reads[0]], cols[reads[1]])
+            elif op is TEST:
+                col = self.test(cols[reads[0]], cols[reads[1]])
+            elif op is FALSUM:
+                col = 0
+            else:
+                col = leaf(step)
+            cols[g] = col
 
 
-def _evaluate(steps: list[tuple[int, int]], root: int, vals: list[int], lanes: Lanes) -> int:
-    """The root column of a lowered formula on lanes; vals holds its
-    variables' columns, and each step's column is appended to it."""
-    vals.append(0)
-    push = vals.append
-    imp = lanes.imp
-    for i, j in steps:
-        push(imp(vals[i], vals[j]))
-    return vals[root]
-
-
-def _ramp(count: int, run: int, lanes: int, w: int) -> int:
-    """The column of lanes lanes of width w that holds 0 in the first run
-    lanes, 1 in the next run, and so on up to count - 1, then again from 0."""
-    period_bits = w * run * count
-    return _counting(count, w * run) * _repunit(run, w) * _repunit(lanes // (run * count), period_bits)
+@lru_cache(maxsize=32)
+def _ramps(n: int, t: int) -> tuple[int, ...]:
+    """The columns of the last t leaves of a table over a block of
+    (n+1)**t rows, a lane of w = n.bit_length() + 1 bits per row: leaf i
+    holds 0 in the first run = (n+1)**(t-1-i) lanes, 1 in the next run,
+    and so on up to n, then again from 0.  One period of n+1 runs is a
+    count in fields of w * run bits, spread over each run's lanes."""
+    base, w = n + 1, n.bit_length() + 1
+    cols = []
+    for i in range(t):
+        run = base ** (t - 1 - i)
+        cols.append(_counting(base, w * run) * _repunit(run, w) * _repunit(base**i, w * run * base))
+    return tuple(cols)
 
 
 def _repunit(count: int, bits: int) -> int:
@@ -328,13 +368,14 @@ def is_tautology_prop(f: Formula, n: int) -> bool:
 
 def unary_table(f: Formula, n: int, var: str = "p") -> tuple[int, ...]:
     """Value profile of a one-variable formula over all points, as numerators."""
-    names, steps, root = _lower(f)
-    for name in names:
-        if name != var:
-            raise UnboundVariable(name)
+    leaves = _leaves(f)
+    for g in leaves:
+        if g.name != var:
+            raise UnboundVariable(g.name)
     lanes = Lanes(n, n + 1)
-    ramp = lanes.pack(list(range(n + 1)))  # point x in lane x
-    return tuple(lanes.unpack(_evaluate(steps, root, [ramp] * len(names), lanes)))
+    cols = dict.fromkeys(leaves, lanes.pack(list(range(n + 1))))  # point x in lane x
+    lanes.run(plan((f,), cols), cols)
+    return tuple(lanes.unpack(cols[f]))
 
 
 # --- threshold and indicator synthesis -----------------------------------
@@ -433,16 +474,20 @@ def mv_equation_failures(n: int) -> list[tuple[str, int, int, int]]:
     failing (equation, x, y, z) numerator triples, grouped per identity in
     the order above and each group in lexicographic order; variables an
     identity does not use read 0.  Empty means all hold.
+
+    Each identity is one table of its k variables, one lane of
+    n.bit_length() + 1 bits per row in `itertools.product` order, and
+    its two sides are compared lane by lane.
     """
     bad: list[tuple[str, int, int, int]] = []
-    lanes = Lanes(n, 1)
+    base, w = n + 1, n.bit_length() + 1
     for equation in _MV_EQUATIONS:
         lhs, rhs = map(parse_formula, equation.split("="))
-        names, steps, root = _lower(Implies(lhs, rhs))
-        i, j = steps[root - len(names) - 1]  # the root step reads the two sides' slots
-        for row in itertools.product(range(n + 1), repeat=len(names)):
-            vals = list(row)
-            _evaluate(steps, root, vals, lanes)
-            if vals[i] != vals[j]:
+        leaves = _leaves(Implies(lhs, rhs))
+        lanes = Lanes(n, base ** len(leaves), w)
+        cols = dict(zip(leaves, _ramps(n, len(leaves))))
+        lanes.run(plan((lhs, rhs), cols), cols)
+        for i, row in enumerate(itertools.product(range(base), repeat=len(leaves))):
+            if lanes.lane(cols[lhs], i) != lanes.lane(cols[rhs], i):
                 bad.append((equation, *row, *[0] * (3 - len(row))))
     return bad

@@ -10,10 +10,10 @@ variables.
 
 Deduction rules are modus ponens, necessitation, and uniform substitution
 of formulas for variables (also inside tests).  The propositional base is
-discharged by the `luk` justification: the line is accepted when, after
-replacing each maximal boxed subformula by a fresh variable (identical
-subformulas sharing one variable), the remainder is an exhaustive
-(n+1)-valued tautology.
+discharged by the `luk` justification: the line is accepted when it is
+1 on every row of the (n+1)-valued truth table whose leaves are its
+variables and its maximal boxed subformulas, each box (identical ones
+being one) a value of its own.
 
 A derivation may open with premise lines; theoremhood requires none.
 """
@@ -25,24 +25,21 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Mapping
 
-from .luk import is_tautology_prop
+from .luk import DEFAULT_ROWS, failing_row
 from .parser import Groups, ParseError, format_formula, format_program, parse_formula, parse_program
 from .syntax import (
     Box,
     Formula,
     Implies,
-    Not,
     Program,
     Star,
-    Var,
     atomic_programs_of,
     land,
     power,
-    rewrite,
     substitute,
     variables_of,
 )
-from .tautologies import schema_formulas, template
+from .tautologies import schema_templates, template
 
 # each axiom by its text, or by its schema index in `tautologies`; in the
 # order axiom_ids gives
@@ -68,7 +65,7 @@ def axiom_template(axiom_id: str, n: int) -> Formula:
     source = _AXIOMS.get(axiom_id)
     if source is None:
         raise ValueError(f"unknown axiom {axiom_id!r}")
-    return template(source) if type(source) is str else schema_formulas(source, n)[0]
+    return template(source) if type(source) is str else schema_templates(source, n)[0]
 
 
 def instantiate_axiom(
@@ -164,35 +161,17 @@ class Derivation:
         return self.lines[-1].formula if self.lines else None
 
 
-def abstract_boxes(f: Formula) -> Formula:
-    """Replace each maximal boxed subformula by a variable; equal (hence
-    identical) boxes share one variable, numbered left to right."""
-    boxes: dict[Formula, Formula] = {}
-    seen: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        t = type(g)
-        if t is Box:
-            boxes[g] = Var(f"#b{len(boxes)}")
-        elif t is Not:
-            stack.append(g.sub)
-        elif t is Implies:
-            stack.append(g.rhs)
-            stack.append(g.lhs)
-    return rewrite(f, {}, {}, boxes)
+def is_modal_luk_tautology(f: Formula, n: int, budget: int | None = None) -> bool:
+    """The `luk` acceptance test: f is 1 on every row of the truth table
+    whose leaves are its variables and its maximal boxes (`luk.failing_row`).
+    With a budget, a table of more rows raises `sat.BudgetExceeded`."""
+    return failing_row(f, n, budget, boxes=True)[1] is None
 
 
-def is_modal_luk_tautology(f: Formula, n: int) -> bool:
-    """The `luk` acceptance test: abstract the boxes, then truth-table."""
-    return is_tautology_prop(abstract_boxes(f), n)
-
-
-def check_line(d: Derivation, lineno: int) -> str | None:
-    """None when the 1-based line is justified; otherwise the violation."""
+def check_line(d: Derivation, lineno: int, budget: int = DEFAULT_ROWS) -> str | None:
+    """None when the 1-based line is justified; otherwise the violation.
+    A `luk` line whose truth table has more than budget rows raises
+    `sat.BudgetExceeded`."""
     if not 1 <= lineno <= len(d.lines):
         return f"no line {lineno}"
     line = d.lines[lineno - 1]
@@ -200,7 +179,7 @@ def check_line(d: Derivation, lineno: int) -> str | None:
     if isinstance(j, Premise):
         return None
     if isinstance(j, Luk):
-        if not is_modal_luk_tautology(line.formula, d.n):
+        if not is_modal_luk_tautology(line.formula, d.n, budget):
             return "not an instance of an (n+1)-valued propositional tautology"
         return None
     if not isinstance(j, (AxiomRef, ModusPonens, Necessitation, Substitution)):
@@ -234,10 +213,13 @@ def check_line(d: Derivation, lineno: int) -> str | None:
     return None if line.formula == expected else f"{rule}: expected {format_formula(expected)}"
 
 
-def check_derivation(d: Derivation) -> tuple[int, str] | None:
-    """First failing (line number, reason), or None when all lines check."""
+def check_derivation(d: Derivation, budget: int = DEFAULT_ROWS) -> tuple[int, str] | None:
+    """First failing (line number, reason), or None when all lines check;
+    `check_line` says what the budget bounds."""
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     for lineno in range(1, len(d.lines) + 1):
-        reason = check_line(d, lineno)
+        reason = check_line(d, lineno, budget)
         if reason is not None:
             return lineno, reason
     return None

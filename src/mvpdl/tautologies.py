@@ -94,13 +94,21 @@ def template(text: str) -> Formula:
 
 
 def schema_formulas(index: int, n: int) -> list[Formula]:
-    """Template formulas of one schema at the given resolution."""
+    """Template formulas of one schema at the given resolution, in a new
+    list; `schema_templates` holds them."""
+    return list(schema_templates(index, n))
+
+
+@cache
+def schema_templates(index: int, n: int) -> tuple[Formula, ...]:
+    """Template formulas of one schema at the given resolution, built or
+    parsed once per (index, n) in a process."""
     row = _SCHEMAS.get(index)
     if row is None:
         raise ValueError(f"schema index {index} out of range 1..{SCHEMA_COUNT}")
     if callable(row[1]):
-        return row[1](n)
-    return [template(text) for text in row[1:]]
+        return tuple(row[1](n))
+    return tuple(template(text) for text in row[1:])
 
 
 # --- random instances -------------------------------------------------------

@@ -82,6 +82,28 @@ def test_taut_past_its_budget_exits_2_at_once(capsys):
     assert capsys.readouterr().err == "error: budget must be >= 0\n"
 
 
+def test_prove_past_a_luk_lines_budget_exits_2_at_once(tmp_path, capsys):
+    # 20 variables and 20 boxes over them: 2^40 rows at n = 1
+    ps = [f"p{i}" for i in range(20)]
+    line = " -> ".join(ps + [f"[a]{p}" for p in ps])
+    path = tmp_path / "wide.prf"
+    path.write_text(f"1. {line} -> {line} ; luk\n")
+    start = time.perf_counter()
+    assert main(["prove", str(path), "--n", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the truth table has 2^40 rows, past the budget of 100000000; raise it to go on\n"
+    # the bundled derivation's widest luk line has 3 leaves: 27 rows at n = 2
+    bundled = str(Path(mvpdl.__file__).parent / "data" / "loop_invariance_n2.prf")
+    assert main(["prove", bundled, "--n", "2", "--budget", "27"]) == 0
+    assert capsys.readouterr().out == "ok: 8 lines check (1 premise)\n"
+    assert main(["prove", bundled, "--n", "2", "--budget", "26"]) == 2
+    assert capsys.readouterr().err.startswith("error: the truth table has 3^3 rows, past the budget of 26;")
+    assert main(["prove", bundled, "--n", "2", "--budget", "-1"]) == 2
+    assert capsys.readouterr().err == "error: budget must be >= 0\n"
+
+
 def test_flclosure_prints_members(capsys):
     assert main(["flclosure", "[a;b]p"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -538,8 +560,9 @@ def test_command_line_digest(tmp_path, capsys, monkeypatch):
     # refactor must keep every byte.  Re-taken when model files came to
     # state each source world once per relation (`u->v w`): the 12 calls
     # that print or write a model with such a chunk changed, and nothing
-    # else.  Re-taken when `taut` got `--budget`: `taut --help` changed,
-    # and every other record kept its bytes.  Temporary paths and
+    # else.  Re-taken when `taut` got `--budget`, and again when `prove`
+    # did: `taut --help`, then `prove --help` changed, and every other
+    # record kept its bytes.  Temporary paths and
     # `wall_time` are normalized.  `randmodel`
     # without --seed is left out: it used to write `# seed None` above a
     # model generated from seed 0.
@@ -563,7 +586,7 @@ def test_command_line_digest(tmp_path, capsys, monkeypatch):
         record = f"{argv}\n{code}\n{out}\n{err}\n{written}\n".replace(tmp, "TMP")
         record = re.sub(r'"wall_time": [-+0-9.eE]+', '"wall_time": 0', record)
         digest.update(record.encode())
-    assert digest.hexdigest() == "a46db2130add5b7ca9b15dcd1e550b554ab89e1f52556b705308100663ab82a2"
+    assert digest.hexdigest() == "c419ec15c2e3997bd7bd78e1c4cb3b776ca1acc5615a2bc46ccaf2220b8a9c4d"
 
 
 def test_out_into_a_missing_directory_is_an_error(model_file, tmp_path, capsys):

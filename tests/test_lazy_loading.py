@@ -50,6 +50,20 @@ def test_taut_loads_the_decider_only_past_its_budget():
     assert fresh(code) == [False, True]
 
 
+def test_prove_loads_neither_the_model_checker_nor_the_decider_within_its_budget():
+    bundled = str(Path(mvpdl.__file__).parent / "data" / "loop_invariance_n2.prf")
+    code = (
+        "import json, sys\nfrom mvpdl import cli\n"
+        f"assert cli.main(['prove', {bundled!r}, '--n', '2']) == 0\n"
+        "loaded = sorted(m.split('.')[1] for m in sys.modules if m.startswith('mvpdl.'))\n"
+        f"assert cli.main(['prove', {bundled!r}, '--n', '2', '--budget', '26']) == 2\n"
+        "print(json.dumps([loaded, 'mvpdl.sat' in sys.modules]))"
+    )
+    loaded, sat_after = fresh(code)
+    assert not {"kripke", "sat"} & set(loaded) and "proofs" in loaded
+    assert sat_after
+
+
 def test_ulam_check_leaves_the_decider_and_proofs_unloaded():
     code = (
         "import json, sys\nfrom mvpdl import cli\n"

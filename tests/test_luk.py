@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from validated import abstract_boxes
 
 from mvpdl import luk
 from mvpdl.luk import (
@@ -24,8 +25,8 @@ from mvpdl.luk import (
     tv,
     unary_table,
 )
-from mvpdl.parser import parse_formula
-from mvpdl.proofs import abstract_boxes
+from mvpdl.parser import format_formula, parse_formula
+from mvpdl.proofs import is_modal_luk_tautology
 from mvpdl.syntax import (
     ONE,
     ZERO,
@@ -253,10 +254,10 @@ def test_tables_of_many_blocks():
     assert bad == {name: tv(4, 4) for name in names}
 
 
-def _luk_corpus():
-    """4,003 box-abstracted formulas at n = 1..20, with at most 10,000 rows:
-    random formulas, random schema instances, and formulas shaped to be
-    tautologies or near ones."""
+def _luk_lines():
+    """4,003 formulas at n = 1..20 whose box abstraction has at most 10,000
+    rows: random formulas, random schema instances, and formulas shaped to
+    be tautologies or near ones."""
     rng = random.Random(12)
     out = []
     while len(out) < 4000:
@@ -275,10 +276,54 @@ def _luk_corpus():
         else:
             fs = [random_formula(rng, 4, ("p", "q", "r", "s"))]
         for f in fs:
-            g = abstract_boxes(f)
-            if (n + 1) ** len(variables_of(g)) <= 10_000:
-                out.append((g, n))
+            if (n + 1) ** len(variables_of(abstract_boxes(f))) <= 10_000:
+                out.append((f, n))
     return out
+
+
+def _luk_corpus():
+    """The formulas of `_luk_lines`, box-abstracted."""
+    return [(abstract_boxes(f), n) for f, n in _luk_lines()]
+
+
+def _boxed_lines():
+    """360 formulas at n = 1..6 over p, q and at most three maximal boxes,
+    which recur, nest, come negated and stand at the root; now and then
+    shaped to be tautologies."""
+    rng = random.Random(27)
+    a, b, p, q = Atomic("a"), Atomic("b"), Var("p"), Var("q")
+    out = []
+    for n in range(1, 7):
+        for _ in range(60):
+            inner = random_formula(rng, 1, ("p", "q"))
+            box = Box(rng.choice((a, b)), inner)
+            boxes = rng.sample([box, Box(a, Box(b, inner)), Box(b, Not(box)), Box(a, Implies(box, p))], 3)
+            leaves = [p, q, ZERO] + boxes + [Not(x) for x in boxes]
+            make = (Implies, lor, land, oplus, odot, iff)
+            f, g = (rng.choice(make)(rng.choice(leaves), rng.choice(leaves)) for _ in "fg")
+            f = rng.choice(make)(f, g)
+            wrap = rng.choice((
+                lambda f: f,
+                lambda f: Implies(f, f),
+                lambda f: Implies(f, Implies(g, f)),
+                lambda f: iff(power(f, n), power(f, n + 1)),
+                lambda f: oplus(f, Not(f)),
+                lambda f: Box(a, f),
+            ))
+            out.append((wrap(f), n))
+    return out
+
+
+def test_luk_lines_take_their_boxes_as_leaves_like_the_abstraction():
+    # the truth table whose leaves are a line's variables and maximal
+    # boxes answers as the table of its box abstraction does
+    lines = [(f, n) for f, n in _luk_lines() if n <= 6] + _boxed_lines()
+    verdicts = []
+    for f, n in lines:
+        verdict = is_modal_luk_tautology(f, n)
+        assert verdict == is_tautology_prop(abstract_boxes(f), n), (format_formula(f), n)
+        verdicts.append(verdict)
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
 
 def test_first_counterexamples_are_pinned():

@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import pytest
+from validated import abstract_boxes
 
 import mvpdl
 from mvpdl.kripke import random_model
@@ -23,7 +24,6 @@ from mvpdl.proofs import (
     Necessitation,
     Premise,
     Substitution,
-    abstract_boxes,
     axiom_ids,
     axiom_template,
     check_derivation,
@@ -101,6 +101,35 @@ def test_an_axiom_has_the_same_symbols_at_every_n():
         templates = [axiom_template(axiom_id, n) for n in range(1, 9)]
         symbols = {(frozenset(variables_of(t)), frozenset(atomic_programs_of(t))) for t in templates}
         assert len(symbols) == 1, axiom_id
+
+
+def test_axiom_templates_are_built_once_per_n(monkeypatch):
+    from mvpdl import tautologies
+
+    first = {(axiom_id, n): axiom_template(axiom_id, n) for axiom_id in axiom_ids() for n in range(1, 7)}
+    for (axiom_id, n), template in first.items():
+        assert axiom_template(axiom_id, n) is template
+    # test and ind are built from power chains, which are not built again
+    monkeypatch.setattr(tautologies, "power", None)
+    for (axiom_id, n), template in first.items():
+        assert axiom_template(axiom_id, n) is template
+    # each call still hands out a list of its own
+    assert tautologies.schema_formulas(5, 2) == tautologies.schema_formulas(5, 2)
+    assert tautologies.schema_formulas(5, 2) is not tautologies.schema_formulas(5, 2)
+
+
+def test_a_luk_line_past_its_budget_raises_before_reading_a_row(monkeypatch):
+    from mvpdl import luk
+    from mvpdl.sat import BudgetExceeded
+
+    d = parse_derivation("1. q ; premise\n2. [a]p -> q -> [a]p ; luk\n", 2)  # leaves q and [a]p: 9 rows
+    assert check_derivation(d, 9) is None
+    monkeypatch.setattr(luk, "plan", None)  # no row is read past the budget
+    for check in (lambda: check_derivation(d, 8), lambda: check_line(d, 2, 8)):
+        with pytest.raises(BudgetExceeded, match=r"^the truth table has 3\^2 rows, past the budget of 8; raise it"):
+            check()
+    with pytest.raises(ValueError, match="^budget must be >= 0$"):
+        check_derivation(d, -1)
 
 
 def test_incomplete_substitutions_are_reported_as_before():

@@ -1,10 +1,13 @@
-"""A model rebuilt through the validated constructor, for the producers
-that build through `KripkeModel._indexed` (game models, decider
-witnesses, filtration quotients)."""
+"""References built another way than the code they check: a model rebuilt
+through the validated constructor, for the producers that build through
+`KripkeModel._indexed` (game models, decider witnesses, filtration
+quotients), and the box abstraction of a `luk` line, for the truth table
+that takes a line's maximal boxes as leaves instead."""
 
 from __future__ import annotations
 
 from mvpdl.kripke import KripkeModel
+from mvpdl.syntax import Box, Formula, Implies, Not, Var, rewrite
 
 
 def assert_same_as_validated(model: KripkeModel) -> None:
@@ -27,3 +30,25 @@ def assert_same_as_validated(model: KripkeModel) -> None:
         assert list(map(set, lists)) == list(map(set, model._succ[atom])), atom
     assert ref._vcols == model._vcols
     assert ref._layers.keys() == model._layers.keys()
+
+
+def abstract_boxes(f: Formula) -> Formula:
+    """Replace each maximal boxed subformula by a variable; equal (hence
+    identical) boxes share one variable, numbered left to right."""
+    boxes: dict[Formula, Formula] = {}
+    seen: set[Formula] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        t = type(g)
+        if t is Box:
+            boxes[g] = Var(f"#b{len(boxes)}")
+        elif t is Not:
+            stack.append(g.sub)
+        elif t is Implies:
+            stack.append(g.rhs)
+            stack.append(g.lhs)
+    return rewrite(f, {}, {}, boxes)
