@@ -29,11 +29,12 @@ what they read, and asks its caller for the leaves.  The model checker
 gives it value columns and its box and star kernels; the truth table
 gives it, per block of rows, the leaves' columns and no leaf kernel.
 The tautology check reads the whole (n+1)**k table of k leaves, a lane
-of n.bit_length()+1 bits per row; the leaves are a formula's variables,
-sorted by name, and for a `luk` step of `proofs` its maximal boxes too,
-so a box is a value of its own and nothing inside it is read.  A column
-of a block of rows is at most 4 KiB and a block's columns at most 1 MiB
-together: the last leaves run through all their values in a block
+of n.bit_length()+1 bits per row.  A table's steps and its leaves come
+from one `plan` walk that enters no box: the leaves are its VAR steps,
+sorted by name, and for a `luk` step of `proofs` its box steps after
+them, so a box is a value of its own and nothing inside it is read.  A
+column of a block of rows is at most 4 KiB and a block's columns at most
+1 MiB together: the last leaves run through all their values in a block
 (3,125 rows at n = 4), and the leading ones that do not fit are
 constant per block.
 """
@@ -48,7 +49,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 from .parser import parse_formula
-from .syntax import FALSUM, IMP, MIN, NOT, TEST, Box, Formula, Implies, Not, Step, Var, Zero, land, odot, oplus, plan
+from .syntax import FALSUM, IMP, MIN, NOT, TEST, VAR, Box, Formula, Not, Step, Var, land, odot, oplus, plan
 
 
 class ResolutionMismatch(ValueError):
@@ -106,43 +107,29 @@ def _same_resolution(x: TruthValue, y: TruthValue) -> None:
 # --- propositional evaluation --------------------------------------------
 
 
-def _leaves(f: Formula, boxes: bool = False) -> list[Formula]:
-    """The leaves of f's truth table: its variables, sorted by name, and,
-    with boxes, then its maximal boxes in the order first reached; without,
-    a box is an error.  Nothing inside a box is read."""
-    names: list[Formula] = []
-    found: list[Formula] = []
-    seen = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        t = type(g)
-        if t is Implies:
-            stack += g.rhs, g.lhs
-        elif t is Not:
-            stack.append(g.sub)
-        elif t is Var:
-            names.append(g)
-        elif t is Box:
-            if not boxes:
-                raise ValueError("modal formula passed to propositional evaluation")
-            found.append(g)
-        elif t is not Zero:
+def _table(roots: tuple[Formula, ...], boxes: bool = False) -> tuple[list[Step], list[Formula]]:
+    """The steps of the roots' truth table, from one `plan` walk that
+    enters no box, and its leaves: the VAR steps, sorted by name, and,
+    with boxes, then the box steps, each a value of its own; without, a
+    box is an error."""
+    steps = list(plan(roots, enter_boxes=False))
+    found = [g for g, op, _, _ in steps if op is None]
+    for g in found:
+        if type(g) is not Box:
             raise TypeError(f"not a formula: {g!r}")
-    names.sort(key=attrgetter("name"))
-    return names + found
+        if not boxes:
+            raise ValueError("modal formula passed to propositional evaluation")
+    return steps, sorted((g for g, op, _, _ in steps if op is VAR), key=attrgetter("name")) + found
 
 
 def eval_prop_num(f: Formula, env: Mapping[str, int], n: int) -> int:
     """Evaluate a modality-free formula; env maps names to numerators."""
+    steps, leaves = _table((f,))
     try:
-        cols = {g: env[g.name] for g in _leaves(f)}
+        cols = {g: env[g.name] for g in leaves}
     except KeyError as exc:
         raise UnboundVariable(exc.args[0]) from None
-    Lanes(n, 1).run(plan((f,), cols), cols)
+    Lanes(n, 1).run(steps, cols)
     return cols[f]
 
 
@@ -190,21 +177,22 @@ def failing_row(
     first row, in lexicographic order, on which f is below 1 (None if f
     is 1 on every row).
 
-    The leaves are f's variables, sorted by name, and, with boxes, then
-    its maximal boxes, each a value of its own: f is then 1 on every row
-    exactly when it is an instance of an (n+1)-valued tautology, the
-    `luk` step of `proofs`.  Without boxes a box is an error.  With a
+    The leaves are read off f's one `plan` walk, which enters no box:
+    its variables, sorted by name, and, with boxes, then its maximal
+    boxes, each a value of its own: f is then 1 on every row exactly
+    when it is an instance of an (n+1)-valued tautology, the `luk` step
+    of `proofs`.  Without boxes a box is an error.  With a
     budget, a table of more rows raises `sat.BudgetExceeded` before any
     row is built.
 
     The table is evaluated a block of rows at a time, by `Lanes.run` with
     one lane of n.bit_length() + 1 bits per row, row 0 of the block in
-    the lowest lane; the leaves' columns are given, and the plan leaves
-    them out.  The last t leaves run through all their values in a block
-    (`_ramps`) and the leading ones are constant in it, so the blocks
-    follow the rows' order.
+    the lowest lane; the leaves' columns are given, so the run skips
+    their steps.  The last t leaves run through all their values in a
+    block (`_ramps`) and the leading ones are constant in it, so the
+    blocks follow the rows' order.
     """
-    leaves = _leaves(f, boxes)
+    steps, leaves = _table((f,), boxes)
     k = len(leaves)
     if budget is not None:
         if budget < 0:
@@ -216,10 +204,9 @@ def failing_row(
                 f"the truth table has {n + 1}^{k} rows, past the budget of {budget}; raise it to go on",
                 SearchStats(),
             )
-    steps = list(plan((f,), set(leaves)))
     w = n.bit_length() + 1
     base = n + 1
-    lanes_cap = max(1, min(_COLUMN_BITS, _BLOCK_BITS // (k + len(steps))) // w)
+    lanes_cap = max(1, min(_COLUMN_BITS, _BLOCK_BITS // len(steps)) // w)
     t = 0
     while t < k and base ** (t + 1) <= lanes_cap:
         t += 1
@@ -309,9 +296,10 @@ class Lanes:
 
         IMP, NOT, FALSUM, MIN and TEST steps are computed here; leaf(step)
         gives the column of every other one (VAR, ATOM, STAR) or rejects
-        it.  A box step whose formula cols already holds is skipped: a
-        leaf may put in the columns of formulas the plan has entered but
-        not yet reached (the states of a star's automaton).
+        it.  A step other than IMP or NOT whose formula cols already holds
+        is skipped: a truth table gives its leaves' columns, and a leaf
+        may put in the columns of formulas the plan has entered but not
+        yet reached (the states of a star's automaton).
         """
         imp, top = self.imp, self.top
         for step in steps:
@@ -368,13 +356,13 @@ def is_tautology_prop(f: Formula, n: int) -> bool:
 
 def unary_table(f: Formula, n: int, var: str = "p") -> tuple[int, ...]:
     """Value profile of a one-variable formula over all points, as numerators."""
-    leaves = _leaves(f)
+    steps, leaves = _table((f,))
     for g in leaves:
         if g.name != var:
             raise UnboundVariable(g.name)
     lanes = Lanes(n, n + 1)
     cols = dict.fromkeys(leaves, lanes.pack(list(range(n + 1))))  # point x in lane x
-    lanes.run(plan((f,), cols), cols)
+    lanes.run(steps, cols)
     return tuple(lanes.unpack(cols[f]))
 
 
@@ -483,10 +471,10 @@ def mv_equation_failures(n: int) -> list[tuple[str, int, int, int]]:
     base, w = n + 1, n.bit_length() + 1
     for equation in _MV_EQUATIONS:
         lhs, rhs = map(parse_formula, equation.split("="))
-        leaves = _leaves(Implies(lhs, rhs))
+        steps, leaves = _table((lhs, rhs))
         lanes = Lanes(n, base ** len(leaves), w)
         cols = dict(zip(leaves, _ramps(n, len(leaves))))
-        lanes.run(plan((lhs, rhs), cols), cols)
+        lanes.run(steps, cols)
         for i, row in enumerate(itertools.product(range(base), repeat=len(leaves))):
             if lanes.lane(cols[lhs], i) != lanes.lane(cols[rhs], i):
                 bad.append((equation, *row, *[0] * (3 - len(row))))

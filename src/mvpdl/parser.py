@@ -56,11 +56,12 @@ Since trees are interned, parsing the printed text returns the very node
 Prints that restate each other, such as the lines of a derivation or the
 members of a closure, can share one text table, a dict, as their parses
 share `Groups`.  A node's text in a context is the same wherever it
-stands, so with a table `_emit` records where each (node, context) pair
-it expands starts and ends in its output, and a later occurrence of the
-pair, in that text or a later one, appends that span (joined into one
-string on its first reuse) instead of expanding the node again.  Without
-a table the loop is the same and nothing is kept.
+stands, so given a table the same loop also records where each (node,
+context) pair it expands starts and ends in its output, and a later
+occurrence of the pair, in that text or a later one, appends that span
+(joined into one string on its first reuse) instead of expanding the
+node again.  Without a table it records nothing, as `_parse` keeps no
+group without `Groups`.
 """
 
 from __future__ import annotations
@@ -402,53 +403,31 @@ def format_program(p: Program, texts: dict | None = None) -> str:
 def _emit(node, ctx: int, texts: dict | None = None) -> str:
     """node's text in context ctx, written from one stack of strings and
     (node, context) pairs, so that no depth of nesting recurses.  A node's
-    first part is taken at once and the rest go on the stack."""
-    if texts is not None:
-        return _emit_shared(node, ctx, texts)
-    out, stack, flat = [], [], set()
-    item = (node, ctx)
-    while True:
-        if type(item) is str:
-            out.append(item)
-            if not stack:
-                return "".join(out)
-            item = stack.pop()
-            continue
-        node, ctx = item
-        if type(node) is Var and ctx < _PROG:  # binds tightest: never wrapped
-            item = node.name
-            continue
-        level, parts = _shape(node, ctx, flat)
-        if level < ctx:
-            out.append("(")
-            stack.append(")")
-        stack += parts[:0:-1]
-        item = parts[0]
+    first part is taken at once and the rest go on the stack.
 
-
-def _emit_shared(node, ctx: int, texts: dict) -> str:
-    """`_emit` with a text table.  Each (node, context) pair expanded here
-    goes into `texts` as the span of `out` it printed, (out, start, end):
-    the pair and the start are pushed below its parts, and the int marks
-    the span's end when it comes off the stack.  A pair found in `texts`
-    appends its span, joined into one string the first time."""
+    With `texts`, each (node, context) pair expanded here goes into it as
+    the span of `out` it printed, (out, start, end): the pair and the
+    start are pushed below its parts, and the int marks the span's end
+    when it comes off the stack.  A pair found in `texts` appends its
+    span, joined into one string the first time."""
     out, stack, flat = [], [], set()
     item = (node, ctx)
     while True:
         t = type(item)
         if t is tuple:
             node, ctx = item
-            if type(node) is Var and ctx < _PROG:
+            if type(node) is Var and ctx < _PROG:  # binds tightest: never wrapped
                 item = node.name
                 continue
-            span = texts.get(item)
-            if span is not None:
-                if type(span) is not str:
-                    span = texts[item] = "".join(span[0][span[1] : span[2]])
-                item = span
-                continue
-            stack.append(item)
-            stack.append(len(out))
+            if texts is not None:
+                span = texts.get(item)
+                if span is not None:
+                    if type(span) is not str:
+                        span = texts[item] = "".join(span[0][span[1] : span[2]])
+                    item = span
+                    continue
+                stack.append(item)
+                stack.append(len(out))
             level, parts = _shape(node, ctx, flat)
             if level < ctx:
                 out.append("(")

@@ -443,7 +443,7 @@ def star_states(g: Box) -> dict[Formula, list[Edge]]:
 #           which reads the star box back
 #
 # Anything else is a step with op None that reads nothing, for the caller
-# to reject in its own words.
+# to reject in its own words; so is a box in a walk that enters no box.
 
 VAR, FALSUM, NOT, IMP = "var", "falsum", "not", "imp"
 
@@ -452,10 +452,12 @@ _DONE = object()  # on the plan's stack above a step whose reads are entered
 Step = tuple[Formula, str | None, tuple[Formula, ...], dict[Formula, list[Edge]] | None]
 
 
-def plan(roots: Iterable[Formula], known: Container[Formula] = ()) -> Iterator[Step]:
+def plan(roots: Iterable[Formula], known: Container[Formula] = (), enter_boxes: bool = True) -> Iterator[Step]:
     """The steps of every formula the roots' values depend on, each after
     the steps of the formulas it reads, every formula once; formulas in
-    `known`, and what only they lead to, are left out.
+    `known`, and what only they lead to, are left out.  Without
+    `enter_boxes` a box is a step with op None that reads nothing, a leaf
+    of a truth table: its law is not read and nothing in it is entered.
 
     The walk keeps an explicit stack, so depth is bounded by memory.  It
     is lazy and enters a formula's reads last first (h before g in
@@ -480,7 +482,7 @@ def plan(roots: Iterable[Formula], known: Container[Formula] = ()) -> Iterator[S
             op, reads = NOT, (g.sub,)
         elif t is Implies:
             op, reads = IMP, (g.lhs, g.rhs)
-        elif t is Box:
+        elif t is Box and enter_boxes:
             op, reads = laws(g)
             if op is STAR:
                 auto = star_states(g)

@@ -326,6 +326,28 @@ def test_luk_lines_take_their_boxes_as_leaves_like_the_abstraction():
     assert 0.1 < sum(verdicts) / len(verdicts) < 0.9
 
 
+def test_tables_never_enter_a_box_and_keep_their_error_texts():
+    p, q = Var("p"), Var("q")
+    odd = Box(Var("x"), p)  # `laws` rejects its program: nothing inside a leaf box is read
+    assert is_modal_luk_tautology(Implies(odd, odd), 2)
+    assert not is_modal_luk_tautology(Implies(odd, p), 2)
+    tables = (
+        lambda f: prop_counterexample(f, 2),
+        lambda f: unary_table(f, 2),
+        lambda f: eval_prop(f, {"p": tv(1, 2)}),
+    )
+    for table in tables:
+        for f in (Box(Atomic("a"), p), Implies(p, Box(Atomic("a"), p)), Not(odd)):
+            with pytest.raises(ValueError, match="^modal formula passed to propositional evaluation$"):
+                table(f)
+        with pytest.raises(TypeError, match=r"^not a formula: Program\('a'\)$"):
+            table(Atomic("a"))
+    with pytest.raises(UnboundVariable):
+        eval_prop(Implies(p, q), {"p": tv(1, 2)})
+    with pytest.raises(UnboundVariable):
+        unary_table(Implies(p, q), 2)
+
+
 def test_first_counterexamples_are_pinned():
     # sha256 of the answers of the row-at-a-time table the packed one replaced
     digest = hashlib.sha256()

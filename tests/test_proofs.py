@@ -124,7 +124,8 @@ def test_a_luk_line_past_its_budget_raises_before_reading_a_row(monkeypatch):
 
     d = parse_derivation("1. q ; premise\n2. [a]p -> q -> [a]p ; luk\n", 2)  # leaves q and [a]p: 9 rows
     assert check_derivation(d, 9) is None
-    monkeypatch.setattr(luk, "plan", None)  # no row is read past the budget
+    monkeypatch.setattr(luk.Lanes, "run", None)  # no row is read past the budget
+    monkeypatch.setattr(luk, "_ramps", None)
     for check in (lambda: check_derivation(d, 8), lambda: check_line(d, 2, 8)):
         with pytest.raises(BudgetExceeded, match=r"^the truth table has 3\^2 rows, past the budget of 8; raise it"):
             check()

@@ -266,6 +266,13 @@ def test_plan_enters_reads_last_first():
     h = parse_formula("[(p?;a)*]q")
     assert list(plan([h])) == [(P, VAR, (), None), (Q, VAR, (), None), (h, STAR, (Q, P), star_states(h))]
     assert list(plan([A])) == [(A, None, (), None)]  # not a formula: the caller rejects it
+    # a walk that enters no box takes each box as one step that reads
+    # nothing: no law is read and no automaton built
+    k = parse_formula("[a*]p -> q")
+    box = k.lhs
+    assert list(plan([k], enter_boxes=False)) == [(Q, VAR, (), None), (box, None, (), None), (k, IMP, (box, Q), None)]
+    odd = Box(Var("x"), P)  # `laws` rejects it when the walk enters it
+    assert list(plan([Not(odd)], enter_boxes=False)) == [(odd, None, (), None), (Not(odd), NOT, (odd,), None)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
