@@ -186,15 +186,18 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--depth", type=int, default=3, help="question rounds to explore")
         q.add_argument("--full-space", action="store_true", help="use every state, not just reachable ones")
 
+    budget_help = "state-question pairs to explore at most (default: 10^7)"
     q = usub.add_parser("build", help="emit the game model as a model file")
     game_args(q)
     q.add_argument("--out")
+    q.add_argument("--budget", type=int, default=None, help=budget_help)
     q.set_defaults(handler=_cmd_ulam_build)
 
     q = usub.add_parser("check", help="check a specification on the game model")
     game_args(q)
     q.add_argument("--spec", required=True, help="formula over p_<m> and question atoms Q{...}")
     q.add_argument("--json", action="store_true")
+    q.add_argument("--budget", type=int, default=None, help=budget_help)
     q.set_defaults(handler=_cmd_ulam_check)
 
     q = usub.add_parser("run", help="print the state trajectory of one play")
@@ -348,14 +351,20 @@ def _game_config(args) -> mvpdl.GameConfig:
     )
 
 
+def _game_budget(args) -> int:
+    from .ulam import DEFAULT_PAIRS
+
+    return DEFAULT_PAIRS if args.budget is None else args.budget
+
+
 def _cmd_ulam_build(args) -> Report:
-    model = mvpdl.build_game_model(_game_config(args))
+    model = mvpdl.build_game_model(_game_config(args), _game_budget(args))
     comment = f"searching game: |M|={args.m}, n={args.n}, depth={args.depth}"
     return 0, None, mvpdl.format_model(model, comments=[comment])
 
 
 def _cmd_ulam_check(args) -> Report:
-    ok, state = mvpdl.check_spec(_game_config(args), args.spec)
+    ok, state = mvpdl.check_spec(_game_config(args), args.spec, budget=_game_budget(args))
     if ok:
         return 0, {"verdict": "holds", "counterexample": None}, "holds at every reachable state\n"
     return 1, {"verdict": "fails", "counterexample": str(state)}, f"fails at state {state}\n"

@@ -583,7 +583,10 @@ def disjoint_union(models: Sequence[KripkeModel]) -> KripkeModel:
 # one-target chunk u->v is the same grammar.  rel lines come after the
 # worlds line, so each chunk goes straight into successor index lists.
 # Every declared variable must list every world, with denominators equal
-# to the declared n.
+# to the declared n.  Each distinct value text (`3/4`) is converted once
+# per file: it enters a table from text to numerator the first time it
+# passes the checks, and every later entry reads it from there.  The
+# table holds only texts the file uses, so nothing in a load depends on n.
 
 
 def parse_model(text: str) -> KripkeModel:
@@ -669,23 +672,27 @@ def parse_model(text: str) -> KripkeModel:
         worlds, widx = _world_index(names)
     vcols: dict[str, list[int]] = {}
     strays: dict[str, tuple[int, str]] = {}  # a variable's first undeclared world, reported last
+    nums: dict[str, int] = {}  # value texts that passed the checks, to their numerators
     for lineno, var, tail in vals:
         col = vcols.get(var)
         if col is None:
             col = vcols[var] = [-1] * len(worlds)
         for chunk in tail.split():
             w, sep, frac = chunk.partition("=")
-            if not sep:
-                err(lineno, f"bad entry {chunk!r}, expected world=i/n")
-            num, _, den = frac.partition("/")
-            try:
-                x, den_i = int(num), int(den)
-            except ValueError:
-                err(lineno, f"bad fraction {frac!r}")
-            if den_i != n:
-                err(lineno, f"denominator {den_i} does not match n = {n}")
-            if not 0 <= x <= n:
-                err(lineno, f"numerator {x} of {var!r} at {w!r} out of range 0..{n}")
+            x = nums.get(frac)
+            if x is None:  # "" (no '=') fails the fraction check, so never enters
+                if not sep:
+                    err(lineno, f"bad entry {chunk!r}, expected world=i/n")
+                num, _, den = frac.partition("/")
+                try:
+                    x, den_i = int(num), int(den)
+                except ValueError:
+                    err(lineno, f"bad fraction {frac!r}")
+                if den_i != n:
+                    err(lineno, f"denominator {den_i} does not match n = {n}")
+                if not 0 <= x <= n:
+                    err(lineno, f"numerator {x} of {var!r} at {w!r} out of range 0..{n}")
+                nums[frac] = x
             i = widx.get(w)
             if i is None:
                 strays.setdefault(var, (lineno, w))

@@ -21,7 +21,9 @@ it visits each state once, updates it by both answers to every question
 (one `update_state` call each), appends an unseen successor while the
 question budget lasts, and records the successor's index under the
 question's name.  The full space starts with every state and, being
-closed under updates, never appends.  The state cap is checked there too.
+closed under updates, never appends.  The state cap is checked there too,
+and before it a work budget: an upper bound on states times questions,
+checked before any question is built.
 The model is built from those successor index lists and the states'
 value columns as they are, through the index-level constructor
 `KripkeModel._indexed`, which checks only the world names; no edge is
@@ -46,6 +48,7 @@ from .syntax import Atomic, Formula, atomic_programs_of, substitute_atomics
 
 
 _STATE_CAP = 200_000  # most states a game model may have
+DEFAULT_PAIRS = 10**7  # state-question pairs an exploration may visit by default
 
 
 class GameError(ValueError):
@@ -179,9 +182,35 @@ def world_name_state(cfg: GameConfig, name: str) -> KnowledgeState:
     return KnowledgeState(cfg.elements, vals, cfg.n)
 
 
-def _explore(cfg: GameConfig) -> tuple[list[KnowledgeState], dict[str, list[list[int]]]]:
+def _explore(
+    cfg: GameConfig, budget: int | None = DEFAULT_PAIRS
+) -> tuple[list[KnowledgeState], dict[str, list[list[int]]]]:
     """The game's states and, per question name, each state's successor
-    indices, from one breadth-first pass over `update_state`."""
+    indices, from one breadth-first pass over `update_state`.
+
+    The pass visits every state with each of the 2^m questions.  A state
+    has at most 2^(m+1) successors, two answers per question, so there
+    are at most S = min((n+1)^m, sum over k <= depth of (2^(m+1))^k)
+    states, and exactly (n+1)^m with full_space.  With a budget, S * 2^m
+    past it raises `sat.BudgetExceeded` before any question is built.
+    """
+    if budget is not None:
+        if budget < 0:
+            raise ValueError("budget must be >= 0")
+        m = len(cfg.elements)
+        bound = (cfg.n + 1) ** m
+        if not cfg.full_space:
+            r = 2 ** (m + 1)
+            d = min(cfg.depth, bound.bit_length())  # r^d is past (n+1)^m from there on
+            bound = min(bound, (r ** (d + 1) - 1) // (r - 1))
+        if bound << m > budget:
+            from .sat import BudgetExceeded, SearchStats  # loaded on this path only
+
+            raise BudgetExceeded(
+                f"the game model has up to {bound} states times 2^{m} questions, "
+                f"past the budget of {budget}; raise it to go on",
+                SearchStats(),
+            )
     if cfg.full_space:  # closed under updates, so nothing is appended
         values = itertools.product(range(cfg.n, -1, -1), repeat=len(cfg.elements))
         states = [KnowledgeState(cfg.elements, v, cfg.n) for v in itertools.islice(values, _STATE_CAP + 1)]
@@ -216,7 +245,7 @@ def reachable_states(cfg: GameConfig) -> list[KnowledgeState]:
     return _explore(cfg)[0]
 
 
-def build_game_model(cfg: GameConfig) -> KripkeModel:
+def build_game_model(cfg: GameConfig, budget: int | None = DEFAULT_PAIRS) -> KripkeModel:
     """The game as a model: every question is an atomic program, and an
     edge under Q goes from f to f updated by either answer to Q.
 
@@ -229,23 +258,27 @@ def build_game_model(cfg: GameConfig) -> KripkeModel:
     only part of the answers; specifications should be checked at a
     saturating depth (the exploration stops early once no new states
     appear) or with full_space.
+
+    A game whose bound of states times questions (see `_explore`) is past
+    the budget raises `sat.BudgetExceeded`; None lifts the budget.
     """
-    states, succ = _explore(cfg)
+    states, succ = _explore(cfg, budget)
     columns = zip(*(s.values for s in states))
     vcols = {f"p_{m}": list(col) for m, col in zip(cfg.elements, columns)}
     return KripkeModel._indexed(cfg.n, [state_world_name(s) for s in states], succ, vcols)
 
 
 def check_spec(
-    cfg: GameConfig, spec: Formula | str, model: KripkeModel | None = None
+    cfg: GameConfig, spec: Formula | str, model: KripkeModel | None = None, budget: int | None = DEFAULT_PAIRS
 ) -> tuple[bool, KnowledgeState | None]:
     """Whether a specification holds at every reachable state.
 
     Atomic programs in the formula must be question names.  On failure
-    the violating state is returned alongside False.
+    the violating state is returned alongside False.  Without a model,
+    the game model is built within the budget.
     """
     f = parse_formula(spec) if isinstance(spec, str) else spec
-    m = model if model is not None else build_game_model(cfg)
+    m = model if model is not None else build_game_model(cfg, budget)
     # a name the model declares is that question; any other (a complement
     # ~Q{..}, members out of order) is renamed to its canonical question
     renames = {

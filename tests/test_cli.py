@@ -82,6 +82,28 @@ def test_taut_past_its_budget_exits_2_at_once(capsys):
     assert capsys.readouterr().err == "error: budget must be >= 0\n"
 
 
+def test_ulam_past_its_budget_exits_2_at_once(capsys):
+    # 2^16 states at most (the full space at n = 1), each with 2^16 questions
+    for argv in (["check", "--spec", "p_1"], ["build"]):
+        start = time.perf_counter()
+        assert main(["ulam", argv[0], "--m", "16", "--n", "1", "--depth", "1", *argv[1:]]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: the game model has up to 65536 states times 2^16 questions, "
+            "past the budget of 10000000; raise it to go on\n"
+        )
+    # (3, 2, 2) has at most 27 states: 216 state-question pairs
+    game = ["ulam", "check", "--m", "3", "--n", "2", "--depth", "2", "--spec", "[Q{1}]p_1 -> p_1", "--budget"]
+    assert main([*game, "216"]) == 0
+    assert capsys.readouterr().out == "holds at every reachable state\n"
+    assert main([*game, "215"]) == 2
+    assert capsys.readouterr().err.startswith("error: the game model has up to 27 states times 2^3 questions, past")
+    assert main(["ulam", "build", "--m", "2", "--n", "1", "--budget", "-1"]) == 2
+    assert capsys.readouterr().err == "error: budget must be >= 0\n"
+
+
 def test_prove_past_a_luk_lines_budget_exits_2_at_once(tmp_path, capsys):
     # 20 variables and 20 boxes over them: 2^40 rows at n = 1
     ps = [f"p{i}" for i in range(20)]
@@ -562,7 +584,8 @@ def test_command_line_digest(tmp_path, capsys, monkeypatch):
     # that print or write a model with such a chunk changed, and nothing
     # else.  Re-taken when `taut` got `--budget`, and again when `prove`
     # did: `taut --help`, then `prove --help` changed, and every other
-    # record kept its bytes.  Temporary paths and
+    # record kept its bytes.  Re-taken when `ulam build` and `ulam check`
+    # got `--budget`: only their two `--help` records changed.  Temporary paths and
     # `wall_time` are normalized.  `randmodel`
     # without --seed is left out: it used to write `# seed None` above a
     # model generated from seed 0.
@@ -586,7 +609,7 @@ def test_command_line_digest(tmp_path, capsys, monkeypatch):
         record = f"{argv}\n{code}\n{out}\n{err}\n{written}\n".replace(tmp, "TMP")
         record = re.sub(r'"wall_time": [-+0-9.eE]+', '"wall_time": 0', record)
         digest.update(record.encode())
-    assert digest.hexdigest() == "c419ec15c2e3997bd7bd78e1c4cb3b776ca1acc5615a2bc46ccaf2220b8a9c4d"
+    assert digest.hexdigest() == "af6990b4549dad1c1ffdc41f8500771af3534e1fc94669382f50dd9a6fea07c7"
 
 
 def test_out_into_a_missing_directory_is_an_error(model_file, tmp_path, capsys):

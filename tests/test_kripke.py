@@ -225,6 +225,25 @@ def test_model_file_errors():
         parse_model("n = 2\nworlds: u v\nval p: u=1/2 v=2/2\nval p: u=0/2\n")
     with pytest.raises(ModelError, match="line 3: world 'v' given twice"):
         parse_model("n = 2\nworlds: u v\nval p: v=1/2 u=2/2 v=0/2\n")
+    # two texts of one numerator load alike, whichever comes first
+    assert parse_model("n = 2\nworlds: u v w\nval p: u=01/2 v=1/2 w=01/2\n")._vcols == {"p": [1, 1, 1]}
+    assert parse_model("n = 2\nworlds: u v\nval p: u=1/2 v=01/2\n")._vcols == {"p": [1, 1]}
+    # a text that first fails in a later val line reports that line, its
+    # variable and its world, after other texts were stored; a stored text
+    # still meets the world checks
+    head = "n = 2\nworlds: u v\nval p: u=1/2 v=2/2\n"
+    for line, msg in (
+        ("val q: u=2/2 v=3/2", "line 4: numerator 3 of 'q' at 'v' out of range 0..2"),
+        ("val q: u=1/2 v=1/3", "line 4: denominator 3 does not match n = 2"),
+        ("val q: u=2/2 v=1/x", "line 4: bad fraction '1/x'"),
+        ("val q: u=2/2 v", "line 4: bad entry 'v', expected world=i/n"),
+        ("val q: u=1/2 u=1/2", "line 4: world 'u' given twice for 'q'"),
+        ("val q: u=1/2", "valuation of 'q' is missing world 'v'"),
+        ("val q: u=1/2 v=2/2 z=1/2", "line 4: valuation of 'q' uses undeclared world 'z'"),
+    ):
+        with pytest.raises(ModelError) as err:
+            parse_model(f"{head}{line}\n")
+        assert str(err.value) == msg, line
 
 
 def test_model_file_chunk_errors():
@@ -379,6 +398,18 @@ def test_model_file_names_are_parsed_once(monkeypatch):
     text = "n = 1\nworlds: u v\n" + "rel a: u->v\nrel a: v->v\n" * 3 + "val p: u=0/1\nval p: v=1/1\n"
     assert parse_model(text).relations == {"a": {("u", "v"), ("v", "v")}}
     assert calls == ["a", "p"]
+
+
+def test_model_file_value_texts_are_read_once(monkeypatch):
+    # 300 entries over five value texts: int() reads n once and each text's
+    # numerator and denominator once
+    model = random_model(seed=3, n=4, world_count=100, atom_names=["a"], var_names=["p", "q", "r"])
+    texts = {f"{x}/4" for col in model._vcols.values() for x in col}
+    assert len(texts) == 5
+    calls = []
+    monkeypatch.setattr(kripke, "int", lambda x: calls.append(x) or int(x), raising=False)
+    assert parse_model(format_model(model))._vcols == model._vcols
+    assert sorted(calls) == sorted(["4", *(part for t in texts for part in t.split("/"))])
 
 
 def _parses_back_by_the_parser(name: str, kind: str) -> bool:

@@ -8,6 +8,7 @@ from validated import assert_same_as_validated
 
 from mvpdl import ulam
 from mvpdl.kripke import format_model
+from mvpdl.sat import BudgetExceeded
 from mvpdl.ulam import (
     GameConfig,
     GameError,
@@ -336,3 +337,42 @@ def test_game_build_keeps_no_edge_copy():
         tracemalloc.stop()
     assert len(model.worlds) == 243
     assert peak <= 1.5 * retained, (peak, retained)
+
+
+def test_exploration_budget_bounds_states_times_questions(monkeypatch):
+    # at most min((n+1)^m, sum over k <= depth of (2^(m+1))^k) states, and
+    # exactly (n+1)^m in the full space, each with 2^m questions; the check
+    # comes before any question is built
+    class Built(Exception):
+        pass
+
+    def no_questions(cfg):
+        raise Built
+
+    monkeypatch.setattr(ulam, "all_questions", no_questions)
+    for cfg, states in (
+        (_game(9, 3, 1), 1 + 2**10),  # 524,800 state-question pairs
+        (_game(6, 3, 2), 4**6),  # the largest benchmark config
+        (_game(2, 2, 1), 9),  # both bounds meet
+        (_game(1, 1, 5), 2),
+        (_game(2, 3, 0, full_space=True), 16),
+        (_game(2, 2, 10**18), 9),  # no sum as long as the depth is formed
+        (_game(16, 1, 1), 2**16),
+    ):
+        bound = states << len(cfg.elements)
+        with pytest.raises(Built):
+            build_game_model(cfg, bound)
+        with pytest.raises(BudgetExceeded) as err:
+            check_spec(cfg, "p_1", budget=bound - 1)
+        m = len(cfg.elements)
+        assert str(err.value) == (
+            f"the game model has up to {states} states times 2^{m} questions, "
+            f"past the budget of {bound - 1}; raise it to go on"
+        )
+        with pytest.raises(Built if bound <= ulam.DEFAULT_PAIRS else BudgetExceeded):
+            build_game_model(cfg)
+    assert ulam.DEFAULT_PAIRS < 2**32
+    with pytest.raises(Built):
+        build_game_model(_game(16, 1, 1), None)
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        build_game_model(_game(2, 2, 1), -1)
