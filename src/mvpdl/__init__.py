@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 # The public names, grouped by the module that defines each.
 _EXPORTS = {
     "luk": (
-        "ResolutionMismatch", "TruthValue", "eval_prop", "is_tautology_prop", "mv_equation_failures",
-        "prop_counterexample", "synth_indicator", "synth_tau",
+        "BudgetExceeded", "ResolutionMismatch", "TruthValue", "eval_prop", "is_tautology_prop",
+        "mv_equation_failures", "prop_counterexample", "synth_indicator", "synth_tau",
     ),
     "syntax": (
         "Atomic", "Box", "Formula", "Implies", "Not", "Program", "Seq", "Star", "Test", "Union", "Var",
@@ -28,8 +28,8 @@ _EXPORTS = {
     "kripke": ("KripkeModel", "ModelError", "disjoint_union", "format_model", "parse_model", "random_model"),
     "filtration": ("FiltrationResult", "characteristic_formula", "equivalence_classes", "filter_model"),
     "sat": (
-        "BudgetExceeded", "SatResult", "Satisfiable", "Unsatisfiable", "decide_sat", "decide_valid",
-        "enumerate_oracle", "is_validity_verdict",
+        "SatResult", "Satisfiable", "Unsatisfiable", "decide_sat", "decide_valid", "enumerate_oracle",
+        "is_validity_verdict",
     ),
     "proofs": (
         "Derivation", "check_derivation", "check_line", "derive_loop_invariance", "format_derivation",

@@ -57,7 +57,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a failure must never read as a negative verdict
-        # BudgetExceeded is read only here, so that no command loads `sat` just to name it
+        # BudgetExceeded lives in `luk`, which every budgeted loop loads; it is read only
+        # on this path, so no command loads a module just to name it
         internal = "" if isinstance(exc, mvpdl.BudgetExceeded) else f"internal: {type(exc).__name__}: "
         print(f"error: {internal}{exc}", file=sys.stderr)
         return 2

@@ -60,6 +60,27 @@ class UnboundVariable(KeyError):
     """Raised when evaluation meets a variable missing from the assignment."""
 
 
+class BudgetExceeded(RuntimeError):
+    """A budget ran out before the work settled; not a verdict.  The
+    decider's carries its `sat.SearchStats`; one raised by `charge` has
+    none."""
+
+    def __init__(self, message: str, stats=None):
+        super().__init__(message)
+        self.stats = stats
+
+
+def charge(size: int, budget: int | None, what: str) -> None:
+    """Refuse, before it starts, a loop of `size` steps past the budget
+    (None: no budget); `what` says what the size counts."""
+    if budget is None:
+        return
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
+    if size > budget:
+        raise BudgetExceeded(f"{what}, past the budget of {budget}; raise it to go on")
+
+
 @dataclass(frozen=True)
 class TruthValue:
     """The value num/n in the (n+1)-element truth set."""
@@ -164,7 +185,7 @@ def prop_counterexample(f: Formula, n: int, budget: int | None = None) -> dict[s
 
     Exhausts the full table, so the cost is (n+1)**#variables lanes of
     packed arithmetic (see `failing_row`).  With a budget, a table of
-    more rows raises `sat.BudgetExceeded` before any row is built.
+    more rows raises `BudgetExceeded` before any row is built.
     """
     leaves, row = failing_row(f, n, budget)
     return None if row is None else {g.name: TruthValue(i, n) for g, i in zip(leaves, row)}
@@ -182,7 +203,7 @@ def failing_row(
     boxes, each a value of its own: f is then 1 on every row exactly
     when it is an instance of an (n+1)-valued tautology, the `luk` step
     of `proofs`.  Without boxes a box is an error.  With a
-    budget, a table of more rows raises `sat.BudgetExceeded` before any
+    budget, a table of more rows raises `BudgetExceeded` before any
     row is built.
 
     The table is evaluated a block of rows at a time, by `Lanes.run` with
@@ -194,16 +215,7 @@ def failing_row(
     """
     steps, leaves = _table((f,), boxes)
     k = len(leaves)
-    if budget is not None:
-        if budget < 0:
-            raise ValueError("budget must be >= 0")
-        if (n + 1) ** k > budget:
-            from .sat import BudgetExceeded, SearchStats  # loaded on this path only
-
-            raise BudgetExceeded(
-                f"the truth table has {n + 1}^{k} rows, past the budget of {budget}; raise it to go on",
-                SearchStats(),
-            )
+    charge((n + 1) ** k, budget, f"the truth table has {n + 1}^{k} rows")
     w = n.bit_length() + 1
     base = n + 1
     lanes_cap = max(1, min(_COLUMN_BITS, _BLOCK_BITS // len(steps)) // w)

@@ -164,14 +164,14 @@ class Derivation:
 def is_modal_luk_tautology(f: Formula, n: int, budget: int | None = None) -> bool:
     """The `luk` acceptance test: f is 1 on every row of the truth table
     whose leaves are its variables and its maximal boxes (`luk.failing_row`).
-    With a budget, a table of more rows raises `sat.BudgetExceeded`."""
+    With a budget, a table of more rows raises `luk.BudgetExceeded`."""
     return failing_row(f, n, budget, boxes=True)[1] is None
 
 
 def check_line(d: Derivation, lineno: int, budget: int = DEFAULT_ROWS) -> str | None:
     """None when the 1-based line is justified; otherwise the violation.
     A `luk` line whose truth table has more than budget rows raises
-    `sat.BudgetExceeded`."""
+    `luk.BudgetExceeded`."""
     if not 1 <= lineno <= len(d.lines):
         return f"no line {lineno}"
     line = d.lines[lineno - 1]

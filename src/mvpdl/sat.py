@@ -79,6 +79,7 @@ from functools import reduce
 from operator import and_, or_
 
 from .kripke import KripkeModel
+from .luk import BudgetExceeded  # raised with the search's stats when its budget or cap runs out
 from .syntax import (
     ATOM,
     IMP,
@@ -134,15 +135,6 @@ class Unsatisfiable:
 
 
 SatResult = Satisfiable | Unsatisfiable
-
-
-class BudgetExceeded(RuntimeError):
-    """The candidate budget or the row enumeration cap ran out before the
-    search settled; not a verdict."""
-
-    def __init__(self, message: str, stats: SearchStats):
-        super().__init__(message)
-        self.stats = stats
 
 
 class OracleGuard(ValueError):

@@ -14,16 +14,20 @@ The induced model has states of knowledge as worlds, one atomic program
 per question Q (written Q{...}) whose relation steps to either answer's
 update, and one variable p_m per candidate valued f(m) at state f.
 Worlds are the states reachable from the initial all-ones state within a
-question budget; a flag restores the full (n+1)^|M| space instead.
+question budget d: since an answer lowers any chosen set of values by one
+step, they are exactly the states with every value at least n - d,
+(min(n, d) + 1)^|M| of them.  A flag restores the full (n+1)^|M| space
+instead; depth n already reaches every state and edge of it.
 
 One breadth-first exploration finds the worlds and the edges together:
 it visits each state once, updates it by both answers to every question
 (one `update_state` call each), appends an unseen successor while the
 question budget lasts, and records the successor's index under the
 question's name.  The full space starts with every state and, being
-closed under updates, never appends.  The state cap is checked there too,
-and before it a work budget: an upper bound on states times questions,
-checked before any question is built.
+closed under updates, never appends.  The state count is known exactly
+before the pass starts, so the work budget on states times questions and
+then the state cap are each one comparison, made before any question is
+built.
 The model is built from those successor index lists and the states'
 value columns as they are, through the index-level constructor
 `KripkeModel._indexed`, which checks only the world names; no edge is
@@ -43,6 +47,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .kripke import KripkeModel, _parses_back
+from .luk import charge
 from .parser import parse_formula
 from .syntax import Atomic, Formula, atomic_programs_of, substitute_atomics
 
@@ -188,32 +193,22 @@ def _explore(
     """The game's states and, per question name, each state's successor
     indices, from one breadth-first pass over `update_state`.
 
-    The pass visits every state with each of the 2^m questions.  A state
-    has at most 2^(m+1) successors, two answers per question, so there
-    are at most S = min((n+1)^m, sum over k <= depth of (2^(m+1))^k)
-    states, and exactly (n+1)^m with full_space.  With a budget, S * 2^m
-    past it raises `sat.BudgetExceeded` before any question is built.
+    The pass visits every state with each of the 2^m questions.  One
+    answer lowers each value by at most one step, and the positive answer
+    to Q lowers exactly the values off Q, so the states within d questions
+    are exactly those with every value at least n - d: there are
+    S = (min(n, d) + 1)^m of them, and (n+1)^m with full_space.  Before
+    any question is built, S * 2^m past the budget raises
+    `luk.BudgetExceeded`, and S past `_STATE_CAP` a `GameError`.
     """
-    if budget is not None:
-        if budget < 0:
-            raise ValueError("budget must be >= 0")
-        m = len(cfg.elements)
-        bound = (cfg.n + 1) ** m
-        if not cfg.full_space:
-            r = 2 ** (m + 1)
-            d = min(cfg.depth, bound.bit_length())  # r^d is past (n+1)^m from there on
-            bound = min(bound, (r ** (d + 1) - 1) // (r - 1))
-        if bound << m > budget:
-            from .sat import BudgetExceeded, SearchStats  # loaded on this path only
-
-            raise BudgetExceeded(
-                f"the game model has up to {bound} states times 2^{m} questions, "
-                f"past the budget of {budget}; raise it to go on",
-                SearchStats(),
-            )
+    m = len(cfg.elements)
+    size = (cfg.n + 1 if cfg.full_space else min(cfg.n, cfg.depth) + 1) ** m
+    charge(size << m, budget, f"the game model has up to {size} states times 2^{m} questions")
+    if size > _STATE_CAP:
+        raise GameError(f"state budget of {_STATE_CAP} exceeded")
     if cfg.full_space:  # closed under updates, so nothing is appended
-        values = itertools.product(range(cfg.n, -1, -1), repeat=len(cfg.elements))
-        states = [KnowledgeState(cfg.elements, v, cfg.n) for v in itertools.islice(values, _STATE_CAP + 1)]
+        values = itertools.product(range(cfg.n, -1, -1), repeat=m)
+        states = [KnowledgeState(cfg.elements, v, cfg.n) for v in values]
     else:
         states = [cfg.start()]
     index = {s: i for i, s in enumerate(states)}
@@ -221,8 +216,6 @@ def _explore(
     succ: dict[str, list[list[int]]] = {name: [] for name, _ in questions}
     depth, level_end = 0, len(states)
     for i, state in enumerate(states):  # states grows while it is read
-        if len(states) > _STATE_CAP:
-            raise GameError(f"state budget of {_STATE_CAP} exceeded")
         if i == level_end:
             depth, level_end = depth + 1, len(states)
         for name, q in questions:
@@ -252,15 +245,17 @@ def build_game_model(cfg: GameConfig, budget: int | None = DEFAULT_PAIRS) -> Kri
     Edges are taken between every pair of worlds that the update equation
     relates, so paths of honest play can be checked against box formulas.
 
-    When the depth budget truncates the space before it closes under
-    updates, a frontier state keeps the edges to states inside the model
-    and loses those to states past the budget, so box formulas there read
-    only part of the answers; specifications should be checked at a
-    saturating depth (the exploration stops early once no new states
-    appear) or with full_space.
+    When the depth budget d < n truncates the space before it closes
+    under updates, a frontier state keeps the edges to states inside the
+    model and loses those to states past the budget, so box formulas
+    there read only part of the answers; specifications should be checked
+    at depth n or more, which reaches every state and edge and gives the
+    full_space model in breadth-first rather than product order.
 
-    A game whose bound of states times questions (see `_explore`) is past
-    the budget raises `sat.BudgetExceeded`; None lifts the budget.
+    A game whose states times questions (exactly counted, see `_explore`)
+    are past the budget raises `luk.BudgetExceeded`; None lifts the
+    budget.  One of more than `_STATE_CAP` states raises `GameError`.
+    Both are raised before any question is built.
     """
     states, succ = _explore(cfg, budget)
     columns = zip(*(s.values for s in states))

@@ -100,8 +100,19 @@ def test_ulam_past_its_budget_exits_2_at_once(capsys):
     assert capsys.readouterr().out == "holds at every reachable state\n"
     assert main([*game, "215"]) == 2
     assert capsys.readouterr().err.startswith("error: the game model has up to 27 states times 2^3 questions, past")
+    # (4, 3, 2) has exactly 3^4 states: 1,296 state-question pairs
+    game = ["ulam", "build", "--m", "4", "--n", "3", "--depth", "2", "--budget"]
+    assert main([*game, "1296"]) == 0
+    capsys.readouterr()
+    assert main([*game, "1295"]) == 2
+    assert capsys.readouterr().err.startswith("error: the game model has up to 81 states times 2^4 questions, past")
     assert main(["ulam", "build", "--m", "2", "--n", "1", "--budget", "-1"]) == 2
     assert capsys.readouterr().err == "error: budget must be >= 0\n"
+    # 26^4 states are within the default budget but past the state cap
+    start = time.perf_counter()
+    assert main(["ulam", "build", "--m", "4", "--n", "25", "--depth", "25"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == "error: state budget of 200000 exceeded\n"
 
 
 def test_prove_past_a_luk_lines_budget_exits_2_at_once(tmp_path, capsys):

@@ -40,14 +40,16 @@ def test_check_loads_only_the_model_checker(tmp_path):
     assert fresh(code) == ["cli", "kripke", "luk", "parser", "syntax"]
 
 
-def test_taut_loads_the_decider_only_past_its_budget():
+def test_taut_and_ulam_build_never_load_the_decider():
     code = (
         "import json, sys\nfrom mvpdl import cli\n"
         "assert cli.main(['taut', 'p -> q -> p', '--n', '2']) == 0\nbefore = 'mvpdl.sat' in sys.modules\n"
         "assert cli.main(['taut', 'p -> q -> p', '--n', '2', '--budget', '8']) == 2\n"
-        "print(json.dumps([before, 'mvpdl.sat' in sys.modules]))"
+        "past = 'mvpdl.sat' in sys.modules\n"
+        "assert cli.main(['ulam', 'build', '--m', '2', '--n', '1', '--budget', '7']) == 2\n"
+        "print(json.dumps([before, past, 'mvpdl.sat' in sys.modules]))"
     )
-    assert fresh(code) == [False, True]
+    assert fresh(code) == [False, False, False]
 
 
 def test_prove_loads_neither_the_model_checker_nor_the_decider_within_its_budget():
@@ -61,7 +63,7 @@ def test_prove_loads_neither_the_model_checker_nor_the_decider_within_its_budget
     )
     loaded, sat_after = fresh(code)
     assert not {"kripke", "sat"} & set(loaded) and "proofs" in loaded
-    assert sat_after
+    assert not sat_after
 
 
 def test_ulam_check_leaves_the_decider_and_proofs_unloaded():

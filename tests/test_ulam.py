@@ -323,6 +323,26 @@ def test_game_model_matches_the_validated_constructor(m, n, depth, full_space):
         assert model._vcols[f"p_{element}"] == [s.values[i] for s in states]
 
 
+def test_state_count_is_exact_and_depth_n_reaches_the_full_space():
+    # an answer lowers any chosen set of values by one step, so within d
+    # questions the states are those with every value at least n - d
+    def as_sets(model):
+        values = {p: dict(zip(model.worlds, col)) for p, col in model._vcols.items()}
+        return set(model.worlds), model.relations, values
+
+    for m in range(1, 6):
+        for n in range(1, 5):
+            full = build_game_model(_game(m, n, 0, full_space=True))
+            assert len(full.worlds) == (n + 1) ** m
+            for depth in range(6):
+                model = build_game_model(_game(m, n, depth))
+                assert len(model.worlds) == (min(n, depth) + 1) ** m, (m, n, depth)
+                if depth == n - 1:
+                    assert len(model.worlds) < len(full.worlds)
+                if depth == n and m <= 4 and n <= 3:
+                    assert as_sets(model) == as_sets(full), (m, n)
+
+
 def test_game_build_keeps_no_edge_copy():
     # the model's index lists are the exploration's own, so the build's
     # allocation peak stays near what the model keeps (a copy of the edges
@@ -340,9 +360,8 @@ def test_game_build_keeps_no_edge_copy():
 
 
 def test_exploration_budget_bounds_states_times_questions(monkeypatch):
-    # at most min((n+1)^m, sum over k <= depth of (2^(m+1))^k) states, and
-    # exactly (n+1)^m in the full space, each with 2^m questions; the check
-    # comes before any question is built
+    # exactly (min(n, depth) + 1)^m states, and (n+1)^m in the full space,
+    # each with 2^m questions; the check comes before any question is built
     class Built(Exception):
         pass
 
@@ -351,12 +370,12 @@ def test_exploration_budget_bounds_states_times_questions(monkeypatch):
 
     monkeypatch.setattr(ulam, "all_questions", no_questions)
     for cfg, states in (
-        (_game(9, 3, 1), 1 + 2**10),  # 524,800 state-question pairs
-        (_game(6, 3, 2), 4**6),  # the largest benchmark config
-        (_game(2, 2, 1), 9),  # both bounds meet
+        (_game(9, 3, 1), 2**9),  # 262,144 state-question pairs
+        (_game(6, 3, 2), 3**6),  # the largest benchmark config
+        (_game(2, 2, 1), 4),
         (_game(1, 1, 5), 2),
         (_game(2, 3, 0, full_space=True), 16),
-        (_game(2, 2, 10**18), 9),  # no sum as long as the depth is formed
+        (_game(2, 2, 10**18), 9),  # a depth past n counts as n
         (_game(16, 1, 1), 2**16),
     ):
         bound = states << len(cfg.elements)
