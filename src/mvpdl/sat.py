@@ -5,11 +5,13 @@ A row assigns a value to every member of the formula's closure,
 respecting the connective arithmetic and the program laws of
 `syntax.laws`: MIN and TEST fix a box from other members, and a star box
 must meet its unfolding law (`_Rows.generate`, which also drops rows by
-two refinement rules).  Variables, atomic boxes and star boxes are its
-free positions; the other members are computed in the order of
-`syntax.plan`, whose steps also carry the star boxes' automata.  Row v
-is an allowed a-successor of row w when v[ψ] >= w[[a]ψ] for every [a]ψ
-in the closure.  β-steps between rows run through the automaton of
+two refinement rules over the atomic and star boxes).  Variables,
+atomic boxes and star boxes are its free positions; the other members
+are computed in the order of `syntax.plan`, whose steps also carry the
+star boxes' automata.  `_Rows` reads every table it needs, the steps,
+the atomic boxes per program and the rules, off one walk of that plan.
+Row v is an allowed a-successor of row w when v[ψ] >= w[[a]ψ] for every
+[a]ψ in the closure.  β-steps between rows run through the automaton of
 [β*]φ (`syntax.star_states`): from row w in state s an edge takes one
 allowed step of its atomic program into its target state, or a test
 that stays at w when w values its formula at n, or accepts at w itself.
@@ -22,8 +24,8 @@ Elimination repeats two rules until neither drops a row:
   steps between surviving rows.
 
 Both rules take one backward flood over rows x automaton states, with
-row sets as bitsets (`_Elimination.pre`); the box rule's automaton is
-one a-step into a state that accepts.
+row sets as bitsets (`_Rows.pre`); the box rule's automaton is one
+a-step into a state that accepts.
 
 Soundness: the row of every world of every model survives.  It is a
 generated row, and no rule drops it first: a box value below n is the
@@ -45,7 +47,8 @@ rule reaches a row with φ equal to it when it is below n.  Conversely,
 the rows of the worlds of any model, with every allowed edge, pass both
 rules by the soundness argument.  So a set of rows is a model with the
 rows' values exactly when elimination inside it keeps it; the surviving
-rows form one, and a model of k worlds gives one of at most k rows.
+rows form one (`_Rows.model`), and a model of k worlds gives one of at
+most k rows.
 
 The search looks for a small witness first: single goal rows with their
 loops (a linear scan, not charged to the budget), then, under the
@@ -58,8 +61,10 @@ witness before it is reported.
 The one exponential step is the row enumeration, capped at
 _ROW_ENUM_CAP free assignments.  Past the cap there are no rows and so
 no negative verdict; the search then tries the models of 1, 2, ...
-worlds over the formula's vocabulary, up to max_worlds and under the
-budget, and raises BudgetExceeded when none of them is a witness.
+worlds over the formula's vocabulary, up to max_worlds, and raises
+BudgetExceeded when none of them is a witness.  A size is begun only
+when all its models fit what is left of the budget, so a size whose
+count does not fit ends the scan at once.
 
 Validity is decided by searching for a world where the formula's value
 falls below 1, which is the same search as satisfiability of the negated
@@ -82,11 +87,11 @@ from .kripke import KripkeModel
 from .luk import BudgetExceeded  # raised with the search's stats when its budget or cap runs out
 from .syntax import (
     ATOM,
+    FALSUM,
     IMP,
     MIN,
     NOT,
     STAR,
-    TEST,
     VAR,
     Box,
     Formula,
@@ -165,32 +170,63 @@ def is_validity_verdict(result: SatResult) -> bool:
     return not result.is_sat and result.complete
 
 
-# --- row abstraction --------------------------------------------------------
+# --- rows -------------------------------------------------------------------
+
+
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class _Rows:
-    """Consistent closure rows for one formula at one resolution."""
+    """The consistent closure rows of one formula at one resolution, their
+    cuts, allowed edges and two drop rules, and the model of any row set.
+    Once generated, row i is bit i of a row set, a Python int."""
 
     def __init__(self, f: Formula, n: int):
         self.n = n
         self.closure = fl_closure(f)
-        self.index = {g: i for i, g in enumerate(self.closure)}
-        self.steps = list(plan(self.closure))
-        op = {g: op for g, op, _, _ in self.steps}
-        self.var_slots = [g for g in self.closure if op[g] is VAR]
-        self.abox_slots = [g for g in self.closure if op[g] is ATOM]
-        self.star_slots = [g for g in self.closure if op[g] is STAR]
-        self.autos = {g: auto for g, _, _, auto in self.steps if auto is not None}  # of the star boxes
-        self.free = self.var_slots + self.abox_slots + self.star_slots
+        index = self.index = {g: i for i, g in enumerate(self.closure)}
+        self.free: list[int] = []  # slots of the variables, atomic boxes and star boxes
+        self.derived: list[tuple[int, str, int, int]] = []  # (slot, op, a, b) in plan order
+        self.unfold: list[tuple[int, int, int]] = []  # [b*]f: (slot, slot of f, slot of [b][b*]f)
+        self.vars: dict[str, int] = {}
+        self.boxes: dict[str, list[tuple[int, int]]] = {}  # per atomic name: (box slot, body slot)
+        # a row valuing [α]φ at c < n needs an α-path, read off the
+        # automaton, to a row valuing φ at c; α is an atomic program (box
+        # rule) or a star (star rule): (slot, body slot, box, automaton)
+        self.rules: list[tuple[int, int, Box, dict]] = []
+        for g, op, reads, auto in plan(self.closure):
+            i = index[g]
+            if op is VAR:
+                self.free.append(i)
+                self.vars[g.name] = i
+            elif op is ATOM or op is STAR:
+                self.free.append(i)
+                body = index[g.body]
+                if op is ATOM:
+                    self.boxes.setdefault(g.prog.name, []).append((i, body))
+                    auto = {g: [(g.prog.name, None, g.body)], g.body: [(None, None, None)]}
+                else:
+                    self.unfold.append((i, body, index[laws(g)[1][1]]))
+                self.rules.append((i, body, g, auto))
+            elif op is not FALSUM:  # NOT, IMP, MIN or TEST
+                self.derived.append((i, op, index[reads[0]], index[reads[-1]]))
+        self.rows: list[tuple[int, ...]] = []
+        self._cuts: dict[tuple[int, int, int], int] = {}
+        self._preds: dict[str, list[tuple[int, int]]] = {}
+        self._into: dict[int, list[list[tuple[int, str | None, int]]]] = {}
 
     def free_assignments(self) -> int:
         return (self.n + 1) ** len(self.free)
 
     def generate(self) -> list[tuple[int, ...]]:
-        """All locally consistent rows, in ascending tuple order, refined."""
-        n = self.n
-        free = [self.index[g] for g in self.free]
-        derived, unfold = self._plan()
+        """All locally consistent rows, in ascending tuple order, refined;
+        they are also kept as the rows."""
+        n, free, derived, unfold = self.n, self.free, self.derived, self.unfold
         vals = [0] * len(self.closure)  # falsum slots are never written
         rows = []
         for choice in itertools.product(range(n + 1), repeat=len(free)):
@@ -211,24 +247,12 @@ class _Rows:
             if all(vals[i] == min(vals[a], vals[b]) for i, a, b in unfold):
                 rows.append(tuple(vals))
         rows.sort()
-        return self._refine(rows)
-
-    def _plan(self) -> tuple[list[tuple[int, str, int, int]], list[tuple[int, int, int]]]:
-        """The derived members as (slot, op, a, b) steps over slots, in the
-        order of `syntax.plan`, and the unfolding law of each star box
-        [b*]f as (slot, slot of f, slot of [b][b*]f)."""
-        index = self.index
-        derived, unfold = [], []
-        for g, op, reads, _ in self.steps:
-            if op is STAR:
-                body, chain = laws(g)[1]
-                unfold.append((index[g], index[body], index[chain]))
-            elif op in (NOT, IMP, MIN, TEST):
-                derived.append((index[g], op, index[reads[0]], index[reads[-1]]))
-        return derived, unfold
+        self.rows = self._refine(rows)
+        return self.rows
 
     def _refine(self, rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Fixpoint of two rules that drop rows no model can produce.
+        """Fixpoint of two rules over the atomic and star boxes that drop
+        rows no model can produce.
 
         Soundness rests on one invariant: the row of every world of every
         model survives.  It holds for the generated rows, and each rule,
@@ -248,15 +272,22 @@ class _Rows:
         Dropping rows can raise a least value or establish a new body
         ordering, hence the fixpoint.
 
+        The rules read only the boxes of the elimination rules.  A box
+        over a sequence, choice or test takes its value from those boxes
+        by its law (a minimum, or its body or n), so, by induction over
+        the program, it meets both rules in every row once they do.  Both
+        rules' drop conditions are monotone: a row dropped from a set is
+        dropped from every subset.  So either rule set reaches the same
+        greatest fixpoint, the rows on which every rule holds.
+
         The verdict does not need these rules: every row they drop, the
         elimination drops too.  They are a pre-filter for speed, cheaper
         per row than the box and star rules; without them the decide
         benchmark's ops take about 30 % longer in total.
         """
         by_prog: dict[Program, list[tuple[int, int]]] = {}
-        for g in self.closure:
-            if type(g) is Box:
-                by_prog.setdefault(g.prog, []).append((self.index[g], self.index[g.body]))
+        for box, body, g, _ in self.rules:
+            by_prog.setdefault(g.prog, []).append((box, body))
         boxes = [pair for pairs in by_prog.values() for pair in pairs]
         groups = [pairs for pairs in by_prog.values() if len(pairs) > 1]
         changed = True
@@ -280,37 +311,6 @@ class _Rows:
                                 rows = kept
                                 changed = True
         return rows
-
-
-# --- elimination ------------------------------------------------------------
-
-
-def _bits(mask: int):
-    """Positions of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class _Elimination:
-    """The refined rows as bit positions, their allowed edges, and the
-    two drop rules.  Row sets are Python ints, bit i standing for row i."""
-
-    def __init__(self, info: _Rows, rows: list[tuple[int, ...]]):
-        self.n = info.n
-        self.rows = rows
-        self.info = info
-        index = info.index
-        self.boxes: dict[str, list[tuple[int, int]]] = {}
-        for g in info.abox_slots:
-            self.boxes.setdefault(g.prog.name, []).append((index[g], index[g.body]))
-        self._cuts: dict[tuple[int, int, int], int] = {}
-        self._preds: dict[str, list[tuple[int, int]]] = {}
-        self._autos: dict[Formula, list] = {}
-        # a row valuing [α]φ at c < n needs an α-path to a row valuing φ at
-        # c; α is an atomic program (box rule) or a star (star rule)
-        self.rules = [(index[g], index[g.body], g) for g in info.abox_slots + info.star_slots]
 
     def cut(self, slot: int, lo: int, hi: int) -> int:
         """The rows valuing closure member `slot` from lo to hi."""
@@ -342,32 +342,24 @@ class _Elimination:
             ]
         return got
 
-    def _automaton(self, g: Formula) -> list[list[tuple[int, str | None, int]]]:
-        """The automaton of box g's program over rows: for a star box its
-        `syntax.star_states`, for an atomic box one step into a state
-        that accepts.  Its states by position, g first, and one more for
-        acceptance; per target its edges (source, atomic name or None,
-        gate rows), the gate rows valuing a test's formula at n, or all
-        rows."""
-        got = self._autos.get(g)
-        if got is not None:
-            return got
-        auto = self.info.autos.get(g) or {g: [(g.prog.name, None, g.body)], g.body: [(None, None, None)]}
-        index = {state: i for i, state in enumerate(auto)}
-        index[None] = len(auto)
-        into: list[list[tuple[int, str | None, int]]] = [[] for _ in index]
-        for i, edges in enumerate(auto.values()):
-            for name, gate, target in edges:
-                ok = -1 if gate is None else self.cut(self.info.index[gate], self.n, self.n)
-                into[index[target]].append((i, name, ok))
-        self._autos[g] = into
-        return into
+    def pre(self, slot: int, auto: dict, rows: int, alive: int) -> int:
+        """The alive rows from which the automaton of rule `slot` accepts
+        in rows (a subset of alive), along allowed edges between alive
+        rows: one backward flood over rows x states, as bitsets.
 
-    def pre(self, g: Formula, rows: int, alive: int) -> int:
-        """The alive rows from which box g's automaton accepts in rows (a
-        subset of alive), along allowed edges between alive rows: one
-        backward flood over rows x states, as bitsets."""
-        into = self._automaton(g)
+        The automaton's states are taken by position, the box first, and
+        one more for acceptance; per target, its edges (source, atomic
+        name or None, gate rows), the gate rows valuing a test's formula
+        at n, or all rows."""
+        into = self._into.get(slot)
+        if into is None:
+            index = {state: i for i, state in enumerate(auto)}
+            index[None] = len(auto)
+            into = self._into[slot] = [[] for _ in index]
+            for i, edges in enumerate(auto.values()):
+                for name, gate, target in edges:
+                    ok = -1 if gate is None else self.cut(self.index[gate], self.n, self.n)
+                    into[index[target]].append((i, name, ok))
         reached = [0] * len(into)
         work = [(len(into) - 1, rows)]
         while work:
@@ -385,11 +377,11 @@ class _Elimination:
         dropped = True
         while dropped:
             dropped = False
-            for slot, body, g in self.rules:
+            for slot, body, _, auto in self.rules:
                 for c in range(self.n):
                     need = alive & self.cut(slot, c, c)
                     if need:
-                        bad = need & ~self.pre(g, alive & self.cut(body, c, c), alive)
+                        bad = need & ~self.pre(slot, auto, alive & self.cut(body, c, c), alive)
                         if bad:
                             alive &= ~bad
                             dropped = True
@@ -403,7 +395,7 @@ class _Elimination:
         for pairs in self.boxes.values():
             if any(row[box] < n for box, _ in pairs) and any(row[body] != row[box] for box, body in pairs):
                 return False
-        return all(row[body] == row[slot] for slot, body, _ in self.rules if row[slot] < n)
+        return all(row[body] == row[slot] for slot, body, _, _ in self.rules if row[slot] < n)
 
     def reach(self, w: int, alive: int) -> int:
         """The alive rows reachable from row w along allowed edges."""
@@ -413,6 +405,15 @@ class _Elimination:
             frontier = step & alive & ~seen
             seen |= frontier
         return seen
+
+    def model(self, members: int) -> KripkeModel:
+        """The rows of members as worlds s0, s1, ..., in row order, each
+        valued by its variables, with every allowed edge among them."""
+        order = list(_bits(members))
+        pos = {i: k for k, i in enumerate(order)}
+        succ = {a: [[pos[v] for v in _bits(self.succ(a, u) & members)] for u in order] for a in self.boxes}
+        vcols = {name: [self.rows[i][slot] for i in order] for name, slot in self.vars.items()}
+        return KripkeModel._indexed(self.n, [f"s{k}" for k in range(len(order))], succ, vcols)
 
 
 # --- search -----------------------------------------------------------------
@@ -444,17 +445,21 @@ def _decide(
 ) -> SatResult:
     info = _Rows(f, n)
     if info.free_assignments() > _ROW_ENUM_CAP:
-        # no rows, so no negative verdict: only a small model can answer
-        sizes = itertools.count(1) if max_worlds is None else range(1, max_worlds + 1)
-        models = itertools.chain.from_iterable(_models(f, n, k) for k in sizes)
-        hit = _first_witness(f, n, want_true, itertools.islice(models, budget), stats)
-        if hit is None:
-            raise BudgetExceeded(
-                f"no verdict: the row space of {info.free_assignments()} assignments is past the "
-                f"cap of {_ROW_ENUM_CAP}, and no witness is among {stats.nodes_explored} models",
-                stats,
-            )
-        return hit
+        # No rows, so no negative verdict: only a small model can answer.
+        # A size is begun only when all its models fit what is left of the
+        # budget: (n+1)^(v*k) valuations times 2^(a*k*k) relations.
+        v, a = len(variables_of(f)), len(atomic_programs_of(f))
+        for k in itertools.count(1) if max_worlds is None else range(1, max_worlds + 1):
+            if (n + 1) ** (v * k) * 2 ** (a * k * k) > budget - stats.nodes_explored:
+                break
+            hit = _first_witness(f, n, want_true, _models(f, n, k), stats)
+            if hit is not None:
+                return hit
+        raise BudgetExceeded(
+            f"no verdict: the row space of {info.free_assignments()} assignments is past the "
+            f"cap of {_ROW_ENUM_CAP}, and no witness is among {stats.nodes_explored} models",
+            stats,
+        )
     rows = info.generate()
     stats.atoms_generated = len(rows)
     fi = info.index[f]
@@ -462,26 +467,20 @@ def _decide(
         (i for i, row in enumerate(rows) if _meets_goal(row[fi], n, want_true)),
         key=lambda i: -rows[i][fi],
     )
-    elim = _Elimination(info, rows)
 
     def found(members: int, w: int) -> Satisfiable:
-        """The rows of members as worlds s0, s1, ..., with every allowed
-        edge, checked."""
-        order = list(_bits(members))
-        pos = {i: k for k, i in enumerate(order)}
-        succ = {a: [[pos[v] for v in _bits(elim.succ(a, u) & members)] for u in order] for a in elim.boxes}
-        vcols = {g.name: [rows[i][info.index[g]] for i in order] for g in info.var_slots}
-        model = KripkeModel._indexed(n, [f"s{k}" for k in range(len(order))], succ, vcols)
-        world = model.worlds[pos[w]]
+        """The model of the rows of members, checked at row w."""
+        model = info.model(members)
+        world = model.worlds[(members & ((1 << w) - 1)).bit_count()]  # w's rank in members
         if not _meets_goal(model.value(world, f).num, n, want_true):
             raise RuntimeError(f"witness row {w} fails the model check")
-        return Satisfiable(model=model, world=world, bound_used=len(order), stats=stats)
+        return Satisfiable(model=model, world=world, bound_used=len(model.worlds), stats=stats)
 
     for w in goals:  # one world with its loops: linear, so not charged
         stats.nodes_explored += 1
-        if elim.alone(w):
+        if info.alone(w):
             return found(1 << w, w)
-    alive = elim.eliminate((1 << len(rows)) - 1) if goals else 0
+    alive = info.eliminate((1 << len(rows)) - 1) if goals else 0
     goals = [w for w in goals if alive >> w & 1]
     if not goals:
         return Unsatisfiable(bound_used=(n + 1) ** len(info.closure), complete=True, stats=stats)
@@ -490,17 +489,17 @@ def _decide(
         (w, others)
         for k in range(2, (max_worlds or 2) + 1)
         for w in goals
-        for others in itertools.combinations(_bits(elim.reach(w, alive) & ~(1 << w)), k - 1)
+        for others in itertools.combinations(_bits(info.reach(w, alive) & ~(1 << w)), k - 1)
     )
     for w, others in itertools.islice(tries, budget):
         stats.nodes_explored += 1
-        kept = elim.eliminate(sum(1 << i for i in others) | 1 << w)
+        kept = info.eliminate(sum(1 << i for i in others) | 1 << w)
         if kept >> w & 1:
             return found(kept, w)
     # Unbounded, the reach set is a witness anyway, so an exhausted budget
     # only ends the hunt for a smaller one.
     if max_worlds is None:
-        return found(elim.reach(goals[0], alive), goals[0])
+        return found(info.reach(goals[0], alive), goals[0])
     if next(tries, None) is not None:
         raise BudgetExceeded(f"state budget of {budget} candidates exhausted; raise it to go on", stats)
     return Unsatisfiable(bound_used=max_worlds, complete=False, stats=stats)

@@ -202,6 +202,19 @@ def test_row_space_past_the_cap_still_answers(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_past_the_row_cap_no_verdict_comes_at_once(capsys):
+    # each size of the model scan is begun only when all its models fit
+    # the budget, so the default budget gives up in well under a second
+    for argv in (
+        ["valid", "[a]p & [a]q & [a]r & [a]s & t -> t", "--n", "4"],
+        ["sat", "[a*]p & <a>~p", "--n", "30"],
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 3
+        assert capsys.readouterr().err.startswith("error: no verdict: the row space of ")
+
+
 def test_prove_golden_file(tmp_path, capsys):
     from importlib.resources import files
 

@@ -14,7 +14,6 @@ from mvpdl.sat import (
     OracleGuard,
     Satisfiable,
     Unsatisfiable,
-    _Elimination,
     _ROW_ENUM_CAP,
     _Rows,
     decide_sat,
@@ -199,6 +198,21 @@ def test_past_the_row_cap_small_models_answer():
         decide_valid(parse_formula("[a]p & [a]q & [a]r & [a]s & t -> t"), 4, budget=50)
 
 
+def test_past_the_row_cap_each_size_is_begun_only_when_it_fits():
+    # the models of k worlds number (n+1)^(v*k) * 2^(a*k*k): the 6,250
+    # one-world models of the first formula fit the default budget and its
+    # 5^10 * 2^4 two-world ones do not; the second tries 31 * 2 one-world
+    # and 31^2 * 2^4 two-world models, and no three-world one
+    for decide, text, n, explored in (
+        (decide_valid, "[a]p & [a]q & [a]r & [a]s & t -> t", 4, 6_250),
+        (decide_sat, "[a*]p & <a>~p", 30, 15_438),
+    ):
+        with pytest.raises(BudgetExceeded, match="^no verdict: the row space of ") as caught:
+            decide(parse_formula(text), n)
+        assert caught.value.stats.nodes_explored == explored
+        assert caught.value.stats.atoms_generated == 0
+
+
 def test_search_is_deterministic():
     f = parse_formula("<a>p & ~p")
     a = decide_sat(f, 2)
@@ -295,7 +309,7 @@ def test_real_rows_survive_elimination():
             if info.free_assignments() > 20_000:
                 continue
             rows = info.generate()
-            alive = _Elimination(info, rows).eliminate((1 << len(rows)) - 1)
+            alive = info.eliminate((1 << len(rows)) - 1)
             kept[f, n] = info, {row: i for i, row in enumerate(rows)}, alive
         info, position, alive = kept[f, n]
         ref = Relational(m)
@@ -337,6 +351,29 @@ def test_generated_rows_are_pinned():
         generated += 1
     assert generated >= 300
     assert digest.hexdigest() == "04c8b63a2b223283d68fdbf5ef0db1d4fc9e5912c8153f6f5fcf2f69d41d86b7"
+
+
+def test_the_surviving_rows_form_the_filtrated_canonical_model():
+    # truth lemma: in the model of the rows that elimination keeps, with
+    # every allowed edge, each row has its own value on every closure
+    # member; so the formula is globally true there exactly when it is valid
+    from mvpdl.tautologies import SCHEMA_COUNT
+
+    cases = [(f, n) for i in range(1, SCHEMA_COUNT + 1) for n in (1, 2, 3) for f in schema_formulas(i, n)]
+    cases.append((parse_formula("(p & [a*](p -> [a]p)) -> [a*]p"), 4))
+    worlds = 0
+    for f, n in cases:
+        info = _Rows(f, n)
+        rows = info.generate()
+        alive = info.eliminate((1 << len(rows)) - 1)
+        model = info.model(alive)
+        kept = [row for i, row in enumerate(rows) if alive >> i & 1]
+        for slot, g in enumerate(info.closure):
+            values = model.value_profile(g)
+            assert [values[w].num for w in model.worlds] == [row[slot] for row in kept], (format_formula(g), n)
+        assert model.globally_true(f) == is_validity_verdict(decide_valid(f, n)), (format_formula(f), n)
+        worlds += len(model.worlds)
+    assert len(cases) == 70 and worlds == 4_284
 
 
 @pytest.mark.parametrize("n", [2, 3])
