@@ -210,11 +210,14 @@ class KripkeModel:
     x declared variables and name no other world.  Atomic programs that
     were never declared denote the empty relation.
 
-    This constructor is the validated API.  The package's own producers
-    (`ulam.build_game_model`, `sat`'s witnesses, `filtration.filter_model`'s
-    quotients) already hold successor index lists and numerator columns,
-    and build through `_indexed`, which checks only the world names;
-    `parse_model`, which checks its file as it reads it, ends in `_setup`.
+    This constructor is the validated API, for users and tests; no module
+    of the package calls it.  The package's own producers (`random_model`,
+    `disjoint_union`, `ulam.build_game_model`, `sat`'s witnesses and its
+    enumeration of small models, `filtration.filter_model`'s quotients)
+    already hold successor index lists and numerator columns, and build
+    through `_indexed`, which checks only the world names; `parse_model`,
+    which checks its file as it reads it and has indexed its worlds
+    already, ends in `_setup`.
     """
 
     __slots__ = (
@@ -531,15 +534,13 @@ def random_model(
         raise ModelError("world_count must be >= 1")
     if not 0 <= edge_density <= 1:  # NaN too
         raise ModelError(f"edge density must be in [0, 1], got {edge_density}")
+    if n < 1:
+        raise ModelError("resolution must be >= 1")
     rng = random.Random(seed)
-    worlds = [f"w{i}" for i in range(world_count)]
-    relations = {}
-    for atom in atom_names:
-        relations[atom] = [(u, v) for u in worlds for v in worlds if rng.random() < edge_density]
-    valuation = {}
-    for var in var_names:
-        valuation[var] = {w: rng.randint(0, n) for w in worlds}
-    return KripkeModel(n, worlds, relations, valuation)
+    worlds = range(world_count)
+    succ = {atom: [[v for v in worlds if rng.random() < edge_density] for _ in worlds] for atom in atom_names}
+    vcols = {var: [rng.randint(0, n) for _ in worlds] for var in var_names}
+    return KripkeModel._indexed(n, [f"w{i}" for i in worlds], succ, vcols)
 
 
 def disjoint_union(models: Sequence[KripkeModel]) -> KripkeModel:
@@ -551,24 +552,21 @@ def disjoint_union(models: Sequence[KripkeModel]) -> KripkeModel:
     """
     if not models:
         raise ModelError("need at least one model")
-    n = models[0].n
-    variables = set(models[0].variables)
+    n, variables = models[0].n, models[0].variables
     for m in models[1:]:
         if m.n != n:
             raise ModelError("mixed resolutions in union")
-        if set(m.variables) != variables:
+        if m.variables != variables:
             raise ModelError("mixed variable sets in union")
-    worlds: list[str] = []
-    relations: dict[str, list[tuple[str, str]]] = {}
-    valuation: dict[str, dict[str, int]] = {v: {} for v in variables}
-    for i, m in enumerate(models):
-        names = [f"m{i}:{w}" for w in m.worlds]
-        worlds.extend(names)
+    worlds = [f"m{i}:{w}" for i, m in enumerate(models) for w in m.worlds]
+    succ = {atom: [[] for _ in worlds] for atom in dict.fromkeys(a for m in models for a in m._succ)}
+    base = 0
+    for m in models:
         for atom, lists in m._succ.items():
-            relations.setdefault(atom, []).extend((names[u], names[v]) for u, vs in enumerate(lists) for v in vs)
-        for var in variables:
-            valuation[var].update(zip(names, m._vcols[var]))
-    return KripkeModel(n, worlds, relations, valuation)
+            succ[atom][base : base + len(lists)] = [[base + v for v in vs] for vs in lists]
+        base += len(m.worlds)
+    vcols = {var: [x for m in models for x in m._vcols[var]] for var in variables}
+    return KripkeModel._indexed(n, worlds, succ, vcols)
 
 
 # --- model file format -----------------------------------------------------

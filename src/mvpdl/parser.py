@@ -409,8 +409,11 @@ def _emit(node, ctx: int, texts: dict | None = None) -> str:
     the span of `out` it printed, (out, start, end): the pair and the
     start are pushed below its parts, and the int marks the span's end
     when it comes off the stack.  A pair found in `texts` appends its
-    span, joined into one string the first time."""
-    out, stack, flat = [], [], set()
+    span, joined into one string the first time.  The chain lengths that
+    `_repeats` finds go into the same table, keyed by the chain node
+    alone, so that prints sharing it walk each chain node once."""
+    out, stack = [], []
+    lengths = {} if texts is None else texts
     item = (node, ctx)
     while True:
         t = type(item)
@@ -428,7 +431,7 @@ def _emit(node, ctx: int, texts: dict | None = None) -> str:
                     continue
                 stack.append(item)
                 stack.append(len(out))
-            level, parts = _shape(node, ctx, flat)
+            level, parts = _shape(node, ctx, lengths)
             if level < ctx:
                 out.append("(")
                 stack.append(")")
@@ -444,10 +447,10 @@ def _emit(node, ctx: int, texts: dict | None = None) -> str:
         item = stack.pop()
 
 
-def _shape(f, ctx: int, flat: set):
+def _shape(f, ctx: int, lengths: dict):
     """f's binding level and its text, as strings and (child, context)
     pairs: the sugar where the expanded pattern is found, core syntax
-    otherwise.  `flat` holds chain nodes already found not to repeat."""
+    otherwise.  `lengths` holds the chain lengths found so far."""
     t = type(f)
     if ctx >= _PROG:
         if t is Atomic:
@@ -473,7 +476,7 @@ def _shape(f, ctx: int, flat: set):
         if (m := _match_odot(f)) is not None:
             a, b = m
             if ctx != _ODOT:  # the left operand of (.) prints as a plain chain
-                if k := _repeats(a, b, _match_odot, flat):
+                if k := _repeats(a, b, _match_odot, lengths):
                     return _chain(_POST, "(.)", ((b, _POST + 1), f"^{min(k, _MAX_K)}"), b, k)
                 # (x -> y) (.) (y -> x) is x <-> y
                 if type(a) is Implies and type(b) is Implies and a.lhs is b.rhs and a.rhs is b.lhs:
@@ -489,7 +492,7 @@ def _shape(f, ctx: int, flat: set):
         if type(a) is Implies and a.rhs is b:  # (x -> y) -> y is x | y
             return _infix("|", a.lhs, b)
         if type(a) is Not:  # ~x -> y is x (+) y
-            if k := _repeats(a.sub, b, _match_oplus, flat):
+            if k := _repeats(a.sub, b, _match_oplus, lengths):
                 return _chain(_PRE, "(+)", (f"{min(k, _MAX_K)}.", (b, _PRE)), b, k)
             if type(a.sub) is not Implies and type(b) is not Implies:  # else -> reads better
                 return _infix("(+)", a.sub, b)
@@ -515,19 +518,22 @@ def _chain(sugar: int, op: str, head: tuple, part, k: int):
     return level, head + (text, (part, level + 1)) * (k - _MAX_K)
 
 
-def _repeats(a, part, matcher, flat: set) -> int:
+def _repeats(a, part, matcher, lengths: dict) -> int:
     """k if a op part, for the operator `matcher` matches, is the k-fold
     chain of part, else 0.  The walk down the chain of a stops at the
-    first part that differs; the nodes it passed then repeat no part
-    either and go into `flat`, so that each is walked once."""
+    first part that differs, at part itself or at a node in `lengths`,
+    which maps each chain node walked before to the number of parts its
+    chain has (0: it is no chain of its right operand); the nodes it
+    passed go into `lengths` too, so that each is walked once."""
     passed = []
-    while (m := matcher(a)) is not None and m[1] is part and a not in flat:
+    while (m := matcher(a)) is not None and m[1] is part and a not in lengths:
         passed.append(a)
         a = m[0]
-    if m is None and a is part:
-        return len(passed) + 2
-    flat.update(passed)
-    return 0
+    # a node walked before, the chain's first part, or something else
+    k = lengths[a] if m and m[1] is part else int(m is None and a is part)
+    for node in reversed(passed):
+        k = lengths[node] = k and k + 1
+    return k and k + 1
 
 
 def _match_oplus(f):

@@ -130,7 +130,9 @@ class Satisfiable:
 @dataclass
 class Unsatisfiable:
     """No witness of at most bound_used worlds.  Complete: no model at
-    all.  Incomplete: a model exists, but none that small."""
+    all, and bound_used is the number of rows elimination ran on (at most
+    _ROW_ENUM_CAP): every world of every model has its row among them.
+    Incomplete: a model exists, but none that small."""
 
     bound_used: int
     complete: bool
@@ -456,7 +458,7 @@ def _decide(
             if hit is not None:
                 return hit
         raise BudgetExceeded(
-            f"no verdict: the row space of {info.free_assignments()} assignments is past the "
+            f"no verdict: the row space of {n + 1}^{len(info.free)} assignments is past the "
             f"cap of {_ROW_ENUM_CAP}, and no witness is among {stats.nodes_explored} models",
             stats,
         )
@@ -483,7 +485,7 @@ def _decide(
     alive = info.eliminate((1 << len(rows)) - 1) if goals else 0
     goals = [w for w in goals if alive >> w & 1]
     if not goals:
-        return Unsatisfiable(bound_used=(n + 1) ** len(info.closure), complete=True, stats=stats)
+        return Unsatisfiable(bound_used=len(rows), complete=True, stats=stats)
 
     tries = (  # a goal row and k - 1 rows it reaches, k up to max_worlds (2 unbounded)
         (w, others)
@@ -532,15 +534,14 @@ def enumerate_oracle(f: Formula, n: int, exact_worlds: int) -> SatResult:
 
 def _models(f: Formula, n: int, k: int):
     """Every model of k worlds over f's variables and atomic programs."""
-    worlds = [f"u{i}" for i in range(k)]
+    ids = range(k)
+    worlds = [f"u{i}" for i in ids]
     var_names = sorted(variables_of(f))
     atom_names = sorted(atomic_programs_of(f))
-    pairs = [(u, v) for u in worlds for v in worlds]
     for values in itertools.product(range(n + 1), repeat=len(var_names) * k):
-        valuation = {x: dict(zip(worlds, values[i * k : i * k + k])) for i, x in enumerate(var_names)}
-        for masks in itertools.product(range(1 << len(pairs)), repeat=len(atom_names)):
-            relations = {a: [pq for j, pq in enumerate(pairs) if m >> j & 1] for a, m in zip(atom_names, masks)}
-            yield KripkeModel(n, worlds, relations, valuation)
+        for masks in itertools.product(range(1 << k * k), repeat=len(atom_names)):  # bit u*k+v: edge u -> v
+            succ = {a: [[v for v in ids if m >> (u * k + v) & 1] for u in ids] for a, m in zip(atom_names, masks)}
+            yield KripkeModel._indexed(n, worlds, succ, {x: list(values[i * k : i * k + k]) for i, x in enumerate(var_names)})
 
 
 def _first_witness(f, n, want_true, models, stats: SearchStats) -> Satisfiable | None:

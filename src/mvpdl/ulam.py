@@ -202,9 +202,9 @@ def _explore(
     `luk.BudgetExceeded`, and S past `_STATE_CAP` a `GameError`.
     """
     m = len(cfg.elements)
-    size = (cfg.n + 1 if cfg.full_space else min(cfg.n, cfg.depth) + 1) ** m
-    charge(size << m, budget, f"the game model has up to {size} states times 2^{m} questions")
-    if size > _STATE_CAP:
+    base = cfg.n + 1 if cfg.full_space else min(cfg.n, cfg.depth) + 1
+    charge(base**m << m, budget, f"the game model has up to {base}^{m} states times 2^{m} questions")
+    if base**m > _STATE_CAP:
         raise GameError(f"state budget of {_STATE_CAP} exceeded")
     if cfg.full_space:  # closed under updates, so nothing is appended
         values = itertools.product(range(cfg.n, -1, -1), repeat=m)

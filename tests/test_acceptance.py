@@ -10,7 +10,7 @@ import time
 
 import mvpdl.luk as luk
 from mvpdl.filtration import filter_model
-from mvpdl.kripke import KripkeModel, disjoint_union, random_model
+from mvpdl.kripke import disjoint_union, random_model
 from mvpdl.luk import mv_equation_failures, synth_indicator, synth_tau, tv, unary_table
 from mvpdl.parser import format_formula, parse_formula
 from mvpdl.proofs import (
@@ -48,15 +48,12 @@ from mvpdl.ulam import (
     reachable_states,
     world_name_state,
 )
+from bundled import counterexample_model
 from relational import Relational
 
 
 def _report(criterion: int, name: str, detail: str):
     print(f"[acceptance] criterion {criterion:2d} ({name}): pass - {detail}")
-
-
-def counterexample_model() -> KripkeModel:
-    return KripkeModel(4, ["u", "v"], {"a": [("u", "v")]}, {"p": {"u": 3, "v": 1}})
 
 
 def test_c01_worked_example_exact_and_fast():

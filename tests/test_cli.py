@@ -91,7 +91,15 @@ def test_ulam_past_its_budget_exits_2_at_once(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            "error: the game model has up to 65536 states times 2^16 questions, "
+            "error: the game model has up to 2^16 states times 2^16 questions, "
+            "past the budget of 10000000; raise it to go on\n"
+        )
+    # the state count is written as a power, which stays short at any size
+    big = 10**250
+    for m, n, base in (("20", str(big), big + 1), ("8000", "1", 2)):
+        assert main(["ulam", "build", "--m", m, "--n", n, "--depth", n]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the game model has up to {base}^{m} states times 2^{m} questions, "
             "past the budget of 10000000; raise it to go on\n"
         )
     # (3, 2, 2) has at most 27 states: 216 state-question pairs
@@ -99,13 +107,13 @@ def test_ulam_past_its_budget_exits_2_at_once(capsys):
     assert main([*game, "216"]) == 0
     assert capsys.readouterr().out == "holds at every reachable state\n"
     assert main([*game, "215"]) == 2
-    assert capsys.readouterr().err.startswith("error: the game model has up to 27 states times 2^3 questions, past")
+    assert capsys.readouterr().err.startswith("error: the game model has up to 3^3 states times 2^3 questions, past")
     # (4, 3, 2) has exactly 3^4 states: 1,296 state-question pairs
     game = ["ulam", "build", "--m", "4", "--n", "3", "--depth", "2", "--budget"]
     assert main([*game, "1296"]) == 0
     capsys.readouterr()
     assert main([*game, "1295"]) == 2
-    assert capsys.readouterr().err.startswith("error: the game model has up to 81 states times 2^4 questions, past")
+    assert capsys.readouterr().err.startswith("error: the game model has up to 3^4 states times 2^4 questions, past")
     assert main(["ulam", "build", "--m", "2", "--n", "1", "--budget", "-1"]) == 2
     assert capsys.readouterr().err == "error: budget must be >= 0\n"
     # 26^4 states are within the default budget but past the state cap
@@ -198,8 +206,26 @@ def test_row_space_past_the_cap_still_answers(capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: no verdict: the row space of 1953125 assignments")
+    assert captured.err.startswith("error: no verdict: the row space of 5^9 assignments")
     assert "Traceback" not in captured.err
+    # the row space is written as a power, which stays short at any n
+    big = 10**500
+    assert main(["valid", "[a]p & [a]q & [a]r & [a]s & t -> t", "--n", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: no verdict: the row space of {big + 1}^9 assignments is past the cap of 400000")
+
+
+def test_complete_verdicts_on_large_closures_keep_their_answers(capsys):
+    # a complete verdict is bounded by the rows elimination ran on, not by
+    # (n+1)^|closure|, whose thousands of digits no int-to-text conversion takes
+    assert main(["valid", "p^2000 -> p", "--n", "4"]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert main(["valid", "p^2000 -> p", "--n", "4", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verdict"] == "valid" and payload["complete"]
+    assert payload["bound_used"] == payload["statistics"]["atoms_generated"] <= 400_000
+    assert main(["sat", "~(p^3000 -> p)", "--n", "4"]) == 1
+    assert capsys.readouterr().out == "unsatisfiable (complete: no goal row survives elimination)\n"
 
 
 def test_past_the_row_cap_no_verdict_comes_at_once(capsys):
@@ -609,10 +635,13 @@ def test_command_line_digest(tmp_path, capsys, monkeypatch):
     # else.  Re-taken when `taut` got `--budget`, and again when `prove`
     # did: `taut --help`, then `prove --help` changed, and every other
     # record kept its bytes.  Re-taken when `ulam build` and `ulam check`
-    # got `--budget`: only their two `--help` records changed.  Temporary paths and
-    # `wall_time` are normalized.  `randmodel`
-    # without --seed is left out: it used to write `# seed None` above a
-    # model generated from seed 0.
+    # got `--budget`: only their two `--help` records changed.  Re-taken
+    # when a complete verdict's `bound_used` became its row count and the
+    # past-cap error came to write its row space as a power: `sat 0
+    # --json`, `valid p -> p --json` and both `--max-worlds 1` past-cap
+    # records changed, and nothing else.  Temporary paths and `wall_time`
+    # are normalized.  `randmodel` without --seed is left out: it used to
+    # write `# seed None` above a model generated from seed 0.
     monkeypatch.setenv("COLUMNS", "80")
     calls = _corpus(tmp_path)
     parser = _build_parser()
@@ -633,7 +662,7 @@ def test_command_line_digest(tmp_path, capsys, monkeypatch):
         record = f"{argv}\n{code}\n{out}\n{err}\n{written}\n".replace(tmp, "TMP")
         record = re.sub(r'"wall_time": [-+0-9.eE]+', '"wall_time": 0', record)
         digest.update(record.encode())
-    assert digest.hexdigest() == "af6990b4549dad1c1ffdc41f8500771af3534e1fc94669382f50dd9a6fea07c7"
+    assert digest.hexdigest() == "79d12942582605024701a7da17afb3f84004cb2b767cdd5a49b03b68a3fa0f28"
 
 
 def test_out_into_a_missing_directory_is_an_error(model_file, tmp_path, capsys):

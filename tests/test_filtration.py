@@ -14,12 +14,9 @@ from mvpdl.kripke import KripkeModel, random_model
 from mvpdl.parser import parse_formula
 from mvpdl.syntax import Box
 from mvpdl.tautologies import random_formula
+from bundled import counterexample_model
 from relational import Relational
 from validated import assert_same_as_validated
-
-
-def counterexample_model() -> KripkeModel:
-    return KripkeModel(4, ["u", "v"], {"a": [("u", "v")]}, {"p": {"u": 3, "v": 1}})
 
 
 def test_identical_rows_fall_in_one_class():

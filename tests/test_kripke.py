@@ -24,11 +24,9 @@ from mvpdl.parser import ParseError, format_formula, is_identifier, parse_formul
 from mvpdl.syntax import STAR, Atomic, Box, Implies, Not, Seq, Star, Test, Union, Var, plan, power, star_states
 from mvpdl.tautologies import random_formula, random_program
 from mvpdl.ulam import GameConfig, build_game_model
+from bundled import counterexample_model
 from relational import Relational
-
-
-def counterexample_model() -> KripkeModel:
-    return KripkeModel(4, ["u", "v"], {"a": [("u", "v")]}, {"p": {"u": 3, "v": 1}})
+from validated import assert_same_as_validated
 
 
 def test_worked_counterexample_values():
@@ -141,6 +139,15 @@ def test_random_model_contract():
     for density in (2, -0.1, float("nan")):
         with pytest.raises(ModelError, match=r"edge density must be in \[0, 1\]"):
             random_model(seed=1, n=2, world_count=3, edge_density=density)
+    with pytest.raises(ModelError, match="resolution must be >= 1"):
+        random_model(seed=1, n=0, world_count=3)
+    for seed, density in enumerate((0.02, 0.035, 0.05)):  # the check benchmark's model shape
+        assert_same_as_validated(random_model(seed, 4, 300, edge_density=density))
+    for m in (a, empty, full):
+        assert_same_as_validated(m)
+    for seed in range(8):
+        names = ("a", "b", "c")[: seed % 4]
+        assert_same_as_validated(random_model(seed, 1 + seed % 3, 1 + seed, names, names[::-1], seed / 8))
 
 
 def test_model_validation_errors():
@@ -589,6 +596,17 @@ def test_disjoint_union_preserves_values():
         prof = m.value_profile(f)
         for w in m.worlds:
             assert union.value(f"m{i}:{w}", f) == prof[w]
+    assert_same_as_validated(union)
+    # parts that declare different programs: each part's worlds have no
+    # edges of a program it does not declare
+    parts = [random_model(i, 2, 2 + i, ("a", "b", "c")[i % 3 :], edge_density=0.5) for i in range(4)]
+    union = disjoint_union(parts)
+    assert_same_as_validated(union)
+    assert union.worlds == tuple(f"m{i}:{w}" for i, m in enumerate(parts) for w in m.worlds)
+    for atom in ("a", "b", "c"):
+        assert union.relations[atom] == {
+            (f"m{i}:{u}", f"m{i}:{v}") for i, m in enumerate(parts) for u, v in m.relations.get(atom, ())
+        }
 
 
 def _has_compound_star(f) -> bool:

@@ -8,6 +8,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from timing import time_ratio
 
 from mvpdl import parser
 from mvpdl.parser import (
@@ -33,6 +34,7 @@ from mvpdl.syntax import (
     Var,
     ZERO,
     diamond,
+    fl_closure,
     iff,
     land,
     lor,
@@ -596,13 +598,35 @@ def test_a_shared_text_table_prints_trees_as_alone(nodes):
         assert _print(node, texts) == _print(node)
 
 
+def test_closures_print_in_linear_time():
+    # a closure restates each (.) or (+) chain at every length, and one
+    # text table keeps each chain node's length once found, so printing
+    # the closure walks every chain node once instead of once per member
+    def printer(text):
+        closure = fl_closure(parse_formula(text))
+
+        def run():
+            texts = {}
+            return [format_formula(g, texts) for g in closure]
+
+        return closure, run
+
+    for sugar in ("p^{}", "{}.p"):
+        closure, big = printer(sugar.format(4000))
+        texts = big()
+        assert texts[0] == sugar.format(4000)
+        for i in range(0, len(closure), 499):  # alone, each member costs its chain length
+            assert texts[i] == format_formula(closure[i]) and parse_formula(texts[i]) is closure[i]
+        assert time_ratio(big, printer(sugar.format(2000))[1], 5) < 2.5
+
+
 def test_a_shared_text_table_shapes_each_pair_once(monkeypatch):
     shaped = []
     real = parser._shape
 
-    def counting(f, ctx, flat):
+    def counting(f, ctx, lengths):
         shaped.append((f, ctx))
-        return real(f, ctx, flat)
+        return real(f, ctx, lengths)
 
     monkeypatch.setattr(parser, "_shape", counting)
     nodes = _table_corpus()

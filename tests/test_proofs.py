@@ -1,14 +1,12 @@
 """Axiom instantiation, line checking, the loop-invariance derivation."""
 
-import gc
 import hashlib
 import random
 import re
-import statistics
-import time
 from pathlib import Path
 
 import pytest
+from timing import time_ratio
 from validated import abstract_boxes
 
 import mvpdl
@@ -341,25 +339,6 @@ def test_binding_errors_name_the_line():
         assert str(err.value) == message
 
 
-def _time_ratio(slow, fast, repeats):
-    """The median over interleaved runs of slow's time over fast's, with
-    the collector paused so that no collection of the test process's heap
-    is charged to one of them."""
-    ratios = []
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fast()
-            middle = time.perf_counter()
-            slow()
-            ratios.append((time.perf_counter() - middle) / (middle - start))
-    finally:
-        gc.enable()
-    return statistics.median(ratios)
-
-
 def test_derivations_parse_in_linear_time():
     # one group table per derivation: keys are hash-consed from inner
     # groups' ids, never from text sliced once per nesting level, so a
@@ -367,14 +346,14 @@ def test_derivations_parse_in_linear_time():
     for deep in ("(" * 100_000 + "p" + ")" * 100_000, "(q -> " * 10_000 + "p" + ")" * 10_000):
         text = f"1. {deep} ; premise\n"
         assert parse_derivation(text, 1).lines[0].formula is parse_formula(deep)
-        assert _time_ratio(lambda: parse_derivation(text, 1), lambda: parse_formula(deep), 3) < 2
+        assert time_ratio(lambda: parse_derivation(text, 1), lambda: parse_formula(deep), 3) < 2
     # each line restates the one before it inside parentheses
     formulas = ["p"]
     for _ in range(199):
         formulas.append(f"({formulas[-1]}) -> q")
     text = "".join(f"{i}. {f} ; premise\n" for i, f in enumerate(formulas, start=1))
     assert [ln.formula for ln in parse_derivation(text, 1).lines] == [parse_formula(f) for f in formulas]
-    assert _time_ratio(lambda: parse_derivation(text, 1), lambda: [parse_formula(f) for f in formulas], 3) < 2
+    assert time_ratio(lambda: parse_derivation(text, 1), lambda: [parse_formula(f) for f in formulas], 3) < 2
 
 
 def test_lines_split_in_linear_time():
@@ -397,7 +376,7 @@ def test_lines_split_in_linear_time():
             with pytest.raises(DerivationFormatError):
                 parse_derivation(line, 1)
 
-    assert _time_ratio(lambda: reject(16_000), lambda: reject(8_000), 9) < 2.5
+    assert time_ratio(lambda: reject(16_000), lambda: reject(8_000), 9) < 2.5
     # a ; inside the formula stays there when a later one ends it
     assert parse_derivation("1. [a;b]p ; premise\n", 1).lines[0].formula is parse_formula("[a;b]p")
 

@@ -15,6 +15,7 @@ from mvpdl.sat import (
     Satisfiable,
     Unsatisfiable,
     _ROW_ENUM_CAP,
+    _models,
     _Rows,
     decide_sat,
     decide_valid,
@@ -36,7 +37,7 @@ def test_falsum_is_unsatisfiable_outright():
     r = decide_sat(parse_formula("0"), 3)
     assert isinstance(r, Unsatisfiable)
     assert r.complete
-    assert r.bound_used >= 4  # the closure bound certified
+    assert r.bound_used == r.stats.atoms_generated == 1  # its one row, where 0 is not 1
 
 
 def test_diamond_needs_a_loop_at_size_one():
@@ -121,6 +122,13 @@ def test_oracle_examples():
         assert isinstance(enumerate_oracle(parse_formula("p (.) ~p"), 1, size), Unsatisfiable)
     with pytest.raises(OracleGuard):
         enumerate_oracle(f, 1, 4)
+    # every model the oracle and the past-cap scan enumerate is a valid one
+    g = parse_formula("[a]p -> q")
+    for k in (1, 2):
+        models = list(_models(g, 2, k))
+        assert len(models) == 3 ** (2 * k) * 2 ** (k * k)
+        for m in models:
+            assert_same_as_validated(m)
 
 
 def test_oracle_agreement_spot_sample():

@@ -369,23 +369,23 @@ def test_exploration_budget_bounds_states_times_questions(monkeypatch):
         raise Built
 
     monkeypatch.setattr(ulam, "all_questions", no_questions)
-    for cfg, states in (
-        (_game(9, 3, 1), 2**9),  # 262,144 state-question pairs
-        (_game(6, 3, 2), 3**6),  # the largest benchmark config
-        (_game(2, 2, 1), 4),
+    for cfg, base in (
+        (_game(9, 3, 1), 2),  # 262,144 state-question pairs
+        (_game(6, 3, 2), 3),  # the largest benchmark config
+        (_game(2, 2, 1), 2),
         (_game(1, 1, 5), 2),
-        (_game(2, 3, 0, full_space=True), 16),
-        (_game(2, 2, 10**18), 9),  # a depth past n counts as n
-        (_game(16, 1, 1), 2**16),
+        (_game(2, 3, 0, full_space=True), 4),
+        (_game(2, 2, 10**18), 3),  # a depth past n counts as n
+        (_game(16, 1, 1), 2),
     ):
-        bound = states << len(cfg.elements)
+        m = len(cfg.elements)
+        bound = base**m << m
         with pytest.raises(Built):
             build_game_model(cfg, bound)
         with pytest.raises(BudgetExceeded) as err:
             check_spec(cfg, "p_1", budget=bound - 1)
-        m = len(cfg.elements)
         assert str(err.value) == (
-            f"the game model has up to {states} states times 2^{m} questions, "
+            f"the game model has up to {base}^{m} states times 2^{m} questions, "
             f"past the budget of {bound - 1}; raise it to go on"
         )
         with pytest.raises(Built if bound <= ulam.DEFAULT_PAIRS else BudgetExceeded):

@@ -1,8 +1,9 @@
 """References built another way than the code they check: a model rebuilt
 through the validated constructor, for the producers that build through
-`KripkeModel._indexed` (game models, decider witnesses, filtration
-quotients), and the box abstraction of a `luk` line, for the truth table
-that takes a line's maximal boxes as leaves instead."""
+`KripkeModel._indexed` (`random_model`, `disjoint_union`, game models,
+decider witnesses, the decider's enumeration of small models and
+filtration quotients), and the box abstraction of a `luk` line, for the
+truth table that takes a line's maximal boxes as leaves instead."""
 
 from __future__ import annotations
 
