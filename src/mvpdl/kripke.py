@@ -253,7 +253,7 @@ class KripkeModel:
                     lists[widx[u]].append(widx[v])
                 except KeyError:
                     raise ModelError(f"relation {atom!r} uses undeclared world in ({u!r}, {v!r})") from None
-            succ[atom] = lists
+            succ[atom] = [list(dict.fromkeys(vs)) for vs in lists]  # each pair once
         vcols: dict[str, list[int]] = {}
         for var, per_world in valuation.items():
             col = []
@@ -592,6 +592,7 @@ def parse_model(text: str) -> KripkeModel:
     names: list[str] = []
     widx: dict[str, int] | None = None  # fixed by the first rel line
     succ: dict[str, list[list[int]]] = {}
+    again: set[tuple[str, int]] = set()  # (atom, source) of each source that heads a second chunk
     vals: list[tuple[int, str, str]] = []  # val lines, read once n is known
     var_names: set[str] = set()
 
@@ -644,7 +645,10 @@ def parse_model(text: str) -> KripkeModel:
                     if not (u and vs):
                         err(lineno, f"bad edge {chunk.strip()!r}, expected u->v")
                     try:
-                        row = lists[widx[u]]
+                        i = widx[u]
+                        row = lists[i]
+                        if row:  # u heads a second chunk, which may repeat a target
+                            again.add((atom, i))
                         for v in vs:
                             row.append(widx[v])
                     except KeyError as e:
@@ -664,6 +668,8 @@ def parse_model(text: str) -> KripkeModel:
             vals.append((lineno, var, tail))
             continue
         err(lineno, f"unrecognized line {line!r}")
+    for atom, i in again:  # each target once, in first-listed order
+        succ[atom][i] = list(dict.fromkeys(succ[atom][i]))
     if n is None:
         raise ModelError("missing 'n = <int>' line")
     if widx is None:
@@ -722,7 +728,7 @@ def format_model(m: KripkeModel, comments: Sequence[str] = ()) -> str:
     lines.append("worlds: " + " ".join(m.worlds))
     ws = m.worlds
     for atom, lists in sorted(m._succ.items()):
-        body = ", ".join(f"{ws[u]}->" + " ".join(ws[v] for v in sorted(set(vs))) for u, vs in enumerate(lists) if vs)
+        body = ", ".join(f"{ws[u]}->" + " ".join(ws[v] for v in sorted(vs)) for u, vs in enumerate(lists) if vs)
         lines.append(f"rel {atom}: {body}")
     for var in m.variables:
         body = " ".join(f"{w}={x}/{m.n}" for w, x in zip(ws, m._vcols[var]))

@@ -246,7 +246,12 @@ class _Rows:
                 else:  # TEST: a is the test formula, b the body
                     vals[i] = y if x == n else n
             # Star boxes are free but must satisfy the unfolding law.
-            if all(vals[i] == min(vals[a], vals[b]) for i, a, b in unfold):
+            for i, a, b in unfold:
+                x = vals[a]
+                y = vals[b]
+                if vals[i] != (x if x < y else y):
+                    break
+            else:
                 rows.append(tuple(vals))
         rows.sort()
         self.rows = self._refine(rows)

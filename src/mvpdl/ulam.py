@@ -43,7 +43,7 @@ a specification always names the question it reads as.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .kripke import KripkeModel, _parses_back
@@ -87,18 +87,24 @@ class KnowledgeState:
         return f"({body})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GameConfig:
+    """A game's search space, lie bound n and question budget.  Frozen,
+    so the element set, kept once for every membership check, stays the
+    set of its elements."""
+
     elements: tuple[str, ...]
     n: int
     depth: int
     full_space: bool = False
+    element_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.elements = tuple(self.elements)
+        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "element_set", frozenset(self.elements))
         if not self.elements:
             raise GameError("search space must be nonempty")
-        if len(set(self.elements)) != len(self.elements):
+        if len(self.element_set) != len(self.elements):
             raise GameError("duplicate elements in search space")
         if self.n < 1:
             raise GameError("n must be >= 1")
@@ -125,7 +131,7 @@ def positive_answer(cfg: GameConfig, question: Iterable[str]) -> KnowledgeState:
 
 
 def negative_answer(cfg: GameConfig, question: Iterable[str]) -> KnowledgeState:
-    return positive_answer(cfg, set(cfg.elements) - _as_set(cfg, question))
+    return positive_answer(cfg, cfg.element_set - _as_set(cfg, question))
 
 
 def update_state(
@@ -141,7 +147,7 @@ def update_state(
 
 def _as_set(cfg: GameConfig, question: Iterable[str]) -> frozenset[str]:
     q = frozenset(question)
-    unknown = q - set(cfg.elements)
+    unknown = q - cfg.element_set
     if unknown:
         raise GameError(f"question names unknown elements: {sorted(unknown)}")
     return q
@@ -164,7 +170,7 @@ def parse_question(cfg: GameConfig, name: str) -> frozenset[str]:
     body = text[2 : -1].strip()
     members = frozenset(x.strip() for x in body.split(",") if x.strip()) if body else frozenset()
     members = _as_set(cfg, members)
-    return frozenset(cfg.elements) - members if complement else members
+    return cfg.element_set - members if complement else members
 
 
 def all_questions(cfg: GameConfig) -> list[frozenset[str]]:

@@ -280,6 +280,19 @@ def test_model_file_chunk_errors():
     assert format_model(m) == f"{head}rel a: u->u v, v->v\nrel b: \nval p: u=0/2 v=2/2\n"
 
 
+def test_each_edge_is_kept_once():
+    # both untrusted entries keep a repeated edge once in its successor
+    # list, so a box walks no copy and the layer choice reads true degrees
+    assert KripkeModel(1, ["u", "v"], {"a": [("u", "v"), ("u", "v")]}, {})._succ == {"a": [[1], []]}
+    assert parse_model("n = 1\nworlds: u v\nrel a: u->v, u->v, u->v\n")._succ == {"a": [[1], []]}
+    m = parse_model("n = 1\nworlds: v u\nrel a: u->v, u->u v\nrel a: u->u, v->v\n")
+    assert m._succ == {"a": [[0], [0, 1]]}
+    worlds = [f"w{i}" for i in range(20)]
+    text = f"n = 1\nworlds: {' '.join(worlds)}\nrel a: w0->w0, w0->w0, w0->w0\n"
+    assert "a" in parse_model(text)._layers
+    assert "a" in KripkeModel(1, worlds, {"a": [("w0", "w0")] * 3}, {})._layers
+
+
 def test_model_file_names_must_parse_back():
     head = "n = 1\nworlds: w1\n"
     for line, msg in (
@@ -857,10 +870,12 @@ _FIXED_SHAPES = (
 @example((1, _FIXED_SHAPES[1], {"p": [1, 0, 1], "q": [0, 1, 1]}))
 @example((4, {"a": [[0, 0]], "b": [[]]}, {"p": [2], "q": [4]}))
 def test_both_box_kernels_match_relational_oracle(spec):
-    # the model is read from a file written one edge per chunk, so a
-    # target given twice sits twice in its successor list; it is read at
-    # the real layer floor, which these models lie below, and with the
-    # floor at one world, so that the layers serve every model they can
+    # the model is read from a file written one edge per chunk, and built
+    # by the pair constructor from the same edges; either entry keeps a
+    # target given twice once, so the kernel choice reads the distinct
+    # targets.  Both are built at the real layer floor, which these models
+    # lie below, and with the floor at one world, so that the layers
+    # serve every model they can
     n, edges, values = spec
     worlds = [f"w{i}" for i in range(len(values["p"]))]
     lines = [f"n = {n}", "worlds: " + " ".join(worlds)]
@@ -868,13 +883,19 @@ def test_both_box_kernels_match_relational_oracle(spec):
         lines.append(f"rel {atom}: " + ", ".join(f"w{u}->w{v}" for u, vs in enumerate(targets) for v in vs))
     for var, col in values.items():
         lines.append(f"val {var}: " + " ".join(f"{w}={x}/{n}" for w, x in zip(worlds, col)))
+    relations = {atom: [(f"w{u}", f"w{v}") for u, vs in enumerate(targets) for v in vs] for atom, targets in edges.items()}
+    valuation = {var: dict(zip(worlds, col)) for var, col in values.items()}
     for floor in (kripke._LAYER_FLOOR, 1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(kripke, "_LAYER_FLOOR", floor)
             m = parse_model("\n".join(lines) + "\n")
+            built = KripkeModel(n, worlds, relations, valuation)
+        assert built._succ == m._succ
         for atom, targets in edges.items():
+            assert all(len(set(vs)) == len(vs) for vs in m._succ[atom])
             layered = floor <= len(worlds) <= kripke._LAYER_CAP and n <= 127
-            assert (atom in m._layers) is (layered and max(map(len, targets)) <= 2)
+            assert (atom in m._layers) is (layered and max(len(set(vs)) for vs in targets) <= 2)
+            assert (atom in built._layers) is (atom in m._layers)
         oracle = Relational(m)
         for f in _KERNEL_BOXES:
             got = m.value_profile(f)

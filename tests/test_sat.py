@@ -1,9 +1,12 @@
 """Decision procedures and their brute-force arbiter."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from relational import Relational
 from validated import assert_same_as_validated
 
@@ -22,7 +25,29 @@ from mvpdl.sat import (
     enumerate_oracle,
     is_validity_verdict,
 )
-from mvpdl.syntax import Atomic, Box, Implies, Not, Star, power
+from mvpdl.syntax import (
+    ATOM,
+    FALSUM,
+    IMP,
+    NOT,
+    STAR,
+    TEST,
+    VAR,
+    ZERO,
+    Atomic,
+    Box,
+    Implies,
+    Not,
+    Seq,
+    Star,
+    Test,
+    Union,
+    Var,
+    fl_closure,
+    laws,
+    plan,
+    power,
+)
 from mvpdl.tautologies import random_formula, random_program, schema_formulas
 
 
@@ -359,6 +384,88 @@ def test_generated_rows_are_pinned():
         generated += 1
     assert generated >= 300
     assert digest.hexdigest() == "04c8b63a2b223283d68fdbf5ef0db1d4fc9e5912c8153f6f5fcf2f69d41d86b7"
+
+
+def _naive_rows(f, n):
+    """Every value tuple over the closure of f, in closure order, on which
+    each member meets its law, by brute force over all (n+1)^|closure|."""
+    closure = fl_closure(f)
+    index = {g: i for i, g in enumerate(closure)}
+    checks = []  # (slot, op, slots it reads); variables and atomic boxes are free
+    for g, op, reads, _ in plan(closure):
+        if op is STAR:
+            reads = laws(g)[1]  # its body and its unfolding [b][b*]f
+        if op is not VAR and op is not ATOM:
+            checks.append((index[g], op, [index[r] for r in reads]))
+    kept = []
+    for vals in itertools.product(range(n + 1), repeat=len(closure)):
+        for i, op, reads in checks:
+            v, got = vals[i], [vals[j] for j in reads]
+            if op is FALSUM:
+                ok = v == 0
+            elif op is NOT:
+                ok = v == n - got[0]
+            elif op is IMP:
+                ok = v == min(n, n - got[0] + got[1])
+            elif op is TEST:
+                ok = v == (got[1] if got[0] == n else n)
+            else:  # MIN and STAR: the least of what the law reads
+                ok = v == min(got)
+            if not ok:
+                break
+        else:
+            kept.append(vals)
+    return sorted(kept)
+
+
+def _draw_formula(draw, depth):
+    kind = draw(st.integers(0, 5 if depth else 2))
+    if kind < 3:
+        return (Var("p"), Var("q"), ZERO)[kind]
+    if kind == 3:
+        return Not(_draw_formula(draw, depth - 1))
+    if kind == 4:
+        return Implies(_draw_formula(draw, depth - 1), _draw_formula(draw, depth - 1))
+    return Box(_draw_program(draw, depth - 1), _draw_formula(draw, depth - 1))
+
+
+def _draw_program(draw, depth):
+    kind = draw(st.integers(0, 5 if depth else 2))
+    if kind < 2:
+        return Atomic("ab"[kind])
+    if kind == 2:
+        return Test(_draw_formula(draw, 0))
+    if kind == 3:
+        return Star(_draw_program(draw, depth - 1))
+    parts = _draw_program(draw, depth - 1), _draw_program(draw, depth - 1)
+    return Seq(*parts) if kind == 4 else Union(*parts)
+
+
+@st.composite
+def _small_closures(draw):
+    """A formula with a star box, and tests inside programs, whose closure
+    is small enough to enumerate at the drawn n."""
+    n = draw(st.integers(1, 3))
+    f = _draw_formula(draw, 3)
+    if not any(type(g) is Box and type(g.prog) is Star for g in fl_closure(f)):
+        f = Box(Star(_draw_program(draw, 1)), f)
+    assume((n + 1) ** len(fl_closure(f)) <= 4_096)
+    return f, n
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_small_closures())
+@example((parse_formula("[(a+b)*]p -> [a*][b*]p"), 1))
+@example((parse_formula("[(p?;a)*]q -> [a*]0"), 2))
+@example((parse_formula("[a*][b*]p"), 3))
+def test_generated_rows_match_a_naive_enumeration(spec):
+    # the row product, drop rules off, against every value tuple that
+    # meets each member's law read straight from syntax.plan and laws
+    f, n = spec
+    rows = _Rows(f, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Rows, "_refine", lambda self, rows: rows)
+        assert rows.generate() == _naive_rows(f, n), format_formula(f)
 
 
 def test_the_surviving_rows_form_the_filtrated_canonical_model():

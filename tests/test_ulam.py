@@ -1,9 +1,11 @@
 """The searching game with lies and its model construction."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 
 import pytest
+from timing import time_ratio
 from validated import assert_same_as_validated
 
 from mvpdl import ulam
@@ -254,6 +256,23 @@ def test_config_validation():
         with pytest.raises(GameError, match="does not read back"):
             GameConfig(elements=elements, n=1, depth=1)
     assert GameConfig(elements=("a", "b2", "élément"), n=1, depth=1).elements == ("a", "b2", "élément")
+
+
+def test_config_is_frozen_with_its_element_set():
+    cfg = GameConfig(elements=["1", "2"], n=1, depth=1)
+    assert cfg.elements == ("1", "2") and cfg.element_set == frozenset({"1", "2"})
+    assert cfg == GameConfig(elements=("1", "2"), n=1, depth=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.elements = ("1",)
+
+
+def test_configs_check_their_elements_in_linear_time():
+    # each element's read-back check looks it up in the one element set;
+    # rebuilding that set per element made m = 8,000 take 2 s
+    def config(m):
+        return lambda: GameConfig(elements=tuple(str(i) for i in range(m)), n=1, depth=1)
+
+    assert time_ratio(config(8_000), config(4_000), 5) < 2.5
 
 
 def _game(m, n, depth, full_space=False) -> GameConfig:
